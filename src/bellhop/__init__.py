@@ -3,14 +3,14 @@ under per-setting densities, and a derivation checker locating where the
 classical Bell argument fails to exist."""
 
 from .intervals import DomainSet, Interval
-from .steprv import PartialRV, combine, make_step, shift
-from .observables import log_curve, make_observable, thresholds
+from .steprv import PartialRV, combine, make_step
+from .observables import log_curve, make_observable, setting_interval, thresholds
 from .density import (
     GridDensity,
     expectation,
     make_grid_density,
     marginal_means,
-    sample,
+    sample_many,
     uniform_density,
 )
 from .chsh import (
@@ -29,15 +29,15 @@ __all__ = [
     "PartialRV",
     "combine",
     "make_step",
-    "shift",
     "log_curve",
     "make_observable",
+    "setting_interval",
     "thresholds",
     "GridDensity",
     "expectation",
     "make_grid_density",
     "marginal_means",
-    "sample",
+    "sample_many",
     "uniform_density",
     "ChshFamily",
     "chsh_value",

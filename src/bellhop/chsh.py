@@ -14,7 +14,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .density import GridDensity, _integrate, make_grid_density
+from .density import ROUND_OFF, GridDensity, _integrate, make_grid_density
 from .errors import (
     DomainMismatch,
     GridMisaligned,
@@ -22,11 +22,12 @@ from .errors import (
     NonConvergence,
 )
 from .intervals import Interval
-from .observables import make_observable, thresholds
+from .observables import make_observable, setting_interval, thresholds
 from .steprv import PartialRV
 
 PAIRS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (alpha, beta) order used throughout
-_FEAS_TOL = 1e-12
+# A threshold t is on a grid line when (t - lo) * n is this close to an integer.
+_GRID_ALIGN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,7 @@ class ChshFamily:
 
     def __post_init__(self):
         for (alpha, beta), rho in zip(PAIRS, self.densities()):
-            want_x = Interval(float(alpha), float(alpha) + 1.0)
-            want_y = Interval(float(beta), float(beta) + 1.0)
+            want_x, want_y = setting_interval(alpha), setting_interval(beta)
             if rho.x_rect != want_x or rho.y_rect != want_y:
                 raise DomainMismatch(
                     f"rho{alpha}{beta} rectangle {rho.x_rect!r}×{rho.y_rect!r} "
@@ -49,69 +49,65 @@ class ChshFamily:
                 )
 
     def densities(self) -> Tuple[GridDensity, ...]:
-        return (self.rho00, self.rho10, self.rho01, self.rho11)
+        return tuple(getattr(self, f"rho{alpha}{beta}") for alpha, beta in PAIRS)
 
     def observables(self, alpha: int, beta: int) -> Tuple[PartialRV, PartialRV]:
         return make_observable(float(alpha), "x"), make_observable(float(beta), "y")
 
+    def moments(self) -> Tuple[Tuple[float, float, float], ...]:
+        """(E[ab], E[a], E[b]) per pair in PAIRS order, each under its own density."""
+        return tuple(
+            _integrate(*self.observables(alpha, beta), rho)
+            for (alpha, beta), rho in zip(PAIRS, self.densities())
+        )
+
     def expectations(self) -> Tuple[float, float, float, float]:
-        out = []
-        for (alpha, beta), rho in zip(PAIRS, self.densities()):
-            f, g = self.observables(alpha, beta)
-            out.append(_integrate(f, g, rho)[0])
-        return tuple(out)
+        return tuple(e_ab for e_ab, _, _ in self.moments())
 
     def marginals(self) -> Dict[str, float]:
         """All eight marginal means, each under its own pair's density."""
-        out = {}
-        for (alpha, beta), rho in zip(PAIRS, self.densities()):
-            f, g = self.observables(alpha, beta)
-            _, e_f, e_g = _integrate(f, g, rho)
-            out[f"a{alpha}|{alpha}{beta}"] = e_f
-            out[f"b{beta}|{alpha}{beta}"] = e_g
-        return out
+        return _marginal_table(self.moments())
 
     def to_dict(self) -> dict:
-        e00, e10, e01, e11 = self.expectations()
-        return {
-            "rho00": self.rho00.to_dict(),
-            "rho10": self.rho10.to_dict(),
-            "rho01": self.rho01.to_dict(),
-            "rho11": self.rho11.to_dict(),
-            "expectations": {
-                "e00": e00,
-                "e10": e10,
-                "e01": e01,
-                "e11": e11,
-                "S": chsh_value(e00, e10, e01, e11),
-                "marginals": self.marginals(),
-            },
+        moments = self.moments()
+        es = [e_ab for e_ab, _, _ in moments]
+        out = {
+            f"rho{alpha}{beta}": rho.to_dict()
+            for (alpha, beta), rho in zip(PAIRS, self.densities())
         }
+        out["expectations"] = {
+            **{f"e{alpha}{beta}": e for (alpha, beta), e in zip(PAIRS, es)},
+            "S": chsh_value(*es),
+            "marginals": _marginal_table(moments),
+        }
+        return out
 
     @staticmethod
     def from_dict(d: dict) -> "ChshFamily":
         return ChshFamily(
-            GridDensity.from_dict(d["rho00"]),
-            GridDensity.from_dict(d["rho10"]),
-            GridDensity.from_dict(d["rho01"]),
-            GridDensity.from_dict(d["rho11"]),
+            *(GridDensity.from_dict(d[f"rho{alpha}{beta}"]) for alpha, beta in PAIRS)
         )
+
+
+def _marginal_table(moments) -> Dict[str, float]:
+    out = {}
+    for (alpha, beta), (_, e_a, e_b) in zip(PAIRS, moments):
+        out[f"a{alpha}|{alpha}{beta}"] = e_a
+        out[f"b{beta}|{alpha}{beta}"] = e_b
+    return out
 
 
 def chsh_value(e00: float, e10: float, e01: float, e11: float) -> float:
     """Signed CHSH combination e00 + e10 + e01 - e11."""
     for e in (e00, e10, e01, e11):
-        if abs(e) > 1.0 + 1e-12:
+        if abs(e) > 1.0 + ROUND_OFF:
             raise InputOutOfRange(f"correlator {e!r} outside [-1, 1]")
     return e00 + e10 + e01 - e11
 
 
-def _band_signs(nx: int) -> np.ndarray:
-    """Observable value per grid column for a quarter-aligned nx grid."""
-    q = nx // 4
-    signs = np.full(nx, -1.0)
-    signs[q : 3 * q] = 1.0
-    return signs
+def _band_signs(n: int) -> np.ndarray:
+    """Observable value per grid column for a quarter-aligned n-cell grid."""
+    return make_observable(0.0).eval_many((np.arange(n) + 0.5) / n)[0]
 
 
 def saturating_family() -> ChshFamily:
@@ -129,11 +125,7 @@ def saturating_family() -> ChshFamily:
         match = np.outer(fa, gb) == target
         weights = np.where(match, 2.0, 0.0)
         rhos.append(
-            make_grid_density(
-                Interval(float(alpha), float(alpha) + 1.0),
-                Interval(float(beta), float(beta) + 1.0),
-                weights,
-            )
+            make_grid_density(setting_interval(alpha), setting_interval(beta), weights)
         )
     return ChshFamily(*rhos)
 
@@ -142,7 +134,7 @@ def _check_alignment(alpha: float, lo: float, n: int) -> None:
     width = 1.0 / n
     for t in thresholds(alpha):
         k = (t - lo) / width
-        if abs(k - round(k)) > 1e-9:
+        if abs(k - round(k)) > _GRID_ALIGN_TOL:
             raise GridMisaligned(f"threshold {t} not on a {n}-cell grid line")
 
 
@@ -183,7 +175,7 @@ def _optimize_pair(
         m = m + eta * (target - e_prev) * c
         for _ in range(200):
             m = project(m)
-            if m.min() >= -_FEAS_TOL:
+            if m.min() >= -ROUND_OFF:
                 break
             m = np.clip(m, 0.0, None)
         e = float(m @ c)
@@ -200,9 +192,7 @@ def _optimize_pair(
     m = np.clip(m, 0.0, None)
     cell_area = (1.0 / nx) * (1.0 / ny)
     rho = make_grid_density(
-        Interval(float(alpha), float(alpha) + 1.0),
-        Interval(float(beta), float(beta) + 1.0),
-        m.reshape(nx, ny) / cell_area,
+        setting_interval(alpha), setting_interval(beta), m.reshape(nx, ny) / cell_area
     )
     return rho, e_prev
 
@@ -220,8 +210,8 @@ def optimize_family(
     so the quarter-point thresholds fall on cell boundaries.
     """
     nx, ny = grid
-    if nx % 4 or ny % 4:
-        raise GridMisaligned(f"grid {grid} not a multiple of 4 per axis")
+    if nx <= 0 or ny <= 0 or nx % 4 or ny % 4:
+        raise GridMisaligned(f"grid {grid} not a positive multiple of 4 per axis")
     rhos = []
     achieved = []
     for (alpha, beta), target in zip(PAIRS, targets):
@@ -258,7 +248,7 @@ def random_classical_instance(rng: np.random.Generator):
 def _same_domain(f: PartialRV, g: PartialRV) -> bool:
     m1, m2 = f.domain.measure(), g.domain.measure()
     mi = f.domain.intersect(g.domain).measure()
-    return abs(m1 - mi) <= _FEAS_TOL and abs(m2 - mi) <= _FEAS_TOL
+    return abs(m1 - mi) <= ROUND_OFF and abs(m2 - mi) <= ROUND_OFF
 
 
 def classical_bound_check(
@@ -273,8 +263,5 @@ def classical_bound_check(
         raise DomainMismatch(f"{a0.domain!r} vs {a1.domain!r} on Alice's axis")
     if not _same_domain(b0, b1):
         raise DomainMismatch(f"{b0.domain!r} vs {b1.domain!r} on Bob's axis")
-    e00 = _integrate(a0, b0, rho)[0]
-    e10 = _integrate(a1, b0, rho)[0]
-    e01 = _integrate(a0, b1, rho)[0]
-    e11 = _integrate(a1, b1, rho)[0]
-    return e00 + e10 + e01 - e11
+    a, b = (a0, a1), (b0, b1)
+    return chsh_value(*(_integrate(a[alpha], b[beta], rho)[0] for alpha, beta in PAIRS))

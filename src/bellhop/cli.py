@@ -9,14 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import chsh, deriv, simulate
-from .errors import BellhopError, ExprSyntaxError, OutOfDomain, UndefinedPoint
-from .observables import log_curve, make_observable
+from .density import ROUND_OFF
+from .errors import BellhopError, EmptyDomain, ExprSyntaxError, OutOfDomain, UndefinedPoint
+from .observables import log_curve, make_observable, thresholds
 from .steprv import combine
 
 EXIT_OK = 0
@@ -30,6 +32,20 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _worker_count(text: str) -> int:
+    value, cpus = _positive_int(text), os.cpu_count() or 1
+    if value > cpus:
+        raise argparse.ArgumentTypeError(f"at most {cpus} (the CPU count), got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -48,18 +64,18 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("saturate", help="write a family saturating |S| = 4")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--grid", type=int, default=None,
+    sp.add_argument("--grid", type=_positive_int, default=None,
                     help="optimize on an NxN grid instead of the analytic family")
 
     sp = sub.add_parser("simulate", help="Monte-Carlo run of a family")
     sp.add_argument("--family", required=True)
-    sp.add_argument("--trials", type=int, required=True)
+    sp.add_argument("--trials", type=_positive_int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=_worker_count, default=1)
     sp.add_argument("--log", default=None, help="per-trial CSV event log")
 
     sp = sub.add_parser("check-classical", help="randomized |S| <= 2 oracle suite")
-    sp.add_argument("--trials", type=int, required=True)
+    sp.add_argument("--trials", type=_positive_int, required=True)
     sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("figures", help="write figure data CSVs")
@@ -91,13 +107,12 @@ def _load_family(path: str) -> chsh.ChshFamily:
 
 
 def _cmd_expect(args) -> int:
-    family = _load_family(args.family)
-    e00, e10, e01, e11 = family.expectations()
-    for label, e in zip(("00", "10", "01", "11"), (e00, e10, e01, e11)):
-        print(f"E[a{label[0]}*b{label[1]}] = {e:.12g}")
-    for key, value in family.marginals().items():
+    summary = _load_family(args.family).to_dict()["expectations"]
+    for alpha, beta in chsh.PAIRS:
+        print(f"E[a{alpha}*b{beta}] = {summary[f'e{alpha}{beta}']:.12g}")
+    for key, value in summary["marginals"].items():
         print(f"<{key}> = {value:.12g}")
-    print(f"S = {chsh.chsh_value(e00, e10, e01, e11):.12g}")
+    print(f"S = {summary['S']:.12g}")
     return EXIT_OK
 
 
@@ -143,24 +158,17 @@ def _cmd_check_classical(args) -> int:
         a0, a1, b0, b1, rho = chsh.random_classical_instance(rng)
         s = chsh.classical_bound_check(a0, a1, b0, b1, rho)
         worst = max(worst, abs(s))
-        if abs(s) > 2.0 + 1e-12:
+        if abs(s) > 2.0 + ROUND_OFF:
             print(f"FAIL: |S| = {abs(s)!r} > 2")
             return EXIT_RUNTIME
     print(f"OK: {args.trials} common-domain instances, max |S| = {worst:.12g} <= 2")
     return EXIT_OK
 
 
-def _fmt(value) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "nan"
-    return f"{value:.17g}"
-
-
-def _try_eval(rv, x):
-    try:
-        return rv.eval(x)
-    except (OutOfDomain, UndefinedPoint):
-        return None
+def _column(rv, xs: np.ndarray) -> list:
+    """rv at each x, with nan where rv is undefined."""
+    values, defined = rv.eval_many(xs)
+    return np.where(defined, values, math.nan).tolist()
 
 
 def write_figures(out_dir: str) -> None:
@@ -168,27 +176,28 @@ def write_figures(out_dir: str) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     a0 = make_observable(0.0)
+    excluded = thresholds(0.0)  # sign-change points: ln = 0, sign undefined
+    steps = np.arange(1001) / 1000
+    unit_xs = steps.tolist()
 
     with open(out / "fig1.csv", "w") as fh:
         fh.write("x,a0,logcurve\n")
-        for i in range(1001):
-            x = i / 1000
+        for x, a in zip(unit_xs, _column(a0, steps)):
             try:
-                curve = log_curve(0.0, x)
+                curve = math.nan if x in excluded else log_curve(0.0, x)
             except OutOfDomain:
-                curve = None
-            if x in (0.25, 0.75):  # sign-change points: ln = 0, sign undefined
-                curve = None
-            fh.write(f"{x:.3f},{_fmt(_try_eval(a0, x))},{_fmt(curve)}\n")
+                curve = math.nan
+            fh.write(f"{x:.3f},{a:.17g},{curve:.17g}\n")
 
     with open(out / "fig2.csv", "w") as fh:
         fh.write("alpha,x,value\n")
         for i in range(101):
             alpha = i / 100
-            rv = make_observable(alpha)
-            for j in range(1001):
-                x = alpha + j / 1000
-                fh.write(f"{alpha:.2f},{x:.3f},{_fmt(_try_eval(rv, x))}\n")
+            xs = alpha + steps
+            fh.writelines(
+                f"{alpha:.2f},{x:.3f},{v:.17g}\n"
+                for x, v in zip(xs.tolist(), _column(make_observable(alpha), xs))
+            )
 
     with open(out / "fig3.csv", "w") as fh:
         fh.write("alpha,x,sumvalue\n")
@@ -196,12 +205,13 @@ def write_figures(out_dir: str) -> None:
             alpha = i / 100
             try:
                 total = combine(a0, make_observable(alpha), "sum")
-            except BellhopError:
-                total = None
-            for j in range(1001):
-                x = j / 1000
-                value = None if total is None else _try_eval(total, x)
-                fh.write(f"{alpha:.2f},{x:.3f},{_fmt(value)}\n")
+            except EmptyDomain:
+                values = [math.nan] * len(unit_xs)
+            else:
+                values = _column(total, steps)
+            fh.writelines(
+                f"{alpha:.2f},{x:.3f},{v:.17g}\n" for x, v in zip(unit_xs, values)
+            )
 
 
 def _cmd_figures(args) -> int:

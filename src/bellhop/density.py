@@ -8,16 +8,18 @@ measure zero and are ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainMismatch, EmptyRect, NegativeWeight, ZeroTotalMass
+from .errors import DomainMismatch, EmptyRect, NegativeWeight, NonFiniteInput, ZeroTotalMass
 from .intervals import DomainSet, Interval
 from .steprv import PartialRV
 
-_NORMALIZATION_TOL = 1e-12
+# Slack for float round-off in sums of masses, probabilities and correlators.
+ROUND_OFF = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +83,11 @@ class GridDensity:
 
 
 def make_grid_density(x_rect: Interval, y_rect: Interval, weights) -> GridDensity:
-    """Rescale nonnegative weights so the density integrates to 1."""
+    """Rescale nonnegative weights so the density integrates to 1.
+
+    A NaN or infinite weight, total mass or rectangle endpoint raises
+    NonFiniteInput instead of becoming a NaN or all-zero density.
+    """
     if x_rect.is_empty() or y_rect.is_empty():
         raise EmptyRect(f"{x_rect!r} × {y_rect!r}")
     w = np.array(weights, dtype=float)
@@ -92,6 +98,8 @@ def make_grid_density(x_rect: Interval, y_rect: Interval, weights) -> GridDensit
     nx, ny = w.shape
     cell_area = (x_rect.length / nx) * (y_rect.length / ny)
     total = float(np.sum(w)) * cell_area
+    if not all(map(math.isfinite, (x_rect.lo, x_rect.hi, y_rect.lo, y_rect.hi, total))):
+        raise NonFiniteInput(f"weights or rectangle {x_rect!r} × {y_rect!r} not finite")
     if total <= 0.0:
         raise ZeroTotalMass("density weights sum to zero")
     return GridDensity(x_rect, y_rect, w / total)
@@ -104,7 +112,7 @@ def uniform_density(x_rect: Interval, y_rect: Interval) -> GridDensity:
 
 def _check_covered(rv: PartialRV, rect: Interval, axis: str) -> None:
     covered = rv.domain.intersect(DomainSet.interval(rect.lo, rect.hi)).measure()
-    if abs(covered - rect.length) > _NORMALIZATION_TOL:
+    if abs(covered - rect.length) > ROUND_OFF:
         raise DomainMismatch(
             f"{axis}-rectangle {rect!r} not a.e. inside domain {rv.domain!r}"
         )
@@ -158,9 +166,3 @@ def sample_many(rho: GridDensity, rng: np.random.Generator, n: int):
     xs = rho.x_rect.lo + (ix + rng.random(n)) * rho.cell_width
     ys = rho.y_rect.lo + (iy + rng.random(n)) * rho.cell_height
     return xs, ys
-
-
-def sample(rho: GridDensity, rng: np.random.Generator) -> Tuple[float, float]:
-    """Draw one point from rho, advancing rng deterministically."""
-    xs, ys = sample_many(rho, rng, 1)
-    return float(xs[0]), float(ys[0])

@@ -1,7 +1,7 @@
 """Parse derivation expressions and compute where they exist.
 
 The checker decides existence, not values: each symbol a[α] or b[β] is a
-function of one axis with domain (index, index+1), sums/products intersect
+function of one axis with domain setting_interval(index), sums/products intersect
 domains on shared axes, and the verdict is empty as soon as any axis's
 domain set becomes empty.  The culprit is the deepest (leftmost on ties)
 node at which that first happens, which is the step where a Bell-type
@@ -16,6 +16,7 @@ from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from .errors import ExprSyntaxError, UnknownSymbol
 from .intervals import DomainSet
+from .observables import setting_interval
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,10 @@ Env = Mapping[str, Tuple[str, Callable[[float], DomainSet]]]
 
 
 def default_env() -> Dict[str, Tuple[str, Callable[[float], DomainSet]]]:
-    return {
-        "a": ("x", lambda i: DomainSet.interval(i, i + 1.0)),
-        "b": ("y", lambda i: DomainSet.interval(i, i + 1.0)),
-    }
+    def span(i: float) -> DomainSet:
+        return DomainSet.of([setting_interval(i)])
+
+    return {"a": ("x", span), "b": ("y", span)}
 
 
 _TOKEN_RE = re.compile(

@@ -37,6 +37,10 @@ class ZeroTotalMass(BellhopError):
     """Density weights must not all be zero."""
 
 
+class NonFiniteInput(BellhopError):
+    """Density weights, their total and rectangle endpoints must be finite."""
+
+
 class EmptyRect(BellhopError):
     """Density rectangle has a degenerate side."""
 

@@ -105,30 +105,7 @@ class DomainSet:
             pieces = out
         return DomainSet(tuple(iv for iv in pieces if not iv.is_empty()))
 
-    def boundary_points(self) -> Tuple[float, ...]:
-        pts = []
-        for iv in self.intervals:
-            pts.append(iv.lo)
-            pts.append(iv.hi)
-        return tuple(sorted(set(pts)))
-
     def __repr__(self) -> str:
         if not self.intervals:
             return "∅"
         return "∪".join(repr(iv) for iv in self.intervals)
-
-
-def intersect(d1: DomainSet, d2: DomainSet) -> DomainSet:
-    return d1.intersect(d2)
-
-
-def is_empty(d: DomainSet) -> bool:
-    return d.is_empty()
-
-
-def contains(d: DomainSet, x: float) -> bool:
-    return d.contains(x)
-
-
-def measure(d: DomainSet) -> float:
-    return d.measure()

@@ -1,8 +1,9 @@
 """The concrete ±1 observables and the logarithmic comfort curve.
 
-make_observable(alpha) is the step function that is -1 on the outer quarter
-bands and +1 on the middle half of (alpha, alpha+1).  Its sign changes are
-hard-coded at alpha+1/4 and alpha+3/4: 16*x*(1-x) = 3 factors as
+This module is the one home of the observable's facts: a[alpha] exists only
+on setting_interval(alpha) = (alpha, alpha+1), changes sign at thresholds(alpha)
+and is -1 on the outer quarter bands and +1 on the middle half.  The sign
+changes are hard-coded at alpha+1/4 and alpha+3/4: 16*x*(1-x) = 3 factors as
 (4x-1)(4x-3) = 0, so the thresholds are exact binary floats and no root
 finding (hence no tolerance) is involved.
 """
@@ -12,12 +13,20 @@ from __future__ import annotations
 import math
 
 from .errors import OutOfDomain
+from .intervals import Interval
 from .steprv import PartialRV, make_step
 
 
+def setting_interval(alpha: float) -> Interval:
+    """(alpha, alpha+1): the span on which the observable for setting alpha exists."""
+    lo = float(alpha)
+    return Interval(lo, lo + 1.0)
+
+
 def make_observable(alpha: float, axis_label: str = "x") -> PartialRV:
-    """Step function -1/+1/-1 on the quarter bands of (alpha, alpha+1)."""
-    boundaries = (alpha, alpha + 0.25, alpha + 0.75, alpha + 1.0)
+    """Step function -1/+1/-1 on the quarter bands of setting_interval(alpha)."""
+    span = setting_interval(alpha)
+    boundaries = (span.lo, *thresholds(span.lo), span.hi)
     return make_step(boundaries, (-1.0, 1.0, -1.0), axis_label)
 
 

@@ -19,7 +19,7 @@ from typing import Optional, TextIO, Tuple
 import numpy as np
 
 from .chsh import PAIRS, ChshFamily, chsh_value
-from .density import sample_many
+from .density import ROUND_OFF, sample_many
 from .errors import ConfigInvalid, InsufficientTrials
 
 _MASK64 = (1 << 64) - 1
@@ -41,7 +41,7 @@ class ExperimentConfig:
         p = self.setting_probabilities
         if len(p) != 4 or any(q < 0 for q in p):
             raise ConfigInvalid("need 4 nonnegative setting probabilities")
-        if abs(sum(p) - 1.0) > 1e-12:
+        if abs(sum(p) - 1.0) > ROUND_OFF:
             raise ConfigInvalid("setting probabilities must sum to 1")
 
 

@@ -8,7 +8,6 @@ that does not exist at all, and combine raises EmptyDomain.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -117,7 +116,3 @@ def combine(f: PartialRV, g: PartialRV, op: str) -> PartialRV:
         mid = 0.5 * (iv.lo + iv.hi)
         pieces.append((iv, fn(f.eval(mid), g.eval(mid))))
     return PartialRV(tuple(pieces), f.axis_label)
-
-
-def shift(f: PartialRV, alpha: float) -> PartialRV:
-    return f.shift(alpha)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bellhop import chsh
 from bellhop.chsh import (
     PAIRS,
     ChshFamily,
@@ -64,8 +65,9 @@ class TestOptimizeFamily:
         assert all(abs(e) <= 1e-9 for e in achieved)
 
     def test_misaligned_grid(self):
-        with pytest.raises(GridMisaligned):
-            optimize_family((1, 1, 1, -1), (3, 3))
+        for grid in ((3, 3), (0, 0), (-4, 4)):
+            with pytest.raises(GridMisaligned):
+                optimize_family((1, 1, 1, -1), grid)
 
     def test_output_feasibility(self):
         family, _ = optimize_family((0.5, -0.25, 0.75, 0.125), (8, 8))
@@ -125,6 +127,20 @@ class TestFamilySerialization:
         assert d["expectations"]["S"] == 4.0
         again = ChshFamily.from_dict(d)
         assert again.expectations() == family.expectations()
+
+    def test_summary_matches_methods_with_one_pass_per_pair(self, monkeypatch):
+        family, _ = optimize_family((0.5, -0.25, 0.75, 0.125), (8, 8))
+        calls = []
+        integrate = chsh._integrate
+        monkeypatch.setattr(
+            chsh, "_integrate", lambda *args: calls.append(args) or integrate(*args)
+        )
+        summary = family.to_dict()["expectations"]
+        assert len(calls) == len(PAIRS)
+        es = family.expectations()
+        assert tuple(summary[f"e{a}{b}"] for a, b in PAIRS) == es
+        assert summary["marginals"] == family.marginals()
+        assert summary["S"] == chsh_value(*es)
 
     def test_rectangle_validation(self):
         rho = uniform_density(Interval(0, 1), Interval(0, 1))

@@ -1,8 +1,18 @@
+import hashlib
 import json
+import os
 
 import pytest
 
 from bellhop.cli import main, write_figures
+
+
+# SHA-256 of the reference figure data; perfbench/checks.py pins the same digests
+FIGURE_SHA256 = {
+    "fig1.csv": "fcbd477d0c0fae0b9795459c9af72a179baa8c33ef895605ad929f7b52a88baf",
+    "fig2.csv": "15d0f131b736bb271176d08c0cf568d808f8f016f6dbfdfc34346ceb46eba627",
+    "fig3.csv": "652fe43c6dfa5b88b659203542bfd08feda3cc9379776849c5420e83c4e4a7d4",
+}
 
 
 def run(capsys, *argv):
@@ -56,6 +66,33 @@ class TestUsage:
             main(["eval", "--nope", "1"])
         assert exc_info.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--family", "f.json", "--seed", "1", "--trials", "0"],
+            ["simulate", "--family", "f.json", "--seed", "1", "--trials", "9",
+             "--workers", "0"],
+            ["check-classical", "--trials", "-5"],
+            ["check-classical", "--trials", "many"],
+            ["saturate", "--out", "f.json", "--grid", "0"],
+            ["saturate", "--out", "f.json", "--grid", "-4"],
+        ],
+    )
+    def test_bad_int_flag_exit_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 1
+        assert "error: argument --" in capsys.readouterr().err
+
+    def test_workers_above_cpu_count_exit_1(self, capsys):
+        # rejected by the parser, so no thread pool is ever sized from it
+        workers = str((os.cpu_count() or 1) + 1)
+        with pytest.raises(SystemExit) as exc_info:
+            main(["simulate", "--family", "f.json", "--seed", "1", "--trials", "9",
+                  "--workers", workers])
+        assert exc_info.value.code == 1
+        assert "CPU count" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "expect", "--family", "/nonexistent.json")
         assert code == 2
@@ -96,6 +133,20 @@ class TestFamilyPipeline:
         assert lines[0] == "trial,alpha,beta,x,y,a,b"
         assert len(lines) == 2001
 
+    @pytest.mark.parametrize("command", ["expect", "simulate"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_exit_2(self, capsys, tmp_path, command, bad):
+        path = tmp_path / "bad.json"
+        run(capsys, "saturate", "--out", str(path))
+        payload = json.loads(path.read_text())
+        payload["rho01"]["weights"][3] = bad
+        path.write_text(json.dumps(payload))
+        extra = ["--trials", "100", "--seed", "1"] if command == "simulate" else []
+        code, out, err = run(capsys, command, "--family", str(path), *extra)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_check_classical(self, capsys):
         code, out, _ = run(capsys, "check-classical", "--trials", "20")
         assert code == 0
@@ -110,6 +161,11 @@ class TestFigures:
             assert (tmp_path / "one" / name).read_bytes() == (
                 tmp_path / "two" / name
             ).read_bytes()
+
+    def test_pinned_digests(self, tmp_path):
+        write_figures(tmp_path)
+        for name, want in FIGURE_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
 
     def test_fig1_contents(self, tmp_path):
         write_figures(tmp_path)

@@ -7,11 +7,16 @@ from bellhop.density import (
     expectation,
     make_grid_density,
     marginal_means,
-    sample,
     sample_many,
     uniform_density,
 )
-from bellhop.errors import DomainMismatch, EmptyRect, NegativeWeight, ZeroTotalMass
+from bellhop.errors import (
+    DomainMismatch,
+    EmptyRect,
+    NegativeWeight,
+    NonFiniteInput,
+    ZeroTotalMass,
+)
 from bellhop.intervals import Interval
 from bellhop.observables import make_observable
 
@@ -43,6 +48,27 @@ class TestConstruction:
     def test_negative_weight(self):
         with pytest.raises(NegativeWeight):
             make_grid_density(*unit_rect(), np.array([[1.0, -1.0]]))
+
+    @pytest.mark.parametrize(
+        "key, index, value, error",
+        [
+            ("weights", 0, float("nan"), NonFiniteInput),
+            ("weights", 5, float("inf"), NonFiniteInput),
+            ("weights", 15, float("-inf"), NegativeWeight),
+            ("x_rect", 1, float("inf"), NonFiniteInput),
+            ("y_rect", 0, float("nan"), NonFiniteInput),
+        ],
+    )
+    def test_non_finite_from_dict(self, key, index, value, error):
+        d = middle_band_density().to_dict()
+        d[key][index] = value
+        with pytest.raises(error):
+            GridDensity.from_dict(d)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_total_mass_overflow(self):
+        with pytest.raises(NonFiniteInput):
+            make_grid_density(*unit_rect(), np.full((2, 2), 1e308))
 
     def test_empty_rect(self):
         with pytest.raises(EmptyRect):
@@ -144,8 +170,8 @@ class TestSampling:
 
     def test_deterministic(self):
         rho = uniform_density(*unit_rect())
-        p1 = [sample(rho, np.random.default_rng(42)) for _ in range(5)]
-        p2 = [sample(rho, np.random.default_rng(42)) for _ in range(5)]
+        p1 = [a.tolist() for a in sample_many(rho, np.random.default_rng(42), 1)]
+        p2 = [a.tolist() for a in sample_many(rho, np.random.default_rng(42), 1)]
         assert p1 == p2
 
     def test_chi_square_fidelity(self):

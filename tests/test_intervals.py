@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from bellhop.intervals import DomainSet, Interval, contains, intersect, is_empty, measure
+from bellhop.intervals import DomainSet, Interval
 
 
 def dset(*pairs):
@@ -23,70 +23,70 @@ def domain_sets(draw):
 
 class TestIntersect:
     def test_overlap(self):
-        assert intersect(dset((0, 1)), dset((0.5, 1.5))) == dset((0.5, 1))
+        assert dset((0, 1)).intersect(dset((0.5, 1.5))) == dset((0.5, 1))
 
     def test_touching_is_empty(self):
-        assert intersect(dset((0, 1)), dset((1, 2))) == DomainSet.empty()
+        assert dset((0, 1)).intersect(dset((1, 2))) == DomainSet.empty()
 
     def test_idempotent(self):
         d = dset((0, 1))
-        assert intersect(d, d) == d
+        assert d.intersect(d) == d
 
     @given(domain_sets(), domain_sets())
     def test_commutative(self, d1, d2):
-        assert intersect(d1, d2) == intersect(d2, d1)
+        assert d1.intersect(d2) == d2.intersect(d1)
 
     @given(domain_sets(), domain_sets(), domain_sets())
     def test_associative(self, d1, d2, d3):
-        assert intersect(intersect(d1, d2), d3) == intersect(d1, intersect(d2, d3))
+        assert d1.intersect(d2).intersect(d3) == d1.intersect(d2.intersect(d3))
 
     @given(domain_sets())
     def test_self_intersection(self, d):
-        assert intersect(d, d) == d
+        assert d.intersect(d) == d
 
     @given(domain_sets(), domain_sets())
     def test_measure_bound(self, d1, d2):
-        assert measure(intersect(d1, d2)) <= min(measure(d1), measure(d2)) + 1e-15
+        assert d1.intersect(d2).measure() <= min(d1.measure(), d2.measure()) + 1e-15
 
     @given(domain_sets(), domain_sets(), st.floats(-1, 6, allow_nan=False))
     def test_membership(self, d1, d2, x):
-        assert contains(intersect(d1, d2), x) == (contains(d1, x) and contains(d2, x))
+        assert d1.intersect(d2).contains(x) == (d1.contains(x) and d2.contains(x))
 
 
 class TestIsEmpty:
     def test_empty(self):
-        assert is_empty(DomainSet.empty())
+        assert DomainSet.empty().is_empty()
 
     def test_nonempty(self):
-        assert not is_empty(dset((0, 1)))
+        assert not dset((0, 1)).is_empty()
 
     def test_disjoint_intersection(self):
-        assert is_empty(intersect(dset((0, 1)), dset((1, 2))))
+        assert dset((0, 1)).intersect(dset((1, 2))).is_empty()
 
 
 class TestContains:
     def test_inside(self):
-        assert contains(dset((0, 1)), 0.5)
+        assert dset((0, 1)).contains(0.5)
 
     def test_outside(self):
-        assert not contains(dset((0, 1)), 1.5)
+        assert not dset((0, 1)).contains(1.5)
 
     def test_excluded_breakpoint(self):
         d = dset((0, 0.25), (0.25, 1))
-        assert not contains(d, 0.25)
-        assert contains(d, 0.2)
-        assert contains(d, 0.3)
+        assert not d.contains(0.25)
+        assert d.contains(0.2)
+        assert d.contains(0.3)
 
 
 class TestMeasure:
     def test_unit(self):
-        assert measure(dset((0, 1))) == 1.0
+        assert dset((0, 1)).measure() == 1.0
 
     def test_two_pieces(self):
-        assert measure(dset((0, 0.25), (0.75, 1))) == 0.5
+        assert dset((0, 0.25), (0.75, 1)).measure() == 0.5
 
     def test_empty(self):
-        assert measure(DomainSet.empty()) == 0.0
+        assert DomainSet.empty().measure() == 0.0
 
 
 class TestNormalization:

@@ -12,7 +12,7 @@ from bellhop.errors import (
 )
 from bellhop.intervals import DomainSet
 from bellhop.observables import make_observable
-from bellhop.steprv import combine, make_step, shift
+from bellhop.steprv import PartialRV, combine, make_step
 
 
 @st.composite
@@ -66,6 +66,25 @@ class TestEval:
         vals, defined = a0.eval_many(xs)
         assert list(defined) == [True, True, False, False, True]
         assert list(vals[defined]) == [-1.0, 1.0, -1.0]
+
+    @given(
+        st.one_of(
+            step_rvs(),
+            # every other piece dropped: a domain with gaps
+            step_rvs().map(lambda f: PartialRV(f.pieces[::2], f.axis_label)),
+        ),
+        st.lists(st.floats(-1, 5, allow_nan=False), max_size=10),
+    )
+    def test_eval_many_matches_eval(self, f, extra):
+        mids = [0.5 * (iv.lo + iv.hi) for iv in f.domain.intervals]
+        xs = np.array([*f.breakpoints(), *mids, -1.0, 5.0, *extra])
+        values, defined = f.eval_many(xs)
+        for x, value, ok in zip(xs.tolist(), values.tolist(), defined.tolist()):
+            if ok:
+                assert f.eval(x) == value
+            else:
+                with pytest.raises((OutOfDomain, UndefinedPoint)):
+                    f.eval(x)
 
 
 class TestCombine:
@@ -134,21 +153,21 @@ class TestCombine:
 
 class TestShift:
     def test_shift_to_one(self):
-        a1 = shift(make_observable(0.0), 1.0)
+        a1 = make_observable(0.0).shift(1.0)
         assert a1 == make_observable(1.0)
         assert a1.eval(1.5) == 1.0
 
     def test_identity(self):
         a0 = make_observable(0.0)
-        assert shift(a0, 0.0) == a0
+        assert a0.shift(0.0) == a0
 
     def test_composition(self):
         a0 = make_observable(0.0)
-        assert shift(shift(a0, 0.3), 0.7) == shift(a0, 1.0)
+        assert a0.shift(0.3).shift(0.7) == a0.shift(1.0)
 
     @given(step_rvs(), st.integers(-8, 8).map(lambda k: k / 4))
     def test_translation(self, f, alpha):
-        g = shift(f, alpha)
+        g = f.shift(alpha)
         assert g.domain == f.domain.shift(alpha)
         for iv in f.domain.intervals:
             x = 0.5 * (iv.lo + iv.hi)
