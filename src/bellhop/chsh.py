@@ -14,7 +14,7 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .density import ROUND_OFF, GridDensity, _integrate, make_grid_density
+from .density import ROUND_OFF, GridDensity, _fields, _integrate, make_grid_density
 from .errors import (
     DomainMismatch,
     GridMisaligned,
@@ -84,9 +84,8 @@ class ChshFamily:
 
     @staticmethod
     def from_dict(d: dict) -> "ChshFamily":
-        return ChshFamily(
-            *(GridDensity.from_dict(d[f"rho{alpha}{beta}"]) for alpha, beta in PAIRS)
-        )
+        keys = [f"rho{alpha}{beta}" for alpha, beta in PAIRS]
+        return ChshFamily(*map(GridDensity.from_dict, _fields(d, "family", keys)))
 
 
 def _marginal_table(moments) -> Dict[str, float]:

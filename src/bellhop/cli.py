@@ -41,6 +41,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _worker_count(text: str) -> int:
     value, cpus = _positive_int(text), os.cpu_count() or 1
     if value > cpus:
@@ -70,13 +77,13 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("simulate", help="Monte-Carlo run of a family")
     sp.add_argument("--family", required=True)
     sp.add_argument("--trials", type=_positive_int, required=True)
-    sp.add_argument("--seed", type=int, required=True)
+    sp.add_argument("--seed", type=_non_negative_int, required=True)
     sp.add_argument("--workers", type=_worker_count, default=1)
     sp.add_argument("--log", default=None, help="per-trial CSV event log")
 
     sp = sub.add_parser("check-classical", help="randomized |S| <= 2 oracle suite")
     sp.add_argument("--trials", type=_positive_int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_non_negative_int, default=0)
 
     sp = sub.add_parser("figures", help="write figure data CSVs")
     sp.add_argument("--out", required=True)

@@ -9,12 +9,20 @@ measure zero and are ignored.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainMismatch, EmptyRect, NegativeWeight, NonFiniteInput, ZeroTotalMass
+from .errors import (
+    DomainMismatch,
+    EmptyRect,
+    MalformedInput,
+    NegativeWeight,
+    NonFiniteInput,
+    ZeroTotalMass,
+)
 from .intervals import DomainSet, Interval
 from .steprv import PartialRV
 
@@ -73,13 +81,26 @@ class GridDensity:
 
     @staticmethod
     def from_dict(d: dict) -> "GridDensity":
-        nx, ny = int(d["nx"]), int(d["ny"])
-        weights = np.asarray(d["weights"], dtype=float).reshape(nx, ny)
-        return make_grid_density(
-            Interval(*map(float, d["x_rect"])),
-            Interval(*map(float, d["y_rect"])),
-            weights,
+        x_rect, y_rect, nx, ny, weights = _fields(
+            d, "density", ("x_rect", "y_rect", "nx", "ny", "weights")
         )
+        try:
+            x_lo, x_hi = map(float, x_rect)
+            y_lo, y_hi = map(float, y_rect)
+            w = np.asarray(weights, dtype=float).reshape(operator.index(nx), operator.index(ny))
+        except (TypeError, ValueError) as exc:
+            raise MalformedInput(f"density field of wrong type or shape: {exc}") from exc
+        return make_grid_density(Interval(x_lo, x_hi), Interval(y_lo, y_hi), w)
+
+
+def _fields(d, what: str, keys) -> list:
+    """d[key] for each key, or MalformedInput naming what is wrong with d."""
+    if not isinstance(d, dict):
+        raise MalformedInput(f"{what} must be a JSON object, got {type(d).__name__}")
+    missing = [key for key in keys if key not in d]
+    if missing:
+        raise MalformedInput(f"{what} lacks key(s) {', '.join(missing)}")
+    return [d[key] for key in keys]
 
 
 def make_grid_density(x_rect: Interval, y_rect: Interval, weights) -> GridDensity:

@@ -38,7 +38,13 @@ class ZeroTotalMass(BellhopError):
 
 
 class NonFiniteInput(BellhopError):
-    """Density weights, their total and rectangle endpoints must be finite."""
+    """Step boundaries and values, density weights, their total and rectangle
+    endpoints must be finite."""
+
+
+class MalformedInput(BellhopError):
+    """A family or density record is not a JSON object, lacks a required key,
+    or has a field of the wrong type or shape."""
 
 
 class EmptyRect(BellhopError):

@@ -3,15 +3,18 @@
 Every trial: draw a setting pair (free choice), draw a hidden-variable pair
 (x, y) from that pair's density, read off both ±1 outcomes.  Every trial
 produces a full outcome pair, so there is no detection loophole by
-construction.  Trials are pre-partitioned into contiguous per-worker chunks
-with substream seed master_seed XOR worker_index and merged in worker order,
-so a summary is bit-identical for a fixed (seed, workers) regardless of
-scheduling.
+construction.  Trials are pre-partitioned into contiguous per-worker chunks;
+worker i draws from child i of SeedSequence(master_seed).spawn(n_workers), so
+substreams are independent across workers and seeds, and a summary is
+bit-identical for a fixed (seed, workers) regardless of scheduling.  Each
+worker draws, reduces and (with a log) writes _BLOCK trials at a time, so
+memory is bounded by the block size, not by n_trials.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, TextIO, Tuple
@@ -22,7 +25,7 @@ from .chsh import PAIRS, ChshFamily, chsh_value
 from .density import ROUND_OFF, sample_many
 from .errors import ConfigInvalid, InsufficientTrials
 
-_MASK64 = (1 << 64) - 1
+_BLOCK = 1 << 16  # trials drawn, reduced and logged at a time per worker
 
 
 @dataclass(frozen=True)
@@ -38,9 +41,11 @@ class ExperimentConfig:
             raise ConfigInvalid("n_trials must be positive")
         if self.n_workers <= 0:
             raise ConfigInvalid("n_workers must be positive")
+        if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:
+            raise ConfigInvalid("master_seed must be a non-negative integer")
         p = self.setting_probabilities
-        if len(p) != 4 or any(q < 0 for q in p):
-            raise ConfigInvalid("need 4 nonnegative setting probabilities")
+        if len(p) != 4 or not all(math.isfinite(q) and q >= 0 for q in p):
+            raise ConfigInvalid("need 4 finite nonnegative setting probabilities")
         if abs(sum(p) - 1.0) > ROUND_OFF:
             raise ConfigInvalid("setting probabilities must sum to 1")
 
@@ -53,14 +58,6 @@ class PairCounts:
     sum_ab: int = 0
     sum_a: int = 0
     sum_b: int = 0
-
-    def merged(self, other: "PairCounts") -> "PairCounts":
-        return PairCounts(
-            self.trials + other.trials,
-            self.sum_ab + other.sum_ab,
-            self.sum_a + other.sum_a,
-            self.sum_b + other.sum_b,
-        )
 
 
 @dataclass(frozen=True)
@@ -90,76 +87,78 @@ def _chunk_sizes(n_trials: int, n_workers: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(n_workers)]
 
 
-def _run_chunk(config: ExperimentConfig, worker_index: int, size: int):
-    """One worker's contiguous block of trials on its own substream."""
-    rng = np.random.default_rng((config.master_seed ^ worker_index) & _MASK64)
-    settings = rng.choice(4, size=size, p=config.setting_probabilities)
-    xs = np.empty(size)
-    ys = np.empty(size)
-    avals = np.empty(size)
-    bvals = np.empty(size)
-    counts = []
-    for pair_index, ((alpha, beta), rho) in enumerate(
-        zip(PAIRS, config.family.densities())
-    ):
-        f, g = config.family.observables(alpha, beta)
-        idx = np.flatnonzero(settings == pair_index)
-        x, y = sample_many(rho, rng, len(idx))
-        a, da = f.eval_many(x)
-        b, db = g.eval_many(y)
-        bad = np.flatnonzero(~(da & db))
-        while len(bad):  # threshold hit: reject and redraw
-            rx, ry = sample_many(rho, rng, len(bad))
-            x[bad], y[bad] = rx, ry
-            a2, da2 = f.eval_many(rx)
-            b2, db2 = g.eval_many(ry)
-            a[bad], b[bad] = a2, b2
-            bad = bad[~(da2 & db2)]
-        xs[idx], ys[idx] = x, y
-        avals[idx], bvals[idx] = a, b
-        counts.append(
-            PairCounts(
-                trials=len(idx),
-                sum_ab=int(round(float(np.dot(a, b)))),
-                sum_a=int(round(float(a.sum()))),
-                sum_b=int(round(float(b.sum()))),
-            )
+def _blocks(config: ExperimentConfig, seed: np.random.SeedSequence, size: int):
+    """One worker's trials on its own substream, _BLOCK trials at a time.
+
+    Yields (sums, settings, x, y, a, b) per block: sums[p] is pair p's
+    (trials, sum_ab, sum_a, sum_b), the rest are the block's trials in order.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = [
+        (config.family.observables(alpha, beta), rho)
+        for (alpha, beta), rho in zip(PAIRS, config.family.densities())
+    ]
+    for start in range(0, size, _BLOCK):
+        n = min(_BLOCK, size - start)
+        settings = rng.choice(4, size=n, p=config.setting_probabilities)
+        xs, ys, avals, bvals = (np.empty(n) for _ in range(4))
+        sums = np.empty((len(PAIRS), 4), dtype=np.int64)
+        for pair_index, ((f, g), rho) in enumerate(pairs):
+            idx = np.flatnonzero(settings == pair_index)
+            x, y = sample_many(rho, rng, len(idx))
+            a, da = f.eval_many(x)
+            b, db = g.eval_many(y)
+            bad = np.flatnonzero(~(da & db))
+            while len(bad):  # threshold hit: reject and redraw
+                rx, ry = sample_many(rho, rng, len(bad))
+                x[bad], y[bad] = rx, ry
+                a2, da2 = f.eval_many(rx)
+                b2, db2 = g.eval_many(ry)
+                a[bad], b[bad] = a2, b2
+                bad = bad[~(da2 & db2)]
+            # ±1 values, so the sums are exact.  Not a @ b: a BLAS dot per block
+            # wakes OpenBLAS threads that take the cores from the other workers.
+            sums[pair_index] = len(idx), (a * b).sum(), a.sum(), b.sum()
+            xs[idx], ys[idx] = x, y
+            avals[idx], bvals[idx] = a, b
+        yield sums, settings, xs, ys, avals, bvals
+
+
+def _write_block(log: TextIO, first: int, settings, xs, ys, avals, bvals) -> None:
+    """One write of the block's rows, numbered from first."""
+    labels = [f"{alpha},{beta}" for alpha, beta in PAIRS]
+    log.write("".join(
+        "%d,%s,%.17g,%.17g,%+d,%+d\n" % row
+        for row in zip(
+            range(first, first + len(settings)), [labels[s] for s in settings.tolist()],
+            xs.tolist(), ys.tolist(), avals.astype(np.int64).tolist(),
+            bvals.astype(np.int64).tolist(),
         )
-    return counts, settings, xs, ys, avals, bvals
+    ))
 
 
 def run_experiment(
     config: ExperimentConfig, event_log: Optional[TextIO] = None
 ) -> ExperimentSummary:
     """Run all trials; optionally stream a per-trial CSV audit log."""
+    seeds = np.random.SeedSequence(config.master_seed).spawn(config.n_workers)
     sizes = _chunk_sizes(config.n_trials, config.n_workers)
-    if config.n_workers == 1:
-        results = [_run_chunk(config, 0, sizes[0])]
-    else:
+    if event_log is None:
+        def worker_sums(seed, size):
+            return sum(sums for sums, *_ in _blocks(config, seed, size))
         with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-            futures = [
-                pool.submit(_run_chunk, config, i, size)
-                for i, size in enumerate(sizes)
-            ]
-            results = [fut.result() for fut in futures]
-
-    totals = [PairCounts(), PairCounts(), PairCounts(), PairCounts()]
-    for counts, *_ in results:
-        totals = [t.merged(c) for t, c in zip(totals, counts)]
-
-    if event_log is not None:
+            totals = sum(pool.map(worker_sums, seeds, sizes))
+    else:
         event_log.write("trial,alpha,beta,x,y,a,b\n")
-        trial = 0
-        for _, settings, xs, ys, avals, bvals in results:
-            for k in range(len(settings)):
-                alpha, beta = PAIRS[settings[k]]
-                event_log.write(
-                    f"{trial},{alpha},{beta},{xs[k]:.17g},{ys[k]:.17g},"
-                    f"{int(avals[k]):+d},{int(bvals[k]):+d}\n"
-                )
-                trial += 1
-
-    return ExperimentSummary(config.n_trials, tuple(totals))
+        totals = trial = 0
+        for seed, size in zip(seeds, sizes):
+            for sums, settings, *columns in _blocks(config, seed, size):
+                _write_block(event_log, trial, settings, *columns)
+                totals, trial = totals + sums, trial + len(settings)
+    # n_trials > 0, so some block was summed and totals is an array
+    return ExperimentSummary(
+        config.n_trials, tuple(PairCounts(*row) for row in totals.tolist())
+    )
 
 
 def estimate(summary: ExperimentSummary) -> EstimateReport:

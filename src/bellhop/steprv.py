@@ -8,6 +8,7 @@ that does not exist at all, and combine raises EmptyDomain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
@@ -17,6 +18,7 @@ from .errors import (
     ArityMismatch,
     AxisMismatch,
     EmptyDomain,
+    NonFiniteInput,
     NonMonotoneBoundaries,
     OutOfDomain,
     UndefinedPoint,
@@ -83,6 +85,8 @@ class PartialRV:
 def make_step(boundaries: Sequence[float], values: Sequence[float], axis_label: str) -> PartialRV:
     """Build a step function with the given breakpoints, all excluded."""
     bs = list(boundaries)
+    if not all(map(math.isfinite, [*bs, *values])):
+        raise NonFiniteInput(f"boundaries {bs} or values {list(values)} not finite")
     if any(b1 >= b2 for b1, b2 in zip(bs, bs[1:])) or len(bs) < 2:
         raise NonMonotoneBoundaries(f"boundaries not strictly increasing: {bs}")
     if len(values) != len(bs) - 1:

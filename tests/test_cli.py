@@ -37,6 +37,12 @@ class TestEval:
         assert code == 0
         assert out.strip() == "UndefinedPoint"
 
+    def test_non_finite_alpha_exit_2(self, capsys):
+        code, out, err = run(capsys, "eval", "--alpha", "nan", "--x", "0.5")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
 
 class TestDomain:
     def test_empty_verdict_exit_3(self, capsys):
@@ -76,6 +82,8 @@ class TestUsage:
             ["check-classical", "--trials", "many"],
             ["saturate", "--out", "f.json", "--grid", "0"],
             ["saturate", "--out", "f.json", "--grid", "-4"],
+            ["simulate", "--family", "f.json", "--seed", "-3", "--trials", "9"],
+            ["check-classical", "--trials", "1", "--seed", "-1"],
         ],
     )
     def test_bad_int_flag_exit_1(self, capsys, argv):
@@ -146,6 +154,21 @@ class TestFamilyPipeline:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("corrupt, named", [
+        (lambda p: {k: v for k, v in p.items() if k != "rho00"}, "rho00"),
+        (lambda p: list(p), "list"),
+        (lambda p: {**p, "rho11": {k: v for k, v in p["rho11"].items() if k != "nx"}},
+         "nx"),
+    ], ids=["no-rho00", "list", "density-no-nx"])
+    def test_malformed_family_exit_2(self, capsys, tmp_path, corrupt, named):
+        path = tmp_path / "bad.json"
+        run(capsys, "saturate", "--out", str(path))
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        code, out, err = run(capsys, "expect", "--family", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and named in err
 
     def test_check_classical(self, capsys):
         code, out, _ = run(capsys, "check-classical", "--trials", "20")

@@ -13,6 +13,7 @@ from bellhop.density import (
 from bellhop.errors import (
     DomainMismatch,
     EmptyRect,
+    MalformedInput,
     NegativeWeight,
     NonFiniteInput,
     ZeroTotalMass,
@@ -63,6 +64,20 @@ class TestConstruction:
         d = middle_band_density().to_dict()
         d[key][index] = value
         with pytest.raises(error):
+            GridDensity.from_dict(d)
+
+    @pytest.mark.parametrize("key, value", [
+        ("x_rect", [0.0, 0.5, 1.0]),
+        ("x_rect", 5),
+        ("nx", None),
+        ("nx", 4.9),
+        ("weights", "ab"),
+        ("weights", [1.0]),
+    ])
+    def test_malformed_from_dict(self, key, value):
+        d = middle_band_density().to_dict()
+        d[key] = value
+        with pytest.raises(MalformedInput):
             GridDensity.from_dict(d)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -1,8 +1,10 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bellhop import simulate
 from bellhop.chsh import PAIRS, ChshFamily, saturating_family
 from bellhop.density import uniform_density
 from bellhop.errors import ConfigInvalid, InsufficientTrials
@@ -35,6 +37,19 @@ class TestConfig:
                 family=uniform_family(), n_trials=10, master_seed=1,
                 setting_probabilities=(0.5, 0.5, 0.5, 0.5),
             )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_probability(self, bad):
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig(
+                family=uniform_family(), n_trials=10, master_seed=1,
+                setting_probabilities=(bad, 0.25, 0.25, 0.5),
+            )
+
+    @pytest.mark.parametrize("seed", [-5, 1.5])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig(family=uniform_family(), n_trials=10, master_seed=seed)
 
 
 class TestRunExperiment:
@@ -89,6 +104,53 @@ class TestRunExperiment:
             assert int(trial) == k
             assert a in ("+1", "-1") and b in ("+1", "-1")
             assert float(alpha) < float(x) < float(alpha) + 1
+
+    def test_substreams_independent_across_seeds(self):
+        # worker 1 of seed 0 must not replay worker 0 of seed 1
+        def rows(seed):
+            sink = io.StringIO()
+            run_experiment(ExperimentConfig(family=uniform_family(), n_trials=2000,
+                                            master_seed=seed, n_workers=2), sink)
+            return [line.split(",", 1)[1] for line in sink.getvalue().splitlines()[1:]]
+
+        assert rows(0)[1000:] != rows(1)[:1000]
+
+    def test_memory_bounded_by_block(self):
+        config = ExperimentConfig(family=saturating_family(), n_trials=1_000_000,
+                                  master_seed=4)
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_logged_and_unlogged_summaries_agree(self, workers):
+        config = ExperimentConfig(family=uniform_family(), n_trials=2 * simulate._BLOCK + 3,
+                                  master_seed=8, n_workers=workers)
+        assert run_experiment(config, event_log=io.StringIO()) == run_experiment(config)
+
+    def test_event_log_matches_summary_and_draws(self):
+        config = ExperimentConfig(family=uniform_family(), n_trials=simulate._BLOCK + 9,
+                                  master_seed=6)
+        sink = io.StringIO()
+        summary = run_experiment(config, event_log=sink)
+        rows = [line.split(",") for line in sink.getvalue().splitlines()[1:]]
+        sums = {pair: [0, 0, 0, 0] for pair in PAIRS}
+        for _, alpha, beta, _, _, a, b in rows:
+            acc = sums[int(alpha), int(beta)]
+            for k, v in enumerate((1, int(a) * int(b), int(a), int(b))):
+                acc[k] += v
+        assert [PairCounts(*sums[pair]) for pair in PAIRS] == list(summary.counts)
+
+        seed = np.random.SeedSequence(config.master_seed).spawn(1)[0]
+        drawn = [block[2:4] for block in simulate._blocks(config, seed, config.n_trials)]
+        xs = np.concatenate([x for x, _ in drawn]).tolist()
+        ys = np.concatenate([y for _, y in drawn]).tolist()
+        assert [float(row[3]) for row in rows] == xs
+        assert [float(row[4]) for row in rows] == ys
 
     def test_locality(self):
         # Alice's outcome depends on (alpha, x) only: changing Bob's setting

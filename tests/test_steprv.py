@@ -6,6 +6,7 @@ from bellhop.errors import (
     ArityMismatch,
     AxisMismatch,
     EmptyDomain,
+    NonFiniteInput,
     NonMonotoneBoundaries,
     OutOfDomain,
     UndefinedPoint,
@@ -46,6 +47,17 @@ class TestMakeStep:
     def test_arity(self):
         with pytest.raises(ArityMismatch):
             make_step((0, 0.5, 1), (1,), "x")
+
+    @pytest.mark.parametrize("boundaries, values", [
+        ((float("nan"), 0.5, 1.0), (1, -1)),
+        ((0.0, float("nan"), 1.0), (1, -1)),
+        ((0.0, 0.5, float("inf")), (1, -1)),
+        ((0.0, 0.5, 1.0), (1, float("nan"))),
+        ((0.0, 0.5, 1.0), (float("-inf"), 1)),
+    ])
+    def test_non_finite(self, boundaries, values):
+        with pytest.raises(NonFiniteInput):
+            make_step(boundaries, values, "x")
 
 
 class TestEval:
