@@ -23,7 +23,7 @@ from .errors import (
 )
 from .intervals import Interval
 from .observables import make_observable, setting_interval, thresholds
-from .steprv import PartialRV
+from .steprv import PartialRV, make_step
 
 PAIRS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (alpha, beta) order used throughout
 # A threshold t is on a grid line when (t - lo) * n is this close to an integer.
@@ -226,7 +226,6 @@ def random_classical_instance(rng: np.random.Generator):
     Feeds the randomized |S| <= 2 oracle suite: all four observables live on
     (0,1) (modulo excluded breakpoints), so the classical bound applies.
     """
-    from .steprv import make_step
 
     def random_rv(axis: str) -> PartialRV:
         k = int(rng.integers(0, 4))

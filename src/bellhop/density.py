@@ -1,8 +1,8 @@
 """Piecewise-constant joint densities on a rectangle, with exact integration.
 
 Both the observables and the densities are piecewise constant, so every
-expectation is a finite sum over cells refined against the observables'
-breakpoints.  There is no quadrature error; excluded breakpoints have
+expectation is a finite sum over the grid cells of per-cell integrals of the
+observables.  There is no quadrature error; excluded breakpoints have
 measure zero and are ignored.
 """
 
@@ -23,7 +23,7 @@ from .errors import (
     NonFiniteInput,
     ZeroTotalMass,
 )
-from .intervals import DomainSet, Interval
+from .intervals import Interval
 from .steprv import PartialRV
 
 # Slack for float round-off in sums of masses, probabilities and correlators.
@@ -131,38 +131,23 @@ def uniform_density(x_rect: Interval, y_rect: Interval) -> GridDensity:
     return make_grid_density(x_rect, y_rect, np.ones((1, 1)))
 
 
-def _check_covered(rv: PartialRV, rect: Interval, axis: str) -> None:
-    covered = rv.domain.intersect(DomainSet.interval(rect.lo, rect.hi)).measure()
-    if abs(covered - rect.length) > ROUND_OFF:
+def _axis_integrals(rv: PartialRV, edges: np.ndarray, rect: Interval, axis: str):
+    """rv's integral over each grid cell of one axis; rv must exist a.e. on rect."""
+    integrals, covered = rv.cell_integrals(edges)
+    if abs(covered.sum() - rect.length) > ROUND_OFF:
         raise DomainMismatch(
             f"{axis}-rectangle {rect!r} not a.e. inside domain {rv.domain!r}"
         )
-
-
-def _refined_axis(rv: PartialRV, grid_edges: np.ndarray, rect: Interval):
-    """Edges refined against rv's breakpoints, plus per-cell rv values."""
-    cuts = [p for p in rv.breakpoints() if rect.lo < p < rect.hi]
-    edges = np.unique(np.concatenate([grid_edges, np.asarray(cuts)]))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    vals = np.array([rv.eval(m) for m in mids])
-    grid_idx = np.clip(np.searchsorted(grid_edges, mids) - 1, 0, len(grid_edges) - 2)
-    return edges, vals, grid_idx
+    return integrals
 
 
 def _integrate(f: PartialRV, g: PartialRV, rho: GridDensity):
-    """Exact (E[fg], E[f], E[g]) under rho by breakpoint refinement."""
-    _check_covered(f, rho.x_rect, "x")
-    _check_covered(g, rho.y_rect, "y")
-    xe, fv, xi = _refined_axis(f, rho.x_edges(), rho.x_rect)
-    ye, gv, yi = _refined_axis(g, rho.y_edges(), rho.y_rect)
-    ax = np.diff(xe)
-    ay = np.diff(ye)
-    w = rho.weights[np.ix_(xi, yi)]
-    mass = w * np.outer(ax, ay)
-    e_fg = float(fv @ mass @ gv)
-    e_f = float(fv @ mass.sum(axis=1))
-    e_g = float(mass.sum(axis=0) @ gv)
-    return e_fg, e_f, e_g
+    """Exact (E[fg], E[f], E[g]) under rho from per-cell integrals."""
+    xe, ye = rho.x_edges(), rho.y_edges()
+    i_f = _axis_integrals(f, xe, rho.x_rect, "x")
+    i_g = _axis_integrals(g, ye, rho.y_rect, "y")
+    w = rho.weights
+    return float(i_f @ w @ i_g), float(i_f @ w @ np.diff(ye)), float(np.diff(xe) @ w @ i_g)
 
 
 def expectation(f: PartialRV, g: PartialRV, rho: GridDensity) -> float:

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .intervals import DomainSet, Interval
 
-_OPS: dict[str, Callable[[float, float], float]] = {
+_OPS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "sum": lambda u, v: u + v,
     "difference": lambda u, v: u - v,
     "product": lambda u, v: u * v,
@@ -54,10 +54,17 @@ class PartialRV:
             pts.add(iv.hi)
         return tuple(sorted(pts))
 
+    def _arrays(self) -> np.ndarray:
+        """Rows los, his, values: the pieces as arrays, in piece order."""
+        return np.array([(iv.lo, iv.hi, v) for iv, v in self.pieces]).T
+
     def eval(self, x: float) -> float:
-        for iv, value in self.pieces:
-            if iv.contains(x):
-                return value
+        """eval_many at the single point x; raises where that leaves x undefined."""
+        if not math.isfinite(x):
+            raise NonFiniteInput(f"{self.axis_label}={x!r} not finite")
+        values, defined = self.eval_many(np.array([x]))
+        if defined[0]:
+            return float(values[0])
         if x in self.breakpoints():
             raise UndefinedPoint(f"{self.axis_label}={x!r} is an excluded breakpoint")
         raise OutOfDomain(f"{self.axis_label}={x!r} outside domain {self.domain!r}")
@@ -68,14 +75,19 @@ class PartialRV:
         Returns (values, defined) where defined[i] is False when xs[i] is
         outside the domain or on an excluded breakpoint; values there are 0.
         """
-        los = np.array([iv.lo for iv, _ in self.pieces])
-        his = np.array([iv.hi for iv, _ in self.pieces])
-        vals = np.array([v for _, v in self.pieces])
-        idx = np.searchsorted(los, xs, side="right") - 1
-        idx_clipped = np.clip(idx, 0, len(los) - 1)
-        defined = (idx >= 0) & (xs > los[idx_clipped]) & (xs < his[idx_clipped])
-        out = np.where(defined, vals[idx_clipped], 0.0)
-        return out, defined
+        los, his, values = self._arrays()
+        idx = np.clip(np.searchsorted(los, xs, side="right") - 1, 0, len(los) - 1)
+        defined = (xs > los[idx]) & (xs < his[idx])
+        return np.where(defined, values[idx], 0.0), defined
+
+    def cell_integrals(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per cell (edges[i], edges[i+1]): the integral of self over the cell
+        and the measure of the domain inside it."""
+        los, his, values = self._arrays()
+        overlap = np.clip(
+            np.minimum(edges[1:, None], his) - np.maximum(edges[:-1, None], los), 0.0, None
+        )
+        return overlap @ values, overlap.sum(axis=1)
 
     def shift(self, alpha: float) -> "PartialRV":
         moved = tuple((iv.shift(alpha), v) for iv, v in self.pieces)
@@ -113,10 +125,7 @@ def combine(f: PartialRV, g: PartialRV, op: str) -> PartialRV:
             f"{f.domain!r} ∩ {g.domain!r} = ∅: the {op} does not exist"
         )
     cuts = [p for p in f.breakpoints() + g.breakpoints() if common.contains(p)]
-    refined = common.split_at(cuts)
-    fn = _OPS[op]
-    pieces = []
-    for iv in refined.intervals:
-        mid = 0.5 * (iv.lo + iv.hi)
-        pieces.append((iv, fn(f.eval(mid), g.eval(mid))))
-    return PartialRV(tuple(pieces), f.axis_label)
+    refined = common.split_at(cuts).intervals
+    mids = np.array([0.5 * (iv.lo + iv.hi) for iv in refined])
+    values = _OPS[op](f.eval_many(mids)[0], g.eval_many(mids)[0])
+    return PartialRV(tuple(zip(refined, values.tolist())), f.axis_label)

@@ -37,8 +37,13 @@ class TestEval:
         assert code == 0
         assert out.strip() == "UndefinedPoint"
 
-    def test_non_finite_alpha_exit_2(self, capsys):
-        code, out, err = run(capsys, "eval", "--alpha", "nan", "--x", "0.5")
+    @pytest.mark.parametrize("argv", [
+        ("--alpha", "nan", "--x", "0.5"),
+        ("--alpha", "0", "--x", "nan"),
+        ("--alpha", "0", "--x", "inf"),
+    ], ids=["alpha-nan", "x-nan", "x-inf"])
+    def test_non_finite_flag_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "eval", *argv)
         assert code == 2
         assert out == ""
         assert "finite" in err
@@ -131,9 +136,10 @@ class TestFamilyPipeline:
         path = tmp_path / "sat.json"
         run(capsys, "saturate", "--out", str(path))
         log = tmp_path / "events.csv"
+        workers = str(min(2, os.cpu_count() or 1))  # the CLI caps --workers at the CPU count
         code, out, _ = run(
             capsys, "simulate", "--family", str(path), "--trials", "2000",
-            "--seed", "7", "--workers", "2", "--log", str(log),
+            "--seed", "7", "--workers", workers, "--log", str(log),
         )
         assert code == 0
         assert "S = 4.000000" in out

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from scipy import stats
 
 from bellhop.density import (
+    ROUND_OFF,
     GridDensity,
     expectation,
     make_grid_density,
@@ -20,6 +22,7 @@ from bellhop.errors import (
 )
 from bellhop.intervals import Interval
 from bellhop.observables import make_observable
+from bellhop.steprv import PartialRV, make_step
 
 
 def unit_rect():
@@ -31,6 +34,64 @@ def middle_band_density():
     w = np.zeros((4, 4))
     w[1:3, 1:3] = 1.0
     return make_grid_density(*unit_rect(), w)
+
+
+@st.composite
+def partial_steps(draw, axis):
+    """±1 step functions whose cuts fall on and off the grid lines of 1..6-cell
+    grids on (0, 1).  Most reach across (0, 1), some beyond it; the rest stop
+    short of it.  Some lose pieces, which leaves gaps in the domain."""
+    cut = st.one_of(
+        st.integers(-12, 60).map(lambda k: k / 48),
+        st.integers(-10, 50).map(lambda k: k / 40),
+    )
+    bs = draw(st.sets(cut, min_size=2, max_size=7))
+    if draw(st.sampled_from([True, True, True, False])):
+        bs |= {min(*bs, 0.0), max(*bs, 1.0)}
+    bs = sorted(bs)
+    n = len(bs) - 1
+    f = make_step(bs, draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)),
+                  axis)
+    if n > 1 and draw(st.sampled_from([False, False, True])):
+        dropped = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        f = PartialRV(tuple(p for i, p in enumerate(f.pieces) if i not in dropped), axis)
+    return f
+
+
+@st.composite
+def grid_densities(draw):
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1))
+    weights = draw(st.lists(weight, min_size=nx * ny, max_size=nx * ny))
+    assume(sum(weights) > 0)
+    return make_grid_density(*unit_rect(), np.reshape(weights, (nx, ny)))
+
+
+def refined_moments(f, g, rho):
+    """(E[fg], E[f], E[g]) by breakpoint refinement, or None when f or g does
+    not exist a.e. on its side of the rectangle.
+
+    Each axis is cut at the union of its grid edges and the breakpoints inside
+    the rectangle; every refined cell then lies in one piece or in no piece, so
+    its value is the function at its midpoint and its mass is the grid weight
+    times the cell's area.
+    """
+    def axis(rv, grid, rect):
+        cuts = [p for p in rv.breakpoints() if rect.lo < p < rect.hi]
+        edges = np.unique(np.concatenate([grid, cuts]))
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        values, defined = rv.eval_many(mids)
+        widths = np.diff(edges)
+        covered = abs(widths[defined].sum() - rect.length) <= ROUND_OFF
+        cell = np.clip(np.searchsorted(grid, mids) - 1, 0, len(grid) - 2)
+        return values, widths, cell, covered
+
+    fv, ax, xi, x_ok = axis(f, rho.x_edges(), rho.x_rect)
+    gv, ay, yi, y_ok = axis(g, rho.y_edges(), rho.y_rect)
+    if not (x_ok and y_ok):
+        return None
+    mass = rho.weights[np.ix_(xi, yi)] * np.outer(ax, ay)
+    return fv @ mass @ gv, fv @ mass.sum(axis=1), mass.sum(axis=0) @ gv
 
 
 class TestConstruction:
@@ -148,6 +209,22 @@ class TestExpectation:
         s1, s2 = w1.sum(), w2.sum()
         mix = expectation(f, g, make_grid_density(*unit_rect(), w1 + w2))
         assert mix == pytest.approx((s1 * e1 + s2 * e2) / (s1 + s2), abs=1e-12)
+
+
+    @given(partial_steps("x"), partial_steps("y"), grid_densities())
+    def test_refinement_oracle(self, f, g, rho):
+        want = refined_moments(f, g, rho)
+        if want is None:
+            with pytest.raises(DomainMismatch):
+                expectation(f, g, rho)
+            with pytest.raises(DomainMismatch):
+                marginal_means(f, g, rho)
+            return
+        e_fg, e_f, e_g = want
+        assert abs(expectation(f, g, rho) - e_fg) <= 1e-12
+        got_f, got_g = marginal_means(f, g, rho)
+        assert abs(got_f - e_f) <= 1e-12
+        assert abs(got_g - e_g) <= 1e-12
 
 
 class TestMarginals:

@@ -72,6 +72,11 @@ class TestEval:
         with pytest.raises(UndefinedPoint):
             make_observable(0.0).eval(0.25)
 
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_point(self, x):
+        with pytest.raises(NonFiniteInput):
+            make_observable(0.0).eval(x)
+
     def test_eval_many(self):
         a0 = make_observable(0.0)
         xs = np.array([0.1, 0.5, 0.25, 1.5, 0.9])
