@@ -44,7 +44,8 @@ class NonFiniteInput(BellhopError):
 
 class MalformedInput(BellhopError):
     """A family or density record is not a JSON object, lacks a required key,
-    or has a field of the wrong type or shape."""
+    or has a field of the wrong type or shape; or density weights are not a
+    2-d array with at least one cell."""
 
 
 class EmptyRect(BellhopError):

@@ -37,11 +37,21 @@ class PartialRV:
     """Piecewise-constant function on a union of open intervals of one axis.
 
     pieces exactly partition the domain; every breakpoint between pieces is
-    excluded (the function is undefined there).
+    excluded (the function is undefined there).  The pieces must be nonempty,
+    sorted and disjoint (touching is allowed), else NonMonotoneBoundaries.
     """
 
     pieces: Tuple[Tuple[Interval, float], ...]
     axis_label: str
+
+    def __post_init__(self):
+        prev_hi = -math.inf
+        for iv, _ in self.pieces:
+            if not prev_hi <= iv.lo < iv.hi:
+                raise NonMonotoneBoundaries(
+                    f"piece {iv!r} is empty or starts before the previous one ends"
+                )
+            prev_hi = iv.hi
 
     @property
     def domain(self) -> DomainSet:

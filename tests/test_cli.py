@@ -176,6 +176,18 @@ class TestFamilyPipeline:
         assert out == ""
         assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize("nx, ny", [(0, 4), (4, 0), (-1, 2)])
+    def test_grid_size_below_one_exit_2(self, capsys, tmp_path, nx, ny):
+        path = tmp_path / "bad.json"
+        run(capsys, "saturate", "--out", str(path))
+        payload = json.loads(path.read_text())
+        payload["rho10"].update(nx=nx, ny=ny, weights=[1.0] * 4)
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "expect", "--family", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "positive integer" in err
+
     def test_check_classical(self, capsys):
         code, out, _ = run(capsys, "check-classical", "--trials", "20")
         assert code == 0

@@ -11,7 +11,7 @@ from bellhop.errors import (
     OutOfDomain,
     UndefinedPoint,
 )
-from bellhop.intervals import DomainSet
+from bellhop.intervals import DomainSet, Interval
 from bellhop.observables import make_observable
 from bellhop.steprv import PartialRV, combine, make_step
 
@@ -58,6 +58,25 @@ class TestMakeStep:
     def test_non_finite(self, boundaries, values):
         with pytest.raises(NonFiniteInput):
             make_step(boundaries, values, "x")
+
+
+class TestPieces:
+    @pytest.mark.parametrize("pieces", [
+        ((Interval(0.5, 1), 1.0), (Interval(0, 0.5), -1.0)),  # unsorted
+        ((Interval(0, 0.75), 1.0), (Interval(0.25, 1), -1.0)),  # overlapping
+        ((Interval(0, 0.5), 1.0), (Interval(0.5, 0.5), -1.0)),  # empty
+        ((Interval(0, 0.5), 1.0), (Interval(0.75, 0.25), -1.0)),  # reversed
+        ((Interval(0, 1), 1.0), (Interval(0, 1), -1.0)),  # repeated
+    ], ids=["unsorted", "overlapping", "empty", "reversed", "repeated"])
+    def test_rejected(self, pieces):
+        with pytest.raises(NonMonotoneBoundaries):
+            PartialRV(pieces, "x")
+
+    def test_touching_and_gapped_accepted(self):
+        f = PartialRV(((Interval(0, 0.5), 1.0), (Interval(0.5, 0.75), -1.0),
+                       (Interval(0.875, 1), 1.0)), "x")
+        assert f.eval(0.7) == -1.0
+        assert f.domain.measure() == 0.875
 
 
 class TestEval:
