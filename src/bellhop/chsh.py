@@ -4,7 +4,10 @@ Four unrelated densities, one per setting pair, make the four correlators
 independently tunable: the only surviving bound is |S| <= 4, and it is
 saturated with all marginal means exactly zero.  When all four observables
 share one domain and one density, the classical argument applies and
-|S| <= 2; classical_bound_check embodies that contrast.
+|S| <= 2; classical_bound_check embodies that contrast.  It takes the
+textbook CHSH step S = E[a0·(b0 + b1)] + E[a1·(b0 − b1)], integrating each
+observable once and pairing each of Alice's two with both of Bob's, and that
+pairing is the one place the common-domain assumption enters.
 """
 
 from __future__ import annotations
@@ -14,7 +17,14 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .density import ROUND_OFF, GridDensity, _fields, _integrate, make_grid_density
+from .density import (
+    ROUND_OFF,
+    GridDensity,
+    _axis_integrals,
+    _fields,
+    _integrate,
+    make_grid_density,
+)
 from .errors import (
     DomainMismatch,
     GridMisaligned,
@@ -23,7 +33,7 @@ from .errors import (
 )
 from .intervals import Interval
 from .observables import make_observable, setting_interval, thresholds
-from .steprv import PartialRV, make_step
+from .steprv import PartialRV, _overlap, make_step
 
 PAIRS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (alpha, beta) order used throughout
 # A threshold t is on a grid line when (t - lo) * n is this close to an integer.
@@ -244,9 +254,14 @@ def random_classical_instance(rng: np.random.Generator):
 
 
 def _same_domain(f: PartialRV, g: PartialRV) -> bool:
-    m1, m2 = f.domain.measure(), g.domain.measure()
-    mi = f.domain.intersect(g.domain).measure()
-    return abs(m1 - mi) <= ROUND_OFF and abs(m2 - mi) <= ROUND_OFF
+    """m(f) = m(g) = m(f ∩ g) within ROUND_OFF, from the pieces' end points."""
+    f_los, f_his, _ = f._arrays()
+    g_los, g_his, _ = g._arrays()
+    common = _overlap(f_los, f_his, g_los, g_his).sum()
+    return (
+        abs((f_his - f_los).sum() - common) <= ROUND_OFF
+        and abs((g_his - g_los).sum() - common) <= ROUND_OFF
+    )
 
 
 def classical_bound_check(
@@ -254,12 +269,21 @@ def classical_bound_check(
 ) -> float:
     """S from ONE shared density over a common pair of domains; |S| <= 2.
 
-    Raises DomainMismatch when the observables do not share domains, which
-    is exactly the obstruction that blocks the bound for disjoint domains.
+    Each observable is integrated once per grid cell of its axis, and S is
+    the textbook CHSH factorization E[a0·(b0 + b1)] + E[a1·(b0 − b1)]: a0
+    and a1 are each paired with both b0 and b1 under the one density.  That
+    step needs all four observables on one domain, so DomainMismatch is
+    raised when a0, a1 (or b0, b1) do not share theirs, or when one does not
+    cover rho's rectangle.  This is exactly the obstruction that blocks the
+    bound for disjoint domains.
     """
     if not _same_domain(a0, a1):
         raise DomainMismatch(f"{a0.domain!r} vs {a1.domain!r} on Alice's axis")
     if not _same_domain(b0, b1):
         raise DomainMismatch(f"{b0.domain!r} vs {b1.domain!r} on Bob's axis")
-    a, b = (a0, a1), (b0, b1)
-    return chsh_value(*(_integrate(a[alpha], b[beta], rho)[0] for alpha, beta in PAIRS))
+    xe, ye = rho.x_edges(), rho.y_edges()
+    i_aw = [_axis_integrals(rv, xe, rho.x_rect, "x") @ rho.weights for rv in (a0, a1)]
+    i_b = [_axis_integrals(rv, ye, rho.y_rect, "y") for rv in (b0, b1)]
+    # The common-domain assumption is used here: one density and one pair of
+    # domains, so each a[alpha] integral is paired with both b[beta] integrals.
+    return chsh_value(*(float(i_aw[alpha] @ i_b[beta]) for alpha, beta in PAIRS))

@@ -173,9 +173,16 @@ def _cmd_check_classical(args) -> int:
 
 
 def _column(rv, xs: np.ndarray) -> list:
-    """rv at each x, with nan where rv is undefined."""
+    """rv at each x as %.17g text, with "nan" where rv is undefined.
+
+    A step function takes few values, so each distinct one is formatted once.
+    Values are told apart by their bits, which keeps -0.0 and 0.0 apart.
+    """
     values, defined = rv.eval_many(xs)
-    return np.where(defined, values, math.nan).tolist()
+    bits = np.where(defined, values, math.nan).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    text = [f"{v:.17g}" for v in keys.view(np.float64).tolist()]
+    return [text[i] for i in inverse.tolist()]
 
 
 def write_figures(out_dir: str) -> None:
@@ -185,26 +192,29 @@ def write_figures(out_dir: str) -> None:
     a0 = make_observable(0.0)
     excluded = thresholds(0.0)  # sign-change points: ln = 0, sign undefined
     steps = np.arange(1001) / 1000
-    unit_xs = steps.tolist()
+    # x labels k/1000 for k <= 2000: fig1 and fig3 use the first 1001, and
+    # fig2's block alpha = i/100 uses entries 10i..10i+1000, which equal
+    # f"{alpha + k/1000:.3f}" for every i <= 100 and k <= 1000.
+    x_labels = [f"{k / 1000:.3f}" for k in range(2001)]
+
+    def block(alpha_label: str, labels, values) -> str:
+        return "".join([f"{alpha_label},{x},{v}\n" for x, v in zip(labels, values)])
 
     with open(out / "fig1.csv", "w") as fh:
         fh.write("x,a0,logcurve\n")
-        for x, a in zip(unit_xs, _column(a0, steps)):
+        for x, label, a in zip(steps.tolist(), x_labels, _column(a0, steps)):
             try:
                 curve = math.nan if x in excluded else log_curve(0.0, x)
             except OutOfDomain:
                 curve = math.nan
-            fh.write(f"{x:.3f},{a:.17g},{curve:.17g}\n")
+            fh.write(f"{label},{a},{curve:.17g}\n")
 
     with open(out / "fig2.csv", "w") as fh:
         fh.write("alpha,x,value\n")
         for i in range(101):
             alpha = i / 100
-            xs = alpha + steps
-            fh.writelines(
-                f"{alpha:.2f},{x:.3f},{v:.17g}\n"
-                for x, v in zip(xs.tolist(), _column(make_observable(alpha), xs))
-            )
+            values = _column(make_observable(alpha), alpha + steps)
+            fh.write(block(f"{alpha:.2f}", x_labels[10 * i : 10 * i + 1001], values))
 
     with open(out / "fig3.csv", "w") as fh:
         fh.write("alpha,x,sumvalue\n")
@@ -213,12 +223,10 @@ def write_figures(out_dir: str) -> None:
             try:
                 total = combine(a0, make_observable(alpha), "sum")
             except EmptyDomain:
-                values = [math.nan] * len(unit_xs)
+                values = ["nan"] * len(steps)
             else:
                 values = _column(total, steps)
-            fh.writelines(
-                f"{alpha:.2f},{x:.3f},{v:.17g}\n" for x, v in zip(unit_xs, values)
-            )
+            fh.write(block(f"{alpha:.2f}", x_labels, values))
 
 
 def _cmd_figures(args) -> int:

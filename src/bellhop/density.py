@@ -145,12 +145,15 @@ def make_grid_density(x_rect: Interval, y_rect: Interval, weights) -> GridDensit
         raise NegativeWeight("density weights must be nonnegative")
     nx, ny = w.shape
     cell_area = (x_rect.length / nx) * (y_rect.length / ny)
-    total = float(np.sum(w)) * cell_area
+    # an overflow gives inf, which the checks below reject as NonFiniteInput
+    with np.errstate(over="ignore"):
+        total = float(np.sum(w)) * cell_area
     if not all(map(math.isfinite, (x_rect.lo, x_rect.hi, y_rect.lo, y_rect.hi, total))):
         raise NonFiniteInput(f"weights or rectangle {x_rect!r} × {y_rect!r} not finite")
     if total <= 0.0:
         raise ZeroTotalMass("density weights sum to zero")
-    w /= total
+    with np.errstate(over="ignore"):
+        w /= total
     if not np.isfinite(w).all():  # the cells are too small for their mass
         raise NonFiniteInput(f"density on {x_rect!r} × {y_rect!r} overflows")
     return GridDensity(x_rect, y_rect, w)

@@ -94,14 +94,17 @@ class PartialRV:
         """Per cell (edges[i], edges[i+1]): the integral of self over the cell
         and the measure of the domain inside it."""
         los, his, values = self._arrays()
-        overlap = np.clip(
-            np.minimum(edges[1:, None], his) - np.maximum(edges[:-1, None], los), 0.0, None
-        )
+        overlap = _overlap(edges[:-1], edges[1:], los, his)
         return overlap @ values, overlap.sum(axis=1)
 
     def shift(self, alpha: float) -> "PartialRV":
         moved = tuple((iv.shift(alpha), v) for iv, v in self.pieces)
         return PartialRV(moved, self.axis_label)
+
+
+def _overlap(lo: np.ndarray, hi: np.ndarray, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    """Length of (lo[i], hi[i]) ∩ (los[j], his[j]) for every i and j."""
+    return np.clip(np.minimum(hi[:, None], his) - np.maximum(lo[:, None], los), 0.0, None)
 
 
 def make_step(boundaries: Sequence[float], values: Sequence[float], axis_label: str) -> PartialRV:

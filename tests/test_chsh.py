@@ -11,10 +11,11 @@ from bellhop.chsh import (
     random_classical_instance,
     saturating_family,
 )
-from bellhop.density import uniform_density
+from bellhop.density import ROUND_OFF, expectation, make_grid_density, uniform_density
 from bellhop.errors import DomainMismatch, GridMisaligned, InputOutOfRange
 from bellhop.intervals import Interval
 from bellhop.observables import make_observable
+from bellhop.steprv import PartialRV, make_step
 
 
 def uniform_family():
@@ -22,6 +23,57 @@ def uniform_family():
         uniform_density(Interval(float(a), a + 1.0), Interval(float(b), b + 1.0))
         for a, b in PAIRS
     ])
+
+
+def random_segments(rng):
+    """Disjoint spans that start at 0 or inside or before it, end at 1 or
+    inside or past it, and sometimes have a gap."""
+    lo = float(rng.choice([0.0] * 6 + [0.125, -0.25]))
+    hi = float(rng.choice([1.0] * 6 + [0.875, 1.25]))
+    if rng.random() < 0.1:
+        g1, g2 = np.sort(rng.uniform(lo, hi, 2)).tolist()
+        return [(lo, g1), (g2, hi)]
+    return [(lo, hi)]
+
+
+def random_partial(rng, segments, axis):
+    """A ±1 step function with random cuts on the given spans."""
+    pieces = []
+    for lo, hi in segments:
+        cuts = [lo, *np.sort(rng.uniform(lo, hi, int(rng.integers(0, 4)))).tolist(), hi]
+        pieces += [
+            (Interval(c0, c1), float(rng.choice([-1.0, 1.0])))
+            for c0, c1 in zip(cuts, cuts[1:]) if c0 < c1
+        ]
+    return PartialRV(tuple(pieces), axis)
+
+
+def random_partial_instance(rng):
+    """Four observables where each axis's second one shares the first one's
+    spans 80% of the time, plus a random density on the unit square."""
+    rvs = []
+    for axis in ("x", "y"):
+        first = random_segments(rng)
+        second = first if rng.random() < 0.8 else random_segments(rng)
+        rvs += [random_partial(rng, first, axis), random_partial(rng, second, axis)]
+    nx, ny = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    rho = make_grid_density(Interval(0.0, 1.0), Interval(0.0, 1.0), rng.random((nx, ny)) + 1e-3)
+    return (*rvs, rho)
+
+
+def reference_check(a0, a1, b0, b1, rho):
+    """S by the former rule, or None where it raised DomainMismatch: domains
+    compared through DomainSet.intersect and measure, then S from the four
+    per-pair expectations."""
+    for f, g in ((a0, a1), (b0, b1)):
+        common = f.domain.intersect(g.domain).measure()
+        if max(abs(f.domain.measure() - common), abs(g.domain.measure() - common)) > ROUND_OFF:
+            return None
+    a, b = (a0, a1), (b0, b1)
+    try:
+        return chsh_value(*(expectation(a[alpha], b[beta], rho) for alpha, beta in PAIRS))
+    except DomainMismatch:
+        return None
 
 
 class TestChshValue:
@@ -110,6 +162,29 @@ class TestClassicalBound:
         vb0, vb1 = b0.eval_many(ys)[0], b1.eval_many(ys)[0]
         s = va0 * vb0 + va1 * vb0 + va0 * vb1 - va1 * vb1
         assert np.all(np.abs(s) <= 2.0)
+
+    def test_range_check_kept(self):
+        # each correlator still passes chsh_value's |E| <= 1 check
+        a = make_step([0.0, 1.0], [2.0], "x")
+        b = make_step([0.0, 1.0], [2.0], "y")
+        rho = uniform_density(Interval(0, 1), Interval(0, 1))
+        with pytest.raises(InputOutOfRange):
+            classical_bound_check(a, a, b, b, rho)
+
+    def test_factorization_oracle(self):
+        rng = np.random.default_rng(31)
+        outcomes = {"value": 0, "mismatch": 0}
+        for _ in range(600):
+            a0, a1, b0, b1, rho = random_partial_instance(rng)
+            want = reference_check(a0, a1, b0, b1, rho)
+            if want is None:
+                with pytest.raises(DomainMismatch):
+                    classical_bound_check(a0, a1, b0, b1, rho)
+                outcomes["mismatch"] += 1
+            else:
+                assert abs(classical_bound_check(a0, a1, b0, b1, rho) - want) <= 1e-15
+                outcomes["value"] += 1
+        assert min(outcomes.values()) >= 150, outcomes
 
     def test_disjoint_domains_rejected(self):
         a0 = make_observable(0.0, "x")

@@ -1,10 +1,16 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bellhop.cli import main, write_figures
+import bellhop
+from bellhop.cli import _column, main, write_figures
+from bellhop.steprv import make_step
 
 
 # SHA-256 of the reference figure data; perfbench/checks.py pins the same digests
@@ -161,6 +167,26 @@ class TestFamilyPipeline:
         assert out == ""
         assert "finite" in err
 
+    def test_overflowing_weights_print_only_the_error(self, capsys, tmp_path):
+        # a fresh interpreter running the script's entry function, so stderr
+        # holds what a user sees, numpy's default warning output included
+        path = tmp_path / "big.json"
+        run(capsys, "saturate", "--out", str(path))
+        payload = json.loads(path.read_text())
+        payload["rho00"]["weights"] = [1e308] * len(payload["rho00"]["weights"])
+        path.write_text(json.dumps(payload))
+        src = str(Path(bellhop.__file__).resolve().parents[1])
+        path_dirs = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_dirs)}
+        proc = subprocess.run(
+            [sys.executable, "-c", "from bellhop.cli import entry; entry()",
+             "expect", "--family", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("corrupt, named", [
         (lambda p: {k: v for k, v in p.items() if k != "rho00"}, "rho00"),
         (lambda p: list(p), "list"),
@@ -207,6 +233,11 @@ class TestFigures:
         write_figures(tmp_path)
         for name, want in FIGURE_SHA256.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
+
+    def test_column_text(self):
+        rv = make_step([0.0, 1.0, 2.0, 3.0], [-0.0, 0.0, -1.0], "x")
+        xs = [0.5, 1.0, 1.5, 2.5, 1.5, 3.5, 0.5]
+        assert _column(rv, np.array(xs)) == ["-0", "nan", "0", "-1", "0", "nan", "-0"]
 
     def test_fig1_contents(self, tmp_path):
         write_figures(tmp_path)

@@ -225,12 +225,12 @@ class TestConstruction:
         with pytest.raises(MalformedInput):
             GridDensity.from_dict(d)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_total_mass_overflow(self):
         with pytest.raises(NonFiniteInput):
             make_grid_density(*unit_rect(), np.full((2, 2), 1e308))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_rescaled_weight_overflow(self):
         tiny = Interval(0.0, 1e-160)
         with pytest.raises(NonFiniteInput):
@@ -266,7 +266,7 @@ class TestConstruction:
         assert again.x_rect == rho.x_rect
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 class TestRecordFuzz:
     """Parsing any JSON-shaped record gives a valid density or family, or a
     BellhopError: never another exception or a silently reshaped grid."""
