@@ -32,12 +32,10 @@ from .errors import (
     NonConvergence,
 )
 from .intervals import Interval
-from .observables import make_observable, setting_interval, thresholds
-from .steprv import PartialRV, _overlap, make_step
+from .observables import make_observable, setting_interval
+from .steprv import PartialRV, make_step
 
 PAIRS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (alpha, beta) order used throughout
-# A threshold t is on a grid line when (t - lo) * n is this close to an integer.
-_GRID_ALIGN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -127,24 +125,15 @@ def saturating_family() -> ChshFamily:
     on (+,-) and (-,+) instead.  Quarter-aligned 4x4 grids keep every number
     an exact binary float.
     """
+    signs = _band_signs(4)
     rhos = []
     for (alpha, beta), target in zip(PAIRS, (1.0, 1.0, 1.0, -1.0)):
-        fa = _band_signs(4)
-        gb = _band_signs(4)
-        match = np.outer(fa, gb) == target
+        match = np.outer(signs, signs) == target
         weights = np.where(match, 2.0, 0.0)
         rhos.append(
             make_grid_density(setting_interval(alpha), setting_interval(beta), weights)
         )
     return ChshFamily(*rhos)
-
-
-def _check_alignment(alpha: float, lo: float, n: int) -> None:
-    width = 1.0 / n
-    for t in thresholds(alpha):
-        k = (t - lo) / width
-        if abs(k - round(k)) > _GRID_ALIGN_TOL:
-            raise GridMisaligned(f"threshold {t} not on a {n}-cell grid line")
 
 
 def _affine_projector(A: np.ndarray, b: np.ndarray):
@@ -165,8 +154,6 @@ def _optimize_pair(
     then re-projected onto {sum = 1, both marginals = 0} and the nonnegative
     orthant by alternating projections.
     """
-    _check_alignment(float(alpha), float(alpha), nx)
-    _check_alignment(float(beta), float(beta), ny)
     fa = _band_signs(nx)
     gb = _band_signs(ny)
     c = np.outer(fa, gb).reshape(-1)
@@ -216,15 +203,19 @@ def optimize_family(
 
     Each pair is optimized independently: its density appears in exactly one
     CHSH term, so the objective is separable.  Grids must be multiples of 4
-    so the quarter-point thresholds fall on cell boundaries.
+    so the quarter-point thresholds fall on cell boundaries.  The targets are
+    one finite correlator in [-1, 1] per pair, in PAIRS order.
     """
     nx, ny = grid
     if nx <= 0 or ny <= 0 or nx % 4 or ny % 4:
         raise GridMisaligned(f"grid {grid} not a positive multiple of 4 per axis")
+    targets = tuple(map(float, targets))
+    if len(targets) != len(PAIRS) or not all(-1.0 <= t <= 1.0 for t in targets):
+        raise InputOutOfRange(f"need four targets in [-1, 1], got {targets}")
     rhos = []
     achieved = []
     for (alpha, beta), target in zip(PAIRS, targets):
-        rho, e = _optimize_pair(alpha, beta, float(target), nx, ny, eps, max_iter)
+        rho, e = _optimize_pair(alpha, beta, target, nx, ny, eps, max_iter)
         rhos.append(rho)
         achieved.append(e)
     return ChshFamily(*rhos), tuple(achieved)
@@ -254,13 +245,12 @@ def random_classical_instance(rng: np.random.Generator):
 
 
 def _same_domain(f: PartialRV, g: PartialRV) -> bool:
-    """m(f) = m(g) = m(f ∩ g) within ROUND_OFF, from the pieces' end points."""
-    f_los, f_his, _ = f._arrays()
-    g_los, g_his, _ = g._arrays()
-    common = _overlap(f_los, f_his, g_los, g_his).sum()
+    """m(f) = m(g) = m(f ∩ g) within ROUND_OFF."""
+    f_domain, g_domain = f.domain, g.domain
+    common = f_domain.intersect(g_domain).measure()
     return (
-        abs((f_his - f_los).sum() - common) <= ROUND_OFF
-        and abs((g_his - g_los).sum() - common) <= ROUND_OFF
+        abs(f_domain.measure() - common) <= ROUND_OFF
+        and abs(g_domain.measure() - common) <= ROUND_OFF
     )
 
 

@@ -10,6 +10,7 @@ derivation gets stuck.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
@@ -148,27 +149,32 @@ class _Parser:
             return self.symbol()
         self.fail(["'-'", "'('", "symbol"])
 
+    def index(self) -> float:
+        _, value, pos = self.advance()
+        index = float(value)
+        if math.isinf(index):
+            raise ExprSyntaxError(f"index at position {pos} overflows a float", pos)
+        return index
+
     def symbol(self) -> Symbol:
         name = self.advance()[1]
         kind, value, pos = self.peek()
         if kind == "num":
             # a0 desugars to a[0]; the digits are the index
-            self.advance()
-            return Symbol(name, float(value))
+            return Symbol(name, self.index())
         if value == "[":
             self.advance()
             sign = 1.0
             if self.peek()[1] == "-":
                 self.advance()
                 sign = -1.0
-            kind, value, pos = self.peek()
-            if kind != "num":
+            if self.peek()[0] != "num":
                 self.fail(["real index"])
-            self.advance()
+            index = self.index()
             if self.peek()[1] != "]":
                 self.fail(["']'"])
             self.advance()
-            return Symbol(name, sign * float(value))
+            return Symbol(name, sign * index)
         self.fail(["digits", "'['"])
 
 

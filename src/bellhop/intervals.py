@@ -1,9 +1,14 @@
 """Exact algebra of finite unions of open real intervals.
 
-A DomainSet is where a partial random variable exists.  All endpoint
-comparisons are exact binary-float comparisons: the breakpoints that occur
-here (quarters, integers) are exactly representable, so no tolerance is
-needed or wanted.
+A DomainSet is where a partial random variable exists.  It is the algebra
+of the two questions "where do both exist" that are asked about domains
+alone: deriv's existence analysis and the common-domain check of
+chsh.classical_bound_check.  steprv.combine, which needs values as well,
+answers the same question on the operands' breakpoints instead.
+
+All endpoint comparisons are exact binary-float comparisons: the
+breakpoints that occur here (quarters, integers) are exactly representable,
+so no tolerance is needed or wanted.
 
 Touching intervals such as (0, 0.25) and (0.25, 1) are deliberately NOT
 merged: the shared endpoint is an excluded point where the function is
@@ -36,9 +41,6 @@ class Interval:
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
-    def shift(self, delta: float) -> "Interval":
-        return Interval(self.lo + delta, self.hi + delta)
-
     def __repr__(self) -> str:
         return f"({self.lo:g},{self.hi:g})"
 
@@ -62,14 +64,6 @@ class DomainSet:
                 merged.append(iv)
         return DomainSet(tuple(merged))
 
-    @staticmethod
-    def empty() -> "DomainSet":
-        return DomainSet(())
-
-    @staticmethod
-    def interval(lo: float, hi: float) -> "DomainSet":
-        return DomainSet.of([Interval(lo, hi)])
-
     def is_empty(self) -> bool:
         return not self.intervals
 
@@ -87,23 +81,6 @@ class DomainSet:
                 if not c.is_empty():
                     out.append(c)
         return DomainSet.of(out)
-
-    def shift(self, delta: float) -> "DomainSet":
-        return DomainSet(tuple(iv.shift(delta) for iv in self.intervals))
-
-    def split_at(self, points: Iterable[float]) -> "DomainSet":
-        """Exclude each point, splitting any interval it falls strictly inside."""
-        pieces = list(self.intervals)
-        for p in sorted(set(points)):
-            out = []
-            for iv in pieces:
-                if iv.contains(p):
-                    out.append(Interval(iv.lo, p))
-                    out.append(Interval(p, iv.hi))
-                else:
-                    out.append(iv)
-            pieces = out
-        return DomainSet(tuple(iv for iv in pieces if not iv.is_empty()))
 
     def __repr__(self) -> str:
         if not self.intervals:

@@ -28,6 +28,11 @@ from .errors import ConfigInvalid, InsufficientTrials
 _BLOCK = 1 << 16  # trials drawn, reduced and logged at a time per worker
 
 
+def _is_int(value) -> bool:
+    """An integer in the numbers sense, with bool counted as not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     family: ChshFamily
@@ -37,11 +42,11 @@ class ExperimentConfig:
     n_workers: int = 1
 
     def __post_init__(self):
-        if self.n_trials <= 0:
-            raise ConfigInvalid("n_trials must be positive")
-        if self.n_workers <= 0:
-            raise ConfigInvalid("n_workers must be positive")
-        if not isinstance(self.master_seed, numbers.Integral) or self.master_seed < 0:
+        if not _is_int(self.n_trials) or self.n_trials <= 0:
+            raise ConfigInvalid("n_trials must be a positive integer")
+        if not _is_int(self.n_workers) or self.n_workers <= 0:
+            raise ConfigInvalid("n_workers must be a positive integer")
+        if not _is_int(self.master_seed) or self.master_seed < 0:
             raise ConfigInvalid("master_seed must be a non-negative integer")
         p = self.setting_probabilities
         if len(p) != 4 or not all(math.isfinite(q) and q >= 0 for q in p):

@@ -1,9 +1,9 @@
 """Random variables as step functions defined only on part of an axis.
 
 A PartialRV exists only on its DomainSet.  Same-axis sums, differences and
-products exist only on the intersection of the operands' domains; when that
-intersection is empty the combination is not a zero function but a function
-that does not exist at all, and combine raises EmptyDomain.
+products exist only where both operands do; where that is nowhere the
+combination is not a zero function but a function that does not exist at
+all, and combine raises EmptyDomain.
 """
 
 from __future__ import annotations
@@ -39,12 +39,15 @@ class PartialRV:
     pieces exactly partition the domain; every breakpoint between pieces is
     excluded (the function is undefined there).  The pieces must be nonempty,
     sorted and disjoint (touching is allowed), else NonMonotoneBoundaries.
+    With no pieces at all there is no function, and EmptyDomain is raised.
     """
 
     pieces: Tuple[Tuple[Interval, float], ...]
     axis_label: str
 
     def __post_init__(self):
+        if not self.pieces:
+            raise EmptyDomain(f"no pieces on axis {self.axis_label!r}: no function exists")
         prev_hi = -math.inf
         for iv, _ in self.pieces:
             if not prev_hi <= iv.lo < iv.hi:
@@ -94,17 +97,11 @@ class PartialRV:
         """Per cell (edges[i], edges[i+1]): the integral of self over the cell
         and the measure of the domain inside it."""
         los, his, values = self._arrays()
-        overlap = _overlap(edges[:-1], edges[1:], los, his)
+        # overlap[i, j]: length of cell i ∩ piece j
+        overlap = np.clip(
+            np.minimum(edges[1:, None], his) - np.maximum(edges[:-1, None], los), 0.0, None
+        )
         return overlap @ values, overlap.sum(axis=1)
-
-    def shift(self, alpha: float) -> "PartialRV":
-        moved = tuple((iv.shift(alpha), v) for iv, v in self.pieces)
-        return PartialRV(moved, self.axis_label)
-
-
-def _overlap(lo: np.ndarray, hi: np.ndarray, los: np.ndarray, his: np.ndarray) -> np.ndarray:
-    """Length of (lo[i], hi[i]) ∩ (los[j], his[j]) for every i and j."""
-    return np.clip(np.minimum(hi[:, None], his) - np.maximum(lo[:, None], los), 0.0, None)
 
 
 def make_step(boundaries: Sequence[float], values: Sequence[float], axis_label: str) -> PartialRV:
@@ -123,22 +120,27 @@ def make_step(boundaries: Sequence[float], values: Sequence[float], axis_label: 
 
 
 def combine(f: PartialRV, g: PartialRV, op: str) -> PartialRV:
-    """Pointwise op on the intersection of the domains.
+    """Pointwise op where both operands exist.
 
-    The result's domain excludes every breakpoint of either operand: the
-    combination is undefined wherever one operand is.
+    The cells between consecutive breakpoints of either operand are the
+    candidate pieces: on each, each operand is defined throughout or
+    nowhere.  The result keeps the cells where both are, so its domain
+    excludes every breakpoint of either operand.
     """
     if op not in _OPS:
         raise ValueError(f"unknown op {op!r}")
     if f.axis_label != g.axis_label:
         raise AxisMismatch(f"{f.axis_label!r} vs {g.axis_label!r}")
-    common = f.domain.intersect(g.domain)
-    if common.is_empty():
+    cuts = np.array(sorted({*f.breakpoints(), *g.breakpoints()}))
+    los, his = cuts[:-1], cuts[1:]
+    mids = 0.5 * (los + his)
+    f_values, f_defined = f.eval_many(mids)
+    g_values, g_defined = g.eval_many(mids)
+    both = f_defined & g_defined
+    if not both.any():
         raise EmptyDomain(
             f"{f.domain!r} ∩ {g.domain!r} = ∅: the {op} does not exist"
         )
-    cuts = [p for p in f.breakpoints() + g.breakpoints() if common.contains(p)]
-    refined = common.split_at(cuts).intervals
-    mids = np.array([0.5 * (iv.lo + iv.hi) for iv in refined])
-    values = _OPS[op](f.eval_many(mids)[0], g.eval_many(mids)[0])
-    return PartialRV(tuple(zip(refined, values.tolist())), f.axis_label)
+    values = _OPS[op](f_values[both], g_values[both])
+    pieces = zip(los[both].tolist(), his[both].tolist(), values.tolist())
+    return PartialRV(tuple((Interval(lo, hi), v) for lo, hi, v in pieces), f.axis_label)

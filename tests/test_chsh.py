@@ -12,7 +12,7 @@ from bellhop.chsh import (
     saturating_family,
 )
 from bellhop.density import ROUND_OFF, expectation, make_grid_density, uniform_density
-from bellhop.errors import DomainMismatch, GridMisaligned, InputOutOfRange
+from bellhop.errors import DomainMismatch, GridMisaligned, InputOutOfRange, NonConvergence
 from bellhop.intervals import Interval
 from bellhop.observables import make_observable
 from bellhop.steprv import PartialRV, make_step
@@ -120,6 +120,22 @@ class TestOptimizeFamily:
         for grid in ((3, 3), (0, 0), (-4, 4)):
             with pytest.raises(GridMisaligned):
                 optimize_family((1, 1, 1, -1), grid)
+
+    @pytest.mark.parametrize("targets", [
+        (1, 1),
+        (1, 1, 1, -1, 0.5),
+        (2.0, 1, 1, -1),
+        (1, 1, 1, -1.5),
+        (float("nan"), 0, 0, 0),
+        (0, float("inf"), 0, 0),
+    ], ids=["two", "five", "above-one", "below-minus-one", "nan", "inf"])
+    def test_bad_targets(self, targets):
+        with pytest.raises(InputOutOfRange):
+            optimize_family(targets, (4, 4))
+
+    def test_non_convergence(self):
+        with pytest.raises(NonConvergence):
+            optimize_family((0.7, 0.7, 0.7, -0.7), (4, 4), max_iter=1)
 
     def test_output_feasibility(self):
         family, _ = optimize_family((0.5, -0.25, 0.75, 0.125), (8, 8))

@@ -71,6 +71,13 @@ class TestDomain:
         assert code == 2
         assert "syntax error" in err
 
+    def test_overflowing_index_exit_2(self, capsys):
+        # 1e400 is no float: a bad index, not an empty-domain verdict
+        code, out, err = run(capsys, "domain", "--expr", "a[1" + "0" * 400 + "]")
+        assert code == 2
+        assert out == ""
+        assert "syntax error" in err and "position 2" in err
+
 
 class TestUsage:
     def test_missing_subcommand_exit_1(self, capsys):

@@ -15,7 +15,7 @@ from bellhop.deriv import (
     parse,
 )
 from bellhop.errors import EmptyDomain, ExprSyntaxError, UnknownSymbol
-from bellhop.intervals import DomainSet
+from bellhop.intervals import DomainSet, Interval
 from bellhop.observables import make_observable
 from bellhop.steprv import combine
 
@@ -61,6 +61,16 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse("a + b")
 
+    @pytest.mark.parametrize("text, position", [
+        ("a[1" + "0" * 400 + "]", 2),
+        ("b[-" + "9" * 400 + ".5]", 3),
+        ("a0 + a1" + "0" * 400, 6),
+    ], ids=["bracket", "negative", "desugared"])
+    def test_overflowing_index(self, text, position):
+        with pytest.raises(ExprSyntaxError) as exc_info:
+            parse(text)
+        assert exc_info.value.position == position
+
 
 @st.composite
 def exprs(draw, depth=0):
@@ -91,8 +101,8 @@ class TestAnalyze:
         assert r.verdict == "empty"
         assert r.culprit.node == Sum(Symbol("a", 0.0), Symbol("a", 1.0))
         assert r.culprit.axis == "x"
-        assert r.culprit.left_domain == DomainSet.interval(0, 1)
-        assert r.culprit.right_domain == DomainSet.interval(1, 2)
+        assert r.culprit.left_domain == DomainSet.of([Interval(0, 1)])
+        assert r.culprit.right_domain == DomainSet.of([Interval(1, 2)])
 
     def test_ghz_product_empty(self):
         r = analyze(parse("a0*a1"))
@@ -102,8 +112,8 @@ class TestAnalyze:
     def test_cross_axis_product_exists(self):
         r = analyze(parse("a0*b0"))
         assert r.verdict == "exists"
-        assert r.axes["x"] == DomainSet.interval(0, 1)
-        assert r.axes["y"] == DomainSet.interval(0, 1)
+        assert r.axes["x"] == DomainSet.of([Interval(0, 1)])
+        assert r.axes["y"] == DomainSet.of([Interval(0, 1)])
 
     def test_expanded_form_also_empty_with_different_culprit(self):
         left = analyze(parse("a0*b0 + a1*b0"))
@@ -124,8 +134,8 @@ class TestAnalyze:
         expressions = ["a0+a[0.5]", "(a0+a1)*b0", "a0*a1", "a0*b0", "a[0.25]+a[0.75]"]
         wide = default_env()
         narrow = {
-            "a": ("x", lambda i: DomainSet.interval(i + 0.25, i + 0.75)),
-            "b": ("y", lambda i: DomainSet.interval(i + 0.25, i + 0.75)),
+            "a": ("x", lambda i: DomainSet.of([Interval(i + 0.25, i + 0.75)])),
+            "b": ("y", lambda i: DomainSet.of([Interval(i + 0.25, i + 0.75)])),
         }
         for text in expressions:
             if analyze(parse(text), wide).verdict == "empty":

@@ -26,7 +26,7 @@ class TestIntersect:
         assert dset((0, 1)).intersect(dset((0.5, 1.5))) == dset((0.5, 1))
 
     def test_touching_is_empty(self):
-        assert dset((0, 1)).intersect(dset((1, 2))) == DomainSet.empty()
+        assert dset((0, 1)).intersect(dset((1, 2))) == dset()
 
     def test_idempotent(self):
         d = dset((0, 1))
@@ -55,7 +55,7 @@ class TestIntersect:
 
 class TestIsEmpty:
     def test_empty(self):
-        assert DomainSet.empty().is_empty()
+        assert dset().is_empty()
 
     def test_nonempty(self):
         assert not dset((0, 1)).is_empty()
@@ -86,12 +86,12 @@ class TestMeasure:
         assert dset((0, 0.25), (0.75, 1)).measure() == 0.5
 
     def test_empty(self):
-        assert DomainSet.empty().measure() == 0.0
+        assert dset().measure() == 0.0
 
 
 class TestNormalization:
     def test_drops_empty(self):
-        assert dset((1, 1), (2, 1)) == DomainSet.empty()
+        assert dset((1, 1), (2, 1)) == dset()
 
     def test_merges_overlap(self):
         assert dset((0, 0.5), (0.25, 1)) == dset((0, 1))
@@ -99,7 +99,3 @@ class TestNormalization:
     def test_keeps_excluded_breakpoint(self):
         d = dset((0, 0.5), (0.5, 1))
         assert len(d.intervals) == 2
-
-    def test_split_at(self):
-        d = dset((0, 1)).split_at([0.25, 2.0])
-        assert d == dset((0, 0.25), (0.25, 1))

@@ -46,10 +46,24 @@ class TestConfig:
                 setting_probabilities=(bad, 0.25, 0.25, 0.5),
             )
 
-    @pytest.mark.parametrize("seed", [-5, 1.5])
+    @pytest.mark.parametrize("seed", [-5, 1.5, True])
     def test_bad_seed(self, seed):
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(family=uniform_family(), n_trials=10, master_seed=seed)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_trials", 2.5), ("n_trials", True), ("n_trials", 10.0), ("n_trials", -1),
+        ("n_workers", 1.5), ("n_workers", True), ("n_workers", 0),
+    ])
+    def test_bad_count(self, field, value):
+        counts = {"n_trials": 10, "n_workers": 1, field: value}
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig(family=uniform_family(), master_seed=1, **counts)
+
+    def test_numpy_integers_accepted(self):
+        config = ExperimentConfig(family=uniform_family(), n_trials=np.int64(10),
+                                  master_seed=np.uint64(1), n_workers=np.int32(1))
+        assert run_experiment(config).n_trials == 10
 
 
 class TestRunExperiment:

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bellhop.errors import (
     ArityMismatch,
@@ -26,6 +28,53 @@ def step_rvs(draw, axis="x"):
         st.sampled_from([-1.0, 1.0]), min_size=len(points) - 1, max_size=len(points) - 1
     ))
     return make_step(points, values, axis)
+
+
+# cuts on k/40 and k/48 on [0, 2]: two grids whose lines mostly miss each other
+grid_points = st.one_of(
+    st.integers(0, 80).map(lambda k: k / 40),
+    st.integers(0, 96).map(lambda k: k / 48),
+)
+
+
+@st.composite
+def gapped_step_rvs(draw):
+    """Step functions on grid_points with some pieces dropped, so the domain
+    has gaps; values include both zeros so sums and products can be -0.0."""
+    points = sorted(draw(st.sets(grid_points, min_size=2, max_size=8)))
+    pieces = [
+        (Interval(lo, hi), draw(st.sampled_from([-1.0, 1.0, 0.5, 0.0, -0.0])))
+        for lo, hi in zip(points, points[1:])
+    ]
+    keep = draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces)))
+    return PartialRV(tuple(p for p, k in zip(pieces, keep) if k) or tuple(pieces[:1]), "x")
+
+
+OPS = {"sum": lambda u, v: u + v,
+       "difference": lambda u, v: u - v,
+       "product": lambda u, v: u * v}
+
+
+def reference_combine(f, g, op):
+    """Pieces by the former rule, or None where there is no common domain:
+    intersect the domains, split the intersection at the operands'
+    breakpoints inside it, and evaluate both operands at the midpoints."""
+    common = f.domain.intersect(g.domain)
+    if common.is_empty():
+        return None
+    cuts = sorted(set(f.breakpoints() + g.breakpoints()))
+    refined = []
+    for iv in common.intervals:
+        ends = [iv.lo, *(p for p in cuts if iv.contains(p)), iv.hi]
+        refined += [Interval(lo, hi) for lo, hi in zip(ends, ends[1:])]
+    mids = np.array([0.5 * (iv.lo + iv.hi) for iv in refined])
+    values = OPS[op](f.eval_many(mids)[0], g.eval_many(mids)[0])
+    return list(zip(refined, values.tolist()))
+
+
+def signed(pieces):
+    """Pieces with each value's sign bit made explicit, so -0.0 != 0.0."""
+    return [(iv, v, math.copysign(1.0, v)) for iv, v in pieces]
 
 
 class TestMakeStep:
@@ -71,6 +120,10 @@ class TestPieces:
     def test_rejected(self, pieces):
         with pytest.raises(NonMonotoneBoundaries):
             PartialRV(pieces, "x")
+
+    def test_no_pieces(self):
+        with pytest.raises(EmptyDomain):
+            PartialRV((), "x")
 
     def test_touching_and_gapped_accepted(self):
         f = PartialRV(((Interval(0, 0.5), 1.0), (Interval(0.5, 0.75), -1.0),
@@ -128,9 +181,7 @@ class TestCombine:
         # pointwise: a0 is +1 on (0.5,0.75) where a_{1/2} is -1, and -1 on
         # (0.75,1) where a_{1/2} is +1, so the sum is 0 on both pieces
         h = combine(make_observable(0.0), make_observable(0.5), "sum")
-        assert h.domain == DomainSet.of(
-            DomainSet.interval(0.5, 1.0).split_at([0.75]).intervals
-        )
+        assert h.domain == DomainSet.of([Interval(0.5, 0.75), Interval(0.75, 1.0)])
         assert h.eval(0.6) == 0.0
         assert h.eval(0.9) == 0.0
         with pytest.raises(UndefinedPoint):
@@ -148,6 +199,16 @@ class TestCombine:
         with pytest.raises(AxisMismatch):
             combine(make_observable(0.0, "x"), make_observable(0.0, "y"), "sum")
 
+    @settings(max_examples=300)
+    @given(gapped_step_rvs(), gapped_step_rvs(), st.sampled_from(sorted(OPS)))
+    def test_matches_intersect_and_split(self, f, g, op):
+        want = reference_combine(f, g, op)
+        if want is None:
+            with pytest.raises(EmptyDomain):
+                combine(f, g, op)
+        else:
+            assert signed(combine(f, g, op).pieces) == signed(want)
+
     @given(step_rvs(), step_rvs(), st.sampled_from(["sum", "difference", "product"]))
     def test_pointwise_oracle(self, f, g, op):
         try:
@@ -158,12 +219,9 @@ class TestCombine:
         assert h.domain.measure() == pytest.approx(
             f.domain.intersect(g.domain).measure()
         )
-        fns = {"sum": lambda u, v: u + v,
-               "difference": lambda u, v: u - v,
-               "product": lambda u, v: u * v}
         for iv in h.domain.intervals:
             x = 0.5 * (iv.lo + iv.hi)
-            assert h.eval(x) == fns[op](f.eval(x), g.eval(x))
+            assert h.eval(x) == OPS[op](f.eval(x), g.eval(x))
 
     @given(step_rvs(), step_rvs(), st.sampled_from(["sum", "product"]))
     def test_commutative(self, f, g, op):
@@ -185,26 +243,3 @@ class TestCombine:
             return
         for p in f.breakpoints() + g.breakpoints():
             assert not h.domain.contains(p)
-
-
-class TestShift:
-    def test_shift_to_one(self):
-        a1 = make_observable(0.0).shift(1.0)
-        assert a1 == make_observable(1.0)
-        assert a1.eval(1.5) == 1.0
-
-    def test_identity(self):
-        a0 = make_observable(0.0)
-        assert a0.shift(0.0) == a0
-
-    def test_composition(self):
-        a0 = make_observable(0.0)
-        assert a0.shift(0.3).shift(0.7) == a0.shift(1.0)
-
-    @given(step_rvs(), st.integers(-8, 8).map(lambda k: k / 4))
-    def test_translation(self, f, alpha):
-        g = f.shift(alpha)
-        assert g.domain == f.domain.shift(alpha)
-        for iv in f.domain.intervals:
-            x = 0.5 * (iv.lo + iv.hi)
-            assert g.eval(x + alpha) == f.eval(x)
