@@ -114,7 +114,7 @@ def chsh_value(e00: float, e10: float, e01: float, e11: float) -> float:
 
 def _band_signs(n: int) -> np.ndarray:
     """Observable value per grid column for a quarter-aligned n-cell grid."""
-    return make_observable(0.0).eval_many((np.arange(n) + 0.5) / n)[0]
+    return make_observable(0.0).column_values(np.arange(n + 1) / n)
 
 
 def saturating_family() -> ChshFamily:

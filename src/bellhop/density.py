@@ -219,7 +219,9 @@ def _alias_table(probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def sample_many(rho: GridDensity, rng: np.random.Generator, n: int):
     """Draw n points from rho: a cell by the alias method, then a uniform
-    point within the cell.
+    point within the cell.  Returns (xs, ys, ix, iy), with (ix, iy) each
+    point's cell; x_edges()[ix] <= xs <= x_edges()[ix + 1], and likewise for
+    y, since float rounding is monotone.
 
     Three uniforms per point.  The first, times K cells, picks column
     i = floor(u*K) and keeps cell i when its fraction u*K - i is below
@@ -233,4 +235,4 @@ def sample_many(rho: GridDensity, rng: np.random.Generator, n: int):
     ix, iy = np.divmod(cells, rho.ny)
     xs = rho.x_rect.lo + (ix + rng.random(n)) * rho.cell_width
     ys = rho.y_rect.lo + (iy + rng.random(n)) * rho.cell_height
-    return xs, ys
+    return xs, ys, ix, iy

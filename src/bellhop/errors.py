@@ -57,7 +57,8 @@ class DomainMismatch(BellhopError):
 
 
 class InputOutOfRange(BellhopError):
-    """Correlator magnitude exceeds 1."""
+    """Correlator magnitude exceeds 1, or a setting is too large (or not
+    finite) for its quarter bands to be distinct floats."""
 
 
 class GridMisaligned(BellhopError):

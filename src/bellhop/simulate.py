@@ -9,12 +9,23 @@ substreams are independent across workers and seeds, and a summary is
 bit-identical for a fixed (seed, workers) regardless of scheduling.  Each
 worker draws, reduces and (with a log) writes _BLOCK trials at a time, so
 memory is bounded by the block size, not by n_trials.
+
+A block draws its settings as one uniform each, compared with the setting
+CDF: the same draws rng.choice makes, pinned here.  Each pair's points come
+with the grid cell they were drawn in, and an observable is constant on
+every grid column that no breakpoint cuts, so an outcome is read from the
+pair's outcome table (PartialRV.column_values) at the point's column.  Only
+points in a cut column or on a column edge are evaluated with eval_many; a
+point on a breakpoint has no outcome and is redrawn.  The summary needs only
+per-pair sums, so trials are scattered back into trial order only for the
+log.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, TextIO, Tuple
@@ -24,6 +35,7 @@ import numpy as np
 from .chsh import PAIRS, ChshFamily, chsh_value
 from .density import ROUND_OFF, sample_many
 from .errors import ConfigInvalid, InsufficientTrials
+from .steprv import PartialRV
 
 _BLOCK = 1 << 16  # trials drawn, reduced and logged at a time per worker
 
@@ -31,6 +43,11 @@ _BLOCK = 1 << 16  # trials drawn, reduced and logged at a time per worker
 def _is_int(value) -> bool:
     """An integer in the numbers sense, with bool counted as not one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number in the numbers sense, with bool counted as not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -49,7 +66,9 @@ class ExperimentConfig:
         if not _is_int(self.master_seed) or self.master_seed < 0:
             raise ConfigInvalid("master_seed must be a non-negative integer")
         p = self.setting_probabilities
-        if len(p) != 4 or not all(math.isfinite(q) and q >= 0 for q in p):
+        if not (isinstance(p, Sequence) and len(p) == 4 and all(map(_is_real, p))):
+            raise ConfigInvalid("setting probabilities must be a sequence of 4 real numbers")
+        if not all(math.isfinite(q) and q >= 0 for q in p):
             raise ConfigInvalid("need 4 finite nonnegative setting probabilities")
         if abs(sum(p) - 1.0) > ROUND_OFF:
             raise ConfigInvalid("setting probabilities must sum to 1")
@@ -92,45 +111,67 @@ def _chunk_sizes(n_trials: int, n_workers: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(n_workers)]
 
 
+def _outcomes(rv: PartialRV, table: np.ndarray, edges: np.ndarray, xs, cols):
+    """rv at each point xs[i] of grid column cols[i], NaN where rv is undefined.
+
+    A point strictly inside its column takes the column's table entry
+    (rv.column_values(edges)).  A point in a NaN column, or exactly on one of
+    its column's edges, is evaluated by rv.eval_many instead.
+    """
+    values = table[cols]
+    slow = np.flatnonzero(np.isnan(values) | (xs == edges[cols]) | (xs == edges[1:][cols]))
+    if len(slow):
+        v, defined = rv.eval_many(xs[slow])
+        values[slow] = np.where(defined, v, np.nan)
+    return values
+
+
 def _blocks(config: ExperimentConfig, seed: np.random.SeedSequence, size: int):
     """One worker's trials on its own substream, _BLOCK trials at a time.
 
-    Yields (sums, settings, x, y, a, b) per block: sums[p] is pair p's
-    (trials, sum_ab, sum_a, sum_b), the rest are the block's trials in order.
+    Yields (sums, settings, draws) per block: sums[p] is pair p's
+    (trials, sum_ab, sum_a, sum_b), settings the block's pair indices in
+    trial order, and draws[p] pair p's (x, y, a, b) in the order drawn.
     """
     rng = np.random.default_rng(seed)
-    pairs = [
-        (config.family.observables(alpha, beta), rho)
-        for (alpha, beta), rho in zip(PAIRS, config.family.densities())
-    ]
+    # rng.choice(4, p=p) element for element: a uniform u picks the number of
+    # cdf entries <= u, and cdf[3] is exactly 1.
+    cdf = np.cumsum(np.asarray(config.setting_probabilities, dtype=float))
+    cdf /= cdf[-1]
+    pairs = []
+    for (alpha, beta), rho in zip(PAIRS, config.family.densities()):
+        f, g = config.family.observables(alpha, beta)
+        xe, ye = rho.x_edges(), rho.y_edges()
+        pairs.append((rho, (f, f.column_values(xe), xe), (g, g.column_values(ye), ye)))
     for start in range(0, size, _BLOCK):
         n = min(_BLOCK, size - start)
-        settings = rng.choice(4, size=n, p=config.setting_probabilities)
-        xs, ys, avals, bvals = (np.empty(n) for _ in range(4))
+        settings = (rng.random(n) >= cdf[:3, None]).sum(axis=0)
+        counts = np.bincount(settings, minlength=len(PAIRS)).tolist()
         sums = np.empty((len(PAIRS), 4), dtype=np.int64)
-        for pair_index, ((f, g), rho) in enumerate(pairs):
-            idx = np.flatnonzero(settings == pair_index)
-            x, y = sample_many(rho, rng, len(idx))
-            a, da = f.eval_many(x)
-            b, db = g.eval_many(y)
-            bad = np.flatnonzero(~(da & db))
+        draws = []
+        for pair_index, (count, (rho, fx, gy)) in enumerate(zip(counts, pairs)):
+            x, y, ix, iy = sample_many(rho, rng, count)
+            a, b = _outcomes(*fx, x, ix), _outcomes(*gy, y, iy)
+            bad = np.flatnonzero(np.isnan(a) | np.isnan(b))
             while len(bad):  # threshold hit: reject and redraw
-                rx, ry = sample_many(rho, rng, len(bad))
+                rx, ry, rix, riy = sample_many(rho, rng, len(bad))
                 x[bad], y[bad] = rx, ry
-                a2, da2 = f.eval_many(rx)
-                b2, db2 = g.eval_many(ry)
+                a2, b2 = _outcomes(*fx, rx, rix), _outcomes(*gy, ry, riy)
                 a[bad], b[bad] = a2, b2
-                bad = bad[~(da2 & db2)]
+                bad = bad[np.isnan(a2) | np.isnan(b2)]
             # ±1 values, so the sums are exact.  Not a @ b: a BLAS dot per block
             # wakes OpenBLAS threads that take the cores from the other workers.
-            sums[pair_index] = len(idx), (a * b).sum(), a.sum(), b.sum()
-            xs[idx], ys[idx] = x, y
-            avals[idx], bvals[idx] = a, b
-        yield sums, settings, xs, ys, avals, bvals
+            sums[pair_index] = count, (a * b).sum(), a.sum(), b.sum()
+            draws.append((x, y, a, b))
+        yield sums, settings, draws
 
 
-def _write_block(log: TextIO, first: int, settings, xs, ys, avals, bvals) -> None:
-    """One write of the block's rows, numbered from first."""
+def _write_block(log: TextIO, first: int, settings, draws) -> None:
+    """One write of the block's rows in trial order, numbered from first."""
+    columns = np.empty((4, len(settings)))  # x, y, a, b
+    for pair_index, draw in enumerate(draws):
+        columns[:, np.flatnonzero(settings == pair_index)] = draw
+    xs, ys, avals, bvals = columns
     labels = [f"{alpha},{beta}" for alpha, beta in PAIRS]
     log.write("".join(
         "%d,%s,%.17g,%.17g,%+d,%+d\n" % row
@@ -157,8 +198,8 @@ def run_experiment(
         event_log.write("trial,alpha,beta,x,y,a,b\n")
         totals = trial = 0
         for seed, size in zip(seeds, sizes):
-            for sums, settings, *columns in _blocks(config, seed, size):
-                _write_block(event_log, trial, settings, *columns)
+            for sums, settings, draws in _blocks(config, seed, size):
+                _write_block(event_log, trial, settings, draws)
                 totals, trial = totals + sums, trial + len(settings)
     # n_trials > 0, so some block was summed and totals is an array
     return ExperimentSummary(

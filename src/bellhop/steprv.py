@@ -103,6 +103,16 @@ class PartialRV:
         )
         return overlap @ values, overlap.sum(axis=1)
 
+    def column_values(self, edges: np.ndarray) -> np.ndarray:
+        """Per cell (edges[i], edges[i+1]): the value of the piece that holds
+        the whole open cell, or NaN where no piece does (a breakpoint cuts
+        the cell or part of it lies outside the domain)."""
+        los, his, values = self._arrays()
+        # holds[i, j]: piece j holds cell i; pieces are disjoint, so at most one
+        # holds a nonempty cell
+        holds = (edges[:-1, None] >= los) & (edges[1:, None] <= his)
+        return np.where(holds.any(axis=1), values[holds.argmax(axis=1)], np.nan)
+
 
 def make_step(boundaries: Sequence[float], values: Sequence[float], axis_label: str) -> PartialRV:
     """Build a step function with the given breakpoints, all excluded."""

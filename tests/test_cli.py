@@ -54,6 +54,15 @@ class TestEval:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("alpha", ["1e17", "4503599627370495", "1e300", "inf"])
+    def test_huge_alpha_exit_2(self, capsys, alpha):
+        # alpha + 1/4 rounds back to alpha: there are no quarter bands
+        code, out, err = run(capsys, "eval", "--alpha", alpha, "--x", alpha)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "quarter points" in err
+
 
 class TestDomain:
     def test_empty_verdict_exit_3(self, capsys):
@@ -77,6 +86,15 @@ class TestDomain:
         assert code == 2
         assert out == ""
         assert "syntax error" in err and "position 2" in err
+
+    @pytest.mark.parametrize("expr", ["a[100000000000000000]", "a0*b[4503599627370496]"])
+    def test_huge_index_exit_2(self, capsys, expr):
+        # a float index, but too large for a setting: an error, not an EMPTY verdict
+        code, out, err = run(capsys, "domain", "--expr", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "quarter points" in err
 
 
 class TestUsage:

@@ -322,7 +322,7 @@ class TestExpectation:
         g = make_observable(0.0, "y")
         exact = expectation(f, g, rho)
         n = 1_000_000
-        xs, ys = sample_many(rho, rng, n)
+        xs, ys, _, _ = sample_many(rho, rng, n)
         prods = f.eval_many(xs)[0] * g.eval_many(ys)[0]
         se = prods.std() / np.sqrt(n)
         assert abs(prods.mean() - exact) < 4 * se
@@ -380,12 +380,12 @@ class TestMarginals:
 class TestSampling:
     def test_support(self):
         rng = np.random.default_rng(1)
-        xs, ys = sample_many(uniform_density(*unit_rect()), rng, 1000)
+        xs, ys, _, _ = sample_many(uniform_density(*unit_rect()), rng, 1000)
         assert np.all((xs > 0) & (xs < 1) & (ys > 0) & (ys < 1))
 
     def test_concentrated_support(self):
         rng = np.random.default_rng(1)
-        xs, ys = sample_many(middle_band_density(), rng, 1000)
+        xs, ys, _, _ = sample_many(middle_band_density(), rng, 1000)
         assert np.all((xs > 0.25) & (xs < 0.75) & (ys > 0.25) & (ys < 0.75))
 
     def test_deterministic(self):
@@ -394,11 +394,28 @@ class TestSampling:
         p2 = [a.tolist() for a in sample_many(rho, np.random.default_rng(42), 1)]
         assert p1 == p2
 
+    @given(
+        grid_densities(max_side=8),
+        st.sampled_from([0.0, 1.0, -3.0, 1e6, 2.0**40]),
+        st.sampled_from([1.0, 1 / 3, 0.7, 1e-3]),
+    )
+    def test_cells_hold_their_points(self, rho, lo, width):
+        # within its cell's closed edges, as the grid computes them, however
+        # the rectangle's ends round
+        rho = make_grid_density(
+            Interval(lo, lo + width), Interval(-lo, -lo + width), rho.weights
+        )
+        xs, ys, ix, iy = sample_many(rho, np.random.default_rng(3), 2000)
+        probs = rho.cell_probabilities()
+        assert (probs[ix, iy] > 0).all()
+        for points, cells, edges in ((xs, ix, rho.x_edges()), (ys, iy, rho.y_edges())):
+            assert ((edges[cells] <= points) & (points <= edges[cells + 1])).all()
+
     def test_chi_square_fidelity(self):
         rng = np.random.default_rng(9)
         rho = make_grid_density(*unit_rect(), rng.random((4, 4)) + 0.1)
         n = 100_000
-        xs, ys = sample_many(rho, rng, n)
+        xs, ys, _, _ = sample_many(rho, rng, n)
         ix = np.clip((xs * 4).astype(int), 0, 3)
         iy = np.clip((ys * 4).astype(int), 0, 3)
         observed = np.bincount(ix * 4 + iy, minlength=16)
@@ -412,7 +429,7 @@ class TestSampling:
         w[rng.random((32, 32)) < 0.2] = 0.0
         rho = make_grid_density(*unit_rect(), w)
         n = 1_000_000
-        xs, ys = sample_many(rho, rng, n)
+        xs, ys, _, _ = sample_many(rho, rng, n)
         cells = np.clip((xs * 32).astype(int), 0, 31) * 32 + np.clip((ys * 32).astype(int), 0, 31)
         observed = np.bincount(cells, minlength=32 * 32)
         probs = rho.cell_probabilities().reshape(-1)
@@ -436,7 +453,7 @@ class TestAliasTable:
         w = np.zeros((8, 8))
         w[::3, 1::2] = np.arange(1, 13).reshape(3, 4)
         rho = make_grid_density(*unit_rect(), w)
-        xs, ys = sample_many(rho, np.random.default_rng(4), 200_000)
+        xs, ys, _, _ = sample_many(rho, np.random.default_rng(4), 200_000)
         drawn = np.zeros((8, 8), dtype=bool)
         drawn[(xs * 8).astype(int), (ys * 8).astype(int)] = True
         assert np.array_equal(drawn, w > 0)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bellhop.errors import OutOfDomain
-from bellhop.observables import log_curve, make_observable, thresholds
+from bellhop.errors import InputOutOfRange, OutOfDomain
+from bellhop.observables import log_curve, make_observable, setting_interval, thresholds
 
 
 class TestMakeObservable:
@@ -25,6 +25,22 @@ class TestMakeObservable:
         ah = make_observable(0.5)
         assert ah.eval(1.0) == 1.0
         assert ah.eval(0.6) == -1.0
+
+
+    def test_largest_settings_with_quarter_bands(self):
+        # spacing 1/4 up to 2**50: the quarter points are still distinct floats
+        for alpha in (2.0**50, -(2.0**50) - 1.0):
+            rv = make_observable(alpha)
+            assert rv.breakpoints() == (alpha, alpha + 0.25, alpha + 0.75, alpha + 1.0)
+
+    @pytest.mark.parametrize("alpha", [
+        2.0**51, -(2.0**52), 1e17, 10**17, math.inf, -math.inf, math.nan,
+    ])
+    def test_no_quarter_bands(self, alpha):
+        with pytest.raises(InputOutOfRange):
+            setting_interval(alpha)
+        with pytest.raises(InputOutOfRange):
+            make_observable(alpha)
 
 
 class TestLogCurve:
