@@ -12,8 +12,9 @@ pairing is the one place the common-domain assumption enters.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -23,14 +24,11 @@ from .density import (
     _axis_integrals,
     _fields,
     _integrate,
+    _is_int,
+    _is_real,
     make_grid_density,
 )
-from .errors import (
-    DomainMismatch,
-    GridMisaligned,
-    InputOutOfRange,
-    NonConvergence,
-)
+from .errors import DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput
 from .intervals import Interval
 from .observables import make_observable, setting_interval
 from .steprv import PartialRV, make_step
@@ -77,23 +75,53 @@ class ChshFamily:
         return _marginal_table(self.moments())
 
     def to_dict(self) -> dict:
-        moments = self.moments()
-        es = [e_ab for e_ab, _, _ in moments]
         out = {
             f"rho{alpha}{beta}": rho.to_dict()
             for (alpha, beta), rho in zip(PAIRS, self.densities())
         }
-        out["expectations"] = {
-            **{f"e{alpha}{beta}": e for (alpha, beta), e in zip(PAIRS, es)},
-            "S": chsh_value(*es),
-            "marginals": _marginal_table(moments),
-        }
+        out["expectations"] = _summary(self.moments())
         return out
 
     @staticmethod
     def from_dict(d: dict) -> "ChshFamily":
+        """Parse a family record; a stored expectations block must match.
+
+        The block is optional.  When present it must hold the four e..
+        values, S and the eight marginals as to_dict writes them, each within
+        1e-9 of the values the weights give, else MalformedInput.
+        """
         keys = [f"rho{alpha}{beta}" for alpha, beta in PAIRS]
-        return ChshFamily(*map(GridDensity.from_dict, _fields(d, "family", keys)))
+        family = ChshFamily(*map(GridDensity.from_dict, _fields(d, "family", keys)))
+        if "expectations" in d:
+            _check_stored(d["expectations"], _summary(family.moments()), "expectations")
+        return family
+
+
+# How far a family file's stored expectations may be from its weights' values.
+_STORED_TOLERANCE = 1e-9
+
+
+def _check_stored(stored, want: dict, what: str) -> None:
+    """MalformedInput unless stored has want's keys with values within
+    _STORED_TOLERANCE of want's, nested dicts included."""
+    for key, value, expected in zip(want, _fields(stored, what, want), want.values()):
+        if isinstance(expected, dict):
+            _check_stored(value, expected, f"{what} {key}")
+            continue
+        # bounds, not a difference, so a huge integer cannot overflow
+        lo, hi = expected - _STORED_TOLERANCE, expected + _STORED_TOLERANCE
+        if not (_is_real(value) and lo <= value <= hi):
+            raise MalformedInput(f"{what} {key} = {value!r}, but the weights give {expected!r}")
+
+
+def _summary(moments) -> dict:
+    """The expectations block of a family record, from its moments()."""
+    es = [e_ab for e_ab, _, _ in moments]
+    return {
+        **{f"e{alpha}{beta}": e for (alpha, beta), e in zip(PAIRS, es)},
+        "S": chsh_value(*es),
+        "marginals": _marginal_table(moments),
+    }
 
 
 def _marginal_table(moments) -> Dict[str, float]:
@@ -120,105 +148,51 @@ def _band_signs(n: int) -> np.ndarray:
 def saturating_family() -> ChshFamily:
     """Four densities reaching S = 4 with all eight marginals exactly zero.
 
-    For target +1 half the mass sits uniformly on (+,+) cells (middle band
-    times middle band) and half on (-,-) cells; for target -1 the mass sits
-    on (+,-) and (-,+) instead.  Quarter-aligned 4x4 grids keep every number
-    an exact binary float.
+    optimize_family's 4x4 family: for target +1 the mass sits uniformly on
+    the (+,+) and (-,-) cells, for target -1 on the (+,-) and (-,+) cells.
+    Every number is an exact binary float.
     """
-    signs = _band_signs(4)
-    rhos = []
-    for (alpha, beta), target in zip(PAIRS, (1.0, 1.0, 1.0, -1.0)):
-        match = np.outer(signs, signs) == target
-        weights = np.where(match, 2.0, 0.0)
-        rhos.append(
-            make_grid_density(setting_interval(alpha), setting_interval(beta), weights)
-        )
-    return ChshFamily(*rhos)
-
-
-def _affine_projector(A: np.ndarray, b: np.ndarray):
-    gram_inv = np.linalg.inv(A @ A.T)
-
-    def project(m: np.ndarray) -> np.ndarray:
-        return m - A.T @ (gram_inv @ (A @ m - b))
-
-    return project
-
-
-def _optimize_pair(
-    alpha: int, beta: int, target: float, nx: int, ny: int, eps: float, max_iter: int
-) -> Tuple[GridDensity, float]:
-    """Drive one pair's correlator to its target by projected ascent.
-
-    Cell masses are pushed along the correlator gradient toward the target,
-    then re-projected onto {sum = 1, both marginals = 0} and the nonnegative
-    orthant by alternating projections.
-    """
-    fa = _band_signs(nx)
-    gb = _band_signs(ny)
-    c = np.outer(fa, gb).reshape(-1)
-    n = nx * ny
-    A = np.stack([np.ones(n), np.repeat(fa, ny), np.tile(gb, nx)])
-    b = np.array([1.0, 0.0, 0.0])
-    project = _affine_projector(A, b)
-
-    m = np.full(n, 1.0 / n)
-    e_prev = float(m @ c)
-    # c is orthogonal to all three constraint rows, so an unclipped step of
-    # eta*(target-e)/|c|^2 along c moves the correlator by eta*(target-e)
-    eta = 0.5 / float(c @ c)
-    for _ in range(max_iter):
-        m = m + eta * (target - e_prev) * c
-        for _ in range(200):
-            m = project(m)
-            if m.min() >= -ROUND_OFF:
-                break
-            m = np.clip(m, 0.0, None)
-        e = float(m @ c)
-        if abs(e - e_prev) < eps:
-            e_prev = e
-            break
-        e_prev = e
-    else:
-        raise NonConvergence(
-            f"pair ({alpha},{beta}) target {target}: correlator still moving "
-            f"after {max_iter} iterations"
-        )
-
-    m = np.clip(m, 0.0, None)
-    cell_area = (1.0 / nx) * (1.0 / ny)
-    rho = make_grid_density(
-        setting_interval(alpha), setting_interval(beta), m.reshape(nx, ny) / cell_area
-    )
-    return rho, e_prev
+    return optimize_family((1.0, 1.0, 1.0, -1.0))[0]
 
 
 def optimize_family(
-    targets: Sequence[float],
-    grid: Tuple[int, int] = (4, 4),
-    eps: float = 1e-9,
-    max_iter: int = 10_000,
+    targets: Sequence[float], grid: Tuple[int, int] = (4, 4)
 ) -> Tuple[ChshFamily, Tuple[float, float, float, float]]:
-    """Find densities whose four correlators hit the given targets.
+    """Densities whose four correlators hit the given targets, in closed form.
 
-    Each pair is optimized independently: its density appears in exactly one
-    CHSH term, so the objective is separable.  Grids must be multiples of 4
-    so the quarter-point thresholds fall on cell boundaries.  The targets are
-    one finite correlator in [-1, 1] per pair, in PAIRS order.
+    targets are four real numbers in [-1, 1], one correlator per pair in
+    PAIRS order (InputOutOfRange otherwise); grid is two positive multiples
+    of 4 (GridMisaligned otherwise), so the quarter-point thresholds fall on
+    cell boundaries.  Returns the family and its exact correlators.
+
+    Pair (alpha, beta) with target t gets the density 1 + t*c, where
+    c[i, j] is the product of the two observables' signs on cell (i, j).  On
+    a quarter-aligned grid each observable is +1 on half of its columns and
+    -1 on the other half, so c is orthogonal to the constraint rows (the
+    total and both marginals) and c*c = 1: the mass is 1, both marginals are
+    0 and the correlator is t, while |t| <= 1 keeps 1 + t*c >= 0.  It is the
+    limit of projected ascent from the uniform density, which moves only
+    along c and never clips.
     """
+    if isinstance(targets, np.ndarray):
+        targets = targets.tolist()
+    if not (
+        isinstance(targets, Sequence) and len(targets) == len(PAIRS)
+        and all(_is_real(t) and -1 <= t <= 1 for t in targets)
+    ):
+        raise InputOutOfRange(f"need four real targets in [-1, 1], got {targets!r}")
+    if not (
+        isinstance(grid, Sequence) and len(grid) == 2
+        and all(_is_int(n) and n > 0 and n % 4 == 0 for n in grid)
+    ):
+        raise GridMisaligned(f"grid {grid!r} is not two positive multiples of 4")
     nx, ny = grid
-    if nx <= 0 or ny <= 0 or nx % 4 or ny % 4:
-        raise GridMisaligned(f"grid {grid} not a positive multiple of 4 per axis")
-    targets = tuple(map(float, targets))
-    if len(targets) != len(PAIRS) or not all(-1.0 <= t <= 1.0 for t in targets):
-        raise InputOutOfRange(f"need four targets in [-1, 1], got {targets}")
-    rhos = []
-    achieved = []
-    for (alpha, beta), target in zip(PAIRS, targets):
-        rho, e = _optimize_pair(alpha, beta, target, nx, ny, eps, max_iter)
-        rhos.append(rho)
-        achieved.append(e)
-    return ChshFamily(*rhos), tuple(achieved)
+    c = np.outer(_band_signs(nx), _band_signs(ny))
+    family = ChshFamily(*(
+        make_grid_density(setting_interval(alpha), setting_interval(beta), 1.0 + float(t) * c)
+        for (alpha, beta), t in zip(PAIRS, targets)
+    ))
+    return family, family.expectations()
 
 
 def random_classical_instance(rng: np.random.Generator):

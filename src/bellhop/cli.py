@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("saturate", help="write a family saturating |S| = 4")
     sp.add_argument("--out", required=True)
     sp.add_argument("--grid", type=_positive_int, default=None,
-                    help="optimize on an NxN grid instead of the analytic family")
+                    help="build the family on an NxN grid (N a multiple of 4) instead of 4x4")
 
     sp = sub.add_parser("simulate", help="Monte-Carlo run of a family")
     sp.add_argument("--family", required=True)

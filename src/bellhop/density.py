@@ -98,7 +98,7 @@ class GridDensity:
             d, "density", ("x_rect", "y_rect", "nx", "ny", "weights")
         )
         for key, n in (("nx", nx), ("ny", ny)):
-            if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            if not _is_int(n) or n < 1:
                 raise MalformedInput(f"density {key} must be a positive integer, got {n!r}")
         x_lo, x_hi = _reals(x_rect, 2, "x_rect").tolist()
         y_lo, y_hi = _reals(y_rect, 2, "y_rect").tolist()
@@ -110,13 +110,25 @@ def _reals(value, n: int, key: str) -> np.ndarray:
     """A density field that must be a list of n numbers, as floats."""
     if not (
         isinstance(value, (list, tuple)) and len(value) == n
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        and all(map(_is_real, value))
     ):
         raise MalformedInput(f"density {key} must be a list of {n} numbers")
     try:
         return np.array(value, dtype=float)
     except OverflowError as exc:  # an integer beyond the float range
         raise NonFiniteInput(f"density {key} not finite: {exc}") from exc
+
+
+# int and float are tried before the numbers ABCs, whose isinstance check is
+# slow, and a weights list holds thousands of values.
+def _is_int(value) -> bool:
+    """An integer in the numbers sense, with bool counted as not one."""
+    return isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number in the numbers sense, with bool counted as not one."""
+    return isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool)
 
 
 def _fields(d, what: str, keys) -> list:

@@ -44,8 +44,9 @@ class NonFiniteInput(BellhopError):
 
 class MalformedInput(BellhopError):
     """A family or density record is not a JSON object, lacks a required key,
-    or has a field of the wrong type or shape; or density weights are not a
-    2-d array with at least one cell."""
+    or has a field of the wrong type or shape; a family record's stored
+    expectations differ from its weights' values; or density weights are not
+    a 2-d array with at least one cell."""
 
 
 class EmptyRect(BellhopError):
@@ -62,11 +63,8 @@ class InputOutOfRange(BellhopError):
 
 
 class GridMisaligned(BellhopError):
-    """Observable thresholds cut through grid cells."""
-
-
-class NonConvergence(BellhopError):
-    """Optimizer failed to reach tolerance within the iteration cap."""
+    """A grid for optimize_family is not two integers that are positive
+    multiples of 4, so the observable thresholds would cut through cells."""
 
 
 class ConfigInvalid(BellhopError):

@@ -24,7 +24,6 @@ log.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,21 +32,11 @@ from typing import Optional, TextIO, Tuple
 import numpy as np
 
 from .chsh import PAIRS, ChshFamily, chsh_value
-from .density import ROUND_OFF, sample_many
+from .density import ROUND_OFF, _is_int, _is_real, sample_many
 from .errors import ConfigInvalid, InsufficientTrials
 from .steprv import PartialRV
 
 _BLOCK = 1 << 16  # trials drawn, reduced and logged at a time per worker
-
-
-def _is_int(value) -> bool:
-    """An integer in the numbers sense, with bool counted as not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A real number in the numbers sense, with bool counted as not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ def test_criterion_4_saturation_with_zero_marginals():
 
 def test_criterion_5_optimizer_equivalence():
     started = time.time()
-    family, achieved = optimize_family((1, 1, 1, -1), (4, 4), eps=1e-9)
+    family, achieved = optimize_family((1, 1, 1, -1), (4, 4))
     s = chsh_value(*achieved)
     assert s >= 4.0 - 1e-6
     assert all(abs(v) <= 1e-9 for v in family.marginals().values())

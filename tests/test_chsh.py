@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bellhop import chsh
 from bellhop.chsh import (
@@ -12,7 +13,7 @@ from bellhop.chsh import (
     saturating_family,
 )
 from bellhop.density import ROUND_OFF, expectation, make_grid_density, uniform_density
-from bellhop.errors import DomainMismatch, GridMisaligned, InputOutOfRange, NonConvergence
+from bellhop.errors import DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput
 from bellhop.intervals import Interval
 from bellhop.observables import make_observable
 from bellhop.steprv import PartialRV, make_step
@@ -103,10 +104,16 @@ class TestSaturatingFamily:
     def test_chsh_is_four(self):
         assert chsh_value(*saturating_family().expectations()) == 4.0
 
+    def test_weights(self):
+        # 2 on the cells whose sign product is the pair's target, 0 elsewhere
+        signs = chsh._band_signs(4)
+        for rho, t in zip(saturating_family().densities(), (1, 1, 1, -1)):
+            assert np.array_equal(rho.weights, np.where(np.outer(signs, signs) == t, 2.0, 0.0))
+
 
 class TestOptimizeFamily:
     def test_matches_saturating_construction(self):
-        family, achieved = optimize_family((1, 1, 1, -1), (4, 4), eps=1e-9)
+        family, achieved = optimize_family((1, 1, 1, -1), (4, 4))
         oracle = saturating_family().expectations()
         for got, want in zip(achieved, oracle):
             assert abs(got - want) < 1e-6
@@ -121,6 +128,11 @@ class TestOptimizeFamily:
             with pytest.raises(GridMisaligned):
                 optimize_family((1, 1, 1, -1), grid)
 
+    @pytest.mark.parametrize("grid", [(4.0, 4.0), (True, 4), (8,), (8, 8, 8), 8, "88", None])
+    def test_grid_not_two_ints(self, grid):
+        with pytest.raises(GridMisaligned):
+            optimize_family((1, 1, 1, -1), grid)
+
     @pytest.mark.parametrize("targets", [
         (1, 1),
         (1, 1, 1, -1, 0.5),
@@ -128,30 +140,49 @@ class TestOptimizeFamily:
         (1, 1, 1, -1.5),
         (float("nan"), 0, 0, 0),
         (0, float("inf"), 0, 0),
-    ], ids=["two", "five", "above-one", "below-minus-one", "nan", "inf"])
+        "1111",
+        ("0.5", 0, 0, 0),
+        (True, 0, 0, 0),
+        (0, 0, 0, 1j),
+        (0, 0, 0, 10**400),
+        0.5,
+        None,
+        np.zeros((2, 2)),
+    ], ids=["two", "five", "above-one", "below-minus-one", "nan", "inf", "string",
+            "string-entry", "bool", "complex", "huge-int", "scalar", "none", "2x2-array"])
     def test_bad_targets(self, targets):
         with pytest.raises(InputOutOfRange):
             optimize_family(targets, (4, 4))
-
-    def test_non_convergence(self):
-        with pytest.raises(NonConvergence):
-            optimize_family((0.7, 0.7, 0.7, -0.7), (4, 4), max_iter=1)
 
     def test_output_feasibility(self):
         family, _ = optimize_family((0.5, -0.25, 0.75, 0.125), (8, 8))
         for rho in family.densities():
             assert np.all(rho.weights >= 0)
-            assert abs(rho.cell_probabilities().sum() - 1.0) <= 1e-12
-        assert all(abs(v) <= 1e-9 for v in family.marginals().values())
+            assert abs(rho.cell_probabilities().sum() - 1.0) <= 1e-15
+        assert all(abs(v) <= 1e-15 for v in family.marginals().values())
+
+    @given(
+        st.integers(1, 8).map(lambda k: 4 * k),
+        st.integers(1, 8).map(lambda k: 4 * k),
+        st.lists(st.sampled_from([-1.0, 1.0]) | st.floats(-1, 1), min_size=4, max_size=4),
+    )
+    def test_exact_construction(self, nx, ny, targets):
+        family, achieved = optimize_family(targets, (nx, ny))
+        assert achieved == family.expectations()
+        for rho in family.densities():
+            assert rho.weights.shape == (nx, ny) and np.all(rho.weights >= 0)
+            assert abs(rho.cell_probabilities().sum() - 1.0) <= 1e-15
+        assert all(abs(v) <= 1e-15 for v in family.marginals().values())
+        assert all(abs(e - t) <= 1e-15 for e, t in zip(achieved, targets))
 
     def test_any_target_reachable(self):
         # four unrelated densities make the correlators independently tunable
         rng = np.random.default_rng(17)
         for _ in range(10):
             targets = rng.uniform(-1, 1, 4)
-            family, _ = optimize_family(targets, (4, 4), eps=1e-9)
+            family, _ = optimize_family(targets, (4, 4))
             for got, want in zip(family.expectations(), targets):
-                assert abs(got - want) < 1e-6
+                assert abs(got - want) <= 1e-15
 
 
 class TestClassicalBound:
@@ -232,6 +263,46 @@ class TestFamilySerialization:
         assert tuple(summary[f"e{a}{b}"] for a, b in PAIRS) == es
         assert summary["marginals"] == family.marginals()
         assert summary["S"] == chsh_value(*es)
+
+    def test_record_without_expectations(self):
+        d = optimize_family((0.5, -0.25, 0.75, 0.125), (8, 8))[0].to_dict()
+        del d["expectations"]
+        assert ChshFamily.from_dict(d).to_dict()["expectations"]["S"] == 0.875
+
+    @pytest.mark.parametrize("edit", [
+        lambda x: x.update(e01=x["e01"] + 1e-8),
+        lambda x: x.update(S=x["S"] - 1e-8),
+        lambda x: x["marginals"].update({"b1|11": 2e-9}),
+        lambda x: x.update(e10=10**400),
+        lambda x: x.update(e10=float("nan")),
+        lambda x: x.update(e00="0.5"),
+        lambda x: x.update(e00=None),
+        lambda x: x.update(S=True),
+        lambda x: x.pop("e11"),
+        lambda x: x["marginals"].pop("a0|00"),
+        lambda x: x.update(marginals=[0.0] * 8),
+        lambda x: x.clear() or x.update(e=[]),
+    ], ids=["e01", "S", "marginal", "huge-int", "nan", "string", "null", "bool",
+            "no-e11", "no-marginal", "marginals-list", "wrong-keys"])
+    def test_stored_expectations_checked(self, edit):
+        d = optimize_family((0.5, -0.25, 0.75, 0.125), (8, 8))[0].to_dict()
+        edit(d["expectations"])
+        with pytest.raises(MalformedInput):
+            ChshFamily.from_dict(d)
+
+    @pytest.mark.parametrize("block", [[], "S = 4", None, 4.0])
+    def test_stored_expectations_not_an_object(self, block):
+        d = saturating_family().to_dict()
+        d["expectations"] = block
+        with pytest.raises(MalformedInput):
+            ChshFamily.from_dict(d)
+
+    def test_stored_expectations_within_tolerance(self):
+        d = optimize_family((0.5, -0.25, 0.75, 0.125), (8, 8))[0].to_dict()
+        d["expectations"]["e01"] += 5e-10
+        d["expectations"]["marginals"]["a1|10"] = -5e-10
+        d["expectations"]["extra"] = "ignored"
+        assert ChshFamily.from_dict(d).expectations()[2] == 0.75
 
     def test_rectangle_validation(self):
         rho = uniform_density(Interval(0, 1), Interval(0, 1))

@@ -161,7 +161,7 @@ class TestFamilyPipeline:
         code, _, _ = run(capsys, "saturate", "--out", str(path), "--grid", "8")
         assert code == 0
         payload = json.loads(path.read_text())
-        assert payload["expectations"]["S"] >= 4 - 1e-6
+        assert payload["expectations"]["S"] == 4.0
 
     def test_simulate(self, capsys, tmp_path):
         path = tmp_path / "sat.json"
@@ -226,6 +226,19 @@ class TestFamilyPipeline:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and named in err
+
+    def test_edited_weight_exit_2(self, capsys, tmp_path):
+        # the stored expectations no longer match the weights
+        path = tmp_path / "edited.json"
+        run(capsys, "saturate", "--out", str(path), "--grid", "8")
+        payload = json.loads(path.read_text())
+        payload["rho10"]["weights"][9] += 0.5
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "expect", "--family", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "expectations" in err
 
     @pytest.mark.parametrize("nx, ny", [(0, 4), (4, 0), (-1, 2)])
     def test_grid_size_below_one_exit_2(self, capsys, tmp_path, nx, ny):
