@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
@@ -60,26 +61,41 @@ class ChshFamily:
     def observables(self, alpha: int, beta: int) -> Tuple[PartialRV, PartialRV]:
         return make_observable(float(alpha), "x"), make_observable(float(beta), "y")
 
-    def moments(self) -> Tuple[Tuple[float, float, float], ...]:
-        """(E[ab], E[a], E[b]) per pair in PAIRS order, each under its own density."""
+    @cached_property
+    def _moments(self) -> Tuple[Tuple[float, float, float], ...]:
+        """(E[ab], E[a], E[b]) per pair in PAIRS order, each under its own
+        density; integrated once, as the fields and weights cannot change."""
         return tuple(
             _integrate(*self.observables(alpha, beta), rho)
             for (alpha, beta), rho in zip(PAIRS, self.densities())
         )
 
+    def summary(self) -> dict:
+        """The expectations block of a family record, as a fresh dict."""
+        es = self.expectations()
+        marginals = {}
+        for (alpha, beta), (_, e_a, e_b) in zip(PAIRS, self._moments):
+            marginals[f"a{alpha}|{alpha}{beta}"] = e_a
+            marginals[f"b{beta}|{alpha}{beta}"] = e_b
+        return {
+            **{f"e{alpha}{beta}": e for (alpha, beta), e in zip(PAIRS, es)},
+            "S": chsh_value(*es),
+            "marginals": marginals,
+        }
+
     def expectations(self) -> Tuple[float, float, float, float]:
-        return tuple(e_ab for e_ab, _, _ in self.moments())
+        return tuple(e_ab for e_ab, _, _ in self._moments)
 
     def marginals(self) -> Dict[str, float]:
         """All eight marginal means, each under its own pair's density."""
-        return _marginal_table(self.moments())
+        return self.summary()["marginals"]
 
     def to_dict(self) -> dict:
         out = {
             f"rho{alpha}{beta}": rho.to_dict()
             for (alpha, beta), rho in zip(PAIRS, self.densities())
         }
-        out["expectations"] = _summary(self.moments())
+        out["expectations"] = self.summary()
         return out
 
     @staticmethod
@@ -93,7 +109,7 @@ class ChshFamily:
         keys = [f"rho{alpha}{beta}" for alpha, beta in PAIRS]
         family = ChshFamily(*map(GridDensity.from_dict, _fields(d, "family", keys)))
         if "expectations" in d:
-            _check_stored(d["expectations"], _summary(family.moments()), "expectations")
+            _check_stored(d["expectations"], family.summary(), "expectations")
         return family
 
 
@@ -112,24 +128,6 @@ def _check_stored(stored, want: dict, what: str) -> None:
         lo, hi = expected - _STORED_TOLERANCE, expected + _STORED_TOLERANCE
         if not (_is_real(value) and lo <= value <= hi):
             raise MalformedInput(f"{what} {key} = {value!r}, but the weights give {expected!r}")
-
-
-def _summary(moments) -> dict:
-    """The expectations block of a family record, from its moments()."""
-    es = [e_ab for e_ab, _, _ in moments]
-    return {
-        **{f"e{alpha}{beta}": e for (alpha, beta), e in zip(PAIRS, es)},
-        "S": chsh_value(*es),
-        "marginals": _marginal_table(moments),
-    }
-
-
-def _marginal_table(moments) -> Dict[str, float]:
-    out = {}
-    for (alpha, beta), (_, e_a, e_b) in zip(PAIRS, moments):
-        out[f"a{alpha}|{alpha}{beta}"] = e_a
-        out[f"b{beta}|{alpha}{beta}"] = e_b
-    return out
 
 
 def chsh_value(e00: float, e10: float, e01: float, e11: float) -> float:

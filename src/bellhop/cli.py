@@ -71,8 +71,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("saturate", help="write a family saturating |S| = 4")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--grid", type=_positive_int, default=None,
-                    help="build the family on an NxN grid (N a multiple of 4) instead of 4x4")
+    sp.add_argument("--grid", type=_positive_int, default=4,
+                    help="build the family on an NxN grid, N a multiple of 4 (default 4)")
 
     sp = sub.add_parser("simulate", help="Monte-Carlo run of a family")
     sp.add_argument("--family", required=True)
@@ -114,7 +114,7 @@ def _load_family(path: str) -> chsh.ChshFamily:
 
 
 def _cmd_expect(args) -> int:
-    summary = _load_family(args.family).to_dict()["expectations"]
+    summary = _load_family(args.family).summary()
     for alpha, beta in chsh.PAIRS:
         print(f"E[a{alpha}*b{beta}] = {summary[f'e{alpha}{beta}']:.12g}")
     for key, value in summary["marginals"].items():
@@ -124,10 +124,7 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_saturate(args) -> int:
-    if args.grid is None:
-        family = chsh.saturating_family()
-    else:
-        family, _ = chsh.optimize_family((1.0, 1.0, 1.0, -1.0), (args.grid, args.grid))
+    family, _ = chsh.optimize_family((1, 1, 1, -1), (args.grid, args.grid))
     with open(args.out, "w") as fh:
         json.dump(family.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -252,7 +249,8 @@ def main(argv=None) -> int:
     except ExprSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (BellhopError, OSError, json.JSONDecodeError, ValueError) as exc:
+    # RecursionError: a family file or --expr nested past the interpreter's depth
+    except (BellhopError, OSError, json.JSONDecodeError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -89,7 +89,7 @@ class GridDensity:
             "y_rect": [self.y_rect.lo, self.y_rect.hi],
             "nx": self.nx,
             "ny": self.ny,
-            "weights": [float(w) for w in self.weights.reshape(-1)],
+            "weights": self.weights.reshape(-1).tolist(),
         }
 
     @staticmethod

@@ -251,18 +251,33 @@ class TestFamilySerialization:
         assert again.expectations() == family.expectations()
 
     def test_summary_matches_methods_with_one_pass_per_pair(self, monkeypatch):
-        family, _ = optimize_family((0.5, -0.25, 0.75, 0.125), (8, 8))
         calls = []
         integrate = chsh._integrate
         monkeypatch.setattr(
             chsh, "_integrate", lambda *args: calls.append(args) or integrate(*args)
         )
+        family, _ = optimize_family((0.5, -0.25, 0.75, 0.125), (8, 8))
         summary = family.to_dict()["expectations"]
-        assert len(calls) == len(PAIRS)
         es = family.expectations()
+        assert list(summary) == ["e00", "e10", "e01", "e11", "S", "marginals"]
         assert tuple(summary[f"e{a}{b}"] for a, b in PAIRS) == es
+        assert family.summary() == summary
         assert summary["marginals"] == family.marginals()
+        assert list(summary["marginals"]) == [
+            f"{obs}|{a}{b}" for a, b in PAIRS for obs in (f"a{a}", f"b{b}")
+        ]
         assert summary["S"] == chsh_value(*es)
+        # the family is built, serialized and summarized with one pass per pair
+        assert len(calls) == len(PAIRS)
+
+    def test_summary_is_a_fresh_dict(self):
+        family = saturating_family()
+        want = family.to_dict()
+        block = family.summary()
+        block["S"] = -1.0
+        block["marginals"]["a0|00"] = 0.5
+        family.marginals()["b0|00"] = 0.5
+        assert family.to_dict() == want
 
     def test_record_without_expectations(self):
         d = optimize_family((0.5, -0.25, 0.75, 0.125), (8, 8))[0].to_dict()

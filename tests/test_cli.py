@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bellhop
+from bellhop import chsh
 from bellhop.cli import _column, main, write_figures
 from bellhop.steprv import make_step
 
@@ -141,6 +142,27 @@ class TestUsage:
         code, _, err = run(capsys, "expect", "--family", "/nonexistent.json")
         assert code == 2
 
+    NESTED = "[" * 100_000 + "]" * 100_000
+
+    @pytest.mark.parametrize("argv, family", [
+        (["expect"], NESTED),
+        (["simulate", "--trials", "10", "--seed", "1"], '{"rho00": ' + NESTED + "}"),
+        (["domain", "--expr", "(" * 5000 + "a0" + ")" * 5000], None),
+        (["domain", "--expr", "*".join(["a0"] * 3000)], None),
+        (["domain", "--expr=" + "-" * 5000 + "a0"], None),
+    ], ids=["family", "rho00", "parentheses", "factors", "unary-minus"])
+    def test_deep_nesting_exit_2(self, capsys, tmp_path, argv, family):
+        # nested past the interpreter's recursion limit: an error, not a traceback
+        if family is not None:
+            path = tmp_path / "deep.json"
+            path.write_text(family)
+            argv = [*argv, "--family", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "recursion" in err
+
 
 class TestFamilyPipeline:
     def test_saturate_then_expect(self, capsys, tmp_path):
@@ -162,6 +184,24 @@ class TestFamilyPipeline:
         assert code == 0
         payload = json.loads(path.read_text())
         assert payload["expectations"]["S"] == 4.0
+
+    def test_saturate_default_grid_is_4(self, capsys, tmp_path):
+        run(capsys, "saturate", "--out", str(tmp_path / "default.json"))
+        run(capsys, "saturate", "--out", str(tmp_path / "grid4.json"), "--grid", "4")
+        assert (tmp_path / "default.json").read_bytes() == (tmp_path / "grid4.json").read_bytes()
+
+    def test_saturate_and_expect_integrate_each_pair_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        integrate = chsh._integrate
+        monkeypatch.setattr(
+            chsh, "_integrate", lambda *args: calls.append(args) or integrate(*args)
+        )
+        path = tmp_path / "opt.json"
+        assert run(capsys, "saturate", "--out", str(path), "--grid", "8")[0] == 0
+        assert len(calls) == len(chsh.PAIRS)
+        calls.clear()
+        assert run(capsys, "expect", "--family", str(path))[0] == 0
+        assert len(calls) == len(chsh.PAIRS)
 
     def test_simulate(self, capsys, tmp_path):
         path = tmp_path / "sat.json"
