@@ -10,7 +10,6 @@ from .density import (
     expectation,
     make_grid_density,
     marginal_means,
-    sample_many,
     uniform_density,
 )
 from .chsh import (
@@ -37,7 +36,6 @@ __all__ = [
     "expectation",
     "make_grid_density",
     "marginal_means",
-    "sample_many",
     "uniform_density",
     "ChshFamily",
     "chsh_value",

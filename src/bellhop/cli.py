@@ -41,17 +41,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _at_most(limit: int, what: str):
+    """An argparse type: a positive integer of at most limit."""
+    def positive_int(text: str) -> int:
+        value = _positive_int(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"at most {limit} ({what}), got {value}")
+        return value
+    return positive_int
+
+
+MAX_GRID = 512  # the largest saturate grid measured: 78 MB of RSS, an 11.5 MB file
+
+
 def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
-
-
-def _worker_count(text: str) -> int:
-    value, cpus = _positive_int(text), os.cpu_count() or 1
-    if value > cpus:
-        raise argparse.ArgumentTypeError(f"at most {cpus} (the CPU count), got {value}")
     return value
 
 
@@ -71,14 +77,16 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("saturate", help="write a family saturating |S| = 4")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--grid", type=_positive_int, default=4,
-                    help="build the family on an NxN grid, N a multiple of 4 (default 4)")
+    sp.add_argument("--grid", type=_at_most(MAX_GRID, "the largest grid measured"), default=4,
+                    help="build the family on an NxN grid, N a multiple of 4 "
+                         f"up to {MAX_GRID} (default 4)")
 
     sp = sub.add_parser("simulate", help="Monte-Carlo run of a family")
     sp.add_argument("--family", required=True)
-    sp.add_argument("--trials", type=_positive_int, required=True)
+    sp.add_argument("--trials", type=_at_most(simulate.MAX_TRIALS, "2**63 - 1, the int64 limit"),
+                    required=True)
     sp.add_argument("--seed", type=_non_negative_int, required=True)
-    sp.add_argument("--workers", type=_worker_count, default=1)
+    sp.add_argument("--workers", type=_at_most(os.cpu_count() or 1, "the CPU count"), default=1)
     sp.add_argument("--log", default=None, help="per-trial CSV event log")
 
     sp = sub.add_parser("check-classical", help="randomized |S| <= 2 oracle suite")
@@ -245,13 +253,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) == "":  # a runtime error, like any unwritable path
+            raise ValueError("--out is empty: it names no file or directory")
         return _COMMANDS[args.command](args)
     except ExprSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     # RecursionError: a family file or --expr nested past the interpreter's depth
-    except (BellhopError, OSError, json.JSONDecodeError, ValueError, RecursionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BellhopError, OSError, json.JSONDecodeError, ValueError, RecursionError,
+            MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -1,12 +1,12 @@
-"""Piecewise-constant joint densities on a rectangle, with exact integration
-and O(1)-per-draw sampling.
+"""Piecewise-constant joint densities on a rectangle, with exact integration.
 
 Both the observables and the densities are piecewise constant, so every
 expectation is a finite sum over the grid cells of per-cell integrals of the
 observables.  There is no quadrature error; excluded breakpoints have
-measure zero and are ignored.  Sampling picks a cell with Walker's alias
-method, from a table each density builds on its first draw, then a uniform
-point in the cell.
+measure zero and are ignored.  GridDensity.refine cuts the grid also at
+given breakpoints, so that an observable is constant on every refined cell:
+those cells and their probabilities are what the Monte-Carlo engine draws
+counts over.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -74,14 +73,15 @@ class GridDensity:
     def cell_probabilities(self) -> np.ndarray:
         return self.weights * (self.cell_width * self.cell_height)
 
-    @cached_property
-    def _alias(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(keep, alias) over the row-major cells, built on the first draw.
-
-        Threads that race on the first draw each build the same table (the
-        build is deterministic), and the last one built stays cached.
-        """
-        return _alias_table(self.cell_probabilities().reshape(-1))
+    def refine(self, x_cuts, y_cuts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x_edges, y_edges, probs) of the grid cut also at the x_cuts and
+        y_cuts inside the rectangle: probs[i, j] is refined cell (i, j)'s grid
+        weight times its area, rescaled to sum 1, and 0 for a cell too thin
+        for any float to lie strictly inside it (a cut one ulp from a line)."""
+        xe, x_cells, x_widths = _refine_axis(self.x_edges(), self.x_rect, x_cuts)
+        ye, y_cells, y_widths = _refine_axis(self.y_edges(), self.y_rect, y_cuts)
+        probs = self.weights[np.ix_(x_cells, y_cells)] * np.outer(x_widths, y_widths)
+        return xe, ye, probs / probs.sum()
 
     def to_dict(self) -> dict:
         return {
@@ -104,6 +104,15 @@ class GridDensity:
         y_lo, y_hi = _reals(y_rect, 2, "y_rect").tolist()
         w = _reals(weights, nx * ny, "weights").reshape(nx, ny)
         return make_grid_density(Interval(x_lo, x_hi), Interval(y_lo, y_hi), w)
+
+
+def _refine_axis(grid: np.ndarray, rect: Interval, cuts):
+    """Edges of grid cut also at the cuts inside rect, with each refined
+    cell's grid cell and its width, 0 where no float lies strictly inside."""
+    edges = np.unique(np.concatenate([grid, [c for c in cuts if rect.lo < c < rect.hi]]))
+    lo, hi = edges[:-1], edges[1:]
+    cells = np.minimum(np.searchsorted(grid, lo, side="right") - 1, len(grid) - 2)
+    return edges, cells, np.where(np.nextafter(lo, hi) < hi, hi - lo, 0.0)
 
 
 def _reals(value, n: int, key: str) -> np.ndarray:
@@ -204,47 +213,3 @@ def marginal_means(f: PartialRV, g: PartialRV, rho: GridDensity) -> Tuple[float,
     """Exact (∬ f ρ, ∬ g ρ)."""
     _, e_f, e_g = _integrate(f, g, rho)
     return e_f, e_g
-
-
-def _alias_table(probs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vose's alias table (Walker 1977; Vose 1991) for cell probabilities probs.
-
-    Column i of the K = len(probs) equal columns is cell i with probability
-    keep[i] and cell alias[i] otherwise, so cell c is drawn with probability
-    (keep[c] + sum of 1 - keep[i] over the i with alias[i] = c) / K.  A
-    zero-probability cell has keep 0 and is no cell's alias.
-    """
-    k = len(probs)
-    scaled = (probs * k).tolist()
-    keep, alias = [1.0] * k, list(range(k))
-    small = [i for i, p in enumerate(scaled) if p < 1.0]
-    large = [i for i, p in enumerate(scaled) if p >= 1.0]
-    while small and large:
-        s, big = small.pop(), large[-1]
-        keep[s], alias[s] = scaled[s], big
-        scaled[big] = (scaled[big] + scaled[s]) - 1.0
-        if scaled[big] < 1.0:
-            small.append(large.pop())
-    # Columns left over are full up to round-off: keep 1, alias themselves.
-    return np.array(keep), np.array(alias, dtype=np.intp)
-
-
-def sample_many(rho: GridDensity, rng: np.random.Generator, n: int):
-    """Draw n points from rho: a cell by the alias method, then a uniform
-    point within the cell.  Returns (xs, ys, ix, iy), with (ix, iy) each
-    point's cell; x_edges()[ix] <= xs <= x_edges()[ix + 1], and likewise for
-    y, since float rounding is monotone.
-
-    Three uniforms per point.  The first, times K cells, picks column
-    i = floor(u*K) and keeps cell i when its fraction u*K - i is below
-    keep[i], else takes alias[i]; the other two place the point in the cell.
-    """
-    keep, alias = rho._alias
-    k = len(keep)
-    j = rng.random(n) * k
-    i = np.minimum(j.astype(np.intp), k - 1)
-    cells = np.where(j - i < keep[i], i, alias[i])
-    ix, iy = np.divmod(cells, rho.ny)
-    xs = rho.x_rect.lo + (ix + rng.random(n)) * rho.cell_width
-    ys = rho.y_rect.lo + (iy + rng.random(n)) * rho.cell_height
-    return xs, ys, ix, iy

@@ -1,42 +1,45 @@
 """Monte-Carlo reproduction of the two-party protocol.
 
 Every trial: draw a setting pair (free choice), draw a hidden-variable pair
-(x, y) from that pair's density, read off both ±1 outcomes.  Every trial
-produces a full outcome pair, so there is no detection loophole by
-construction.  Trials are pre-partitioned into contiguous per-worker chunks;
-worker i draws from child i of SeedSequence(master_seed).spawn(n_workers), so
-substreams are independent across workers and seeds, and a summary is
-bit-identical for a fixed (seed, workers) regardless of scheduling.  Each
-worker draws, reduces and (with a log) writes _BLOCK trials at a time, so
-memory is bounded by the block size, not by n_trials.
+(x, y) from that pair's density, read off both ±1 outcomes, so there is no
+detection loophole by construction.
 
-A block draws its settings as one uniform each, compared with the setting
-CDF: the same draws rng.choice makes, pinned here.  Each pair's points come
-with the grid cell they were drawn in, and an observable is constant on
-every grid column that no breakpoint cuts, so an outcome is read from the
-pair's outcome table (PartialRV.column_values) at the point's column.  Only
-points in a cut column or on a column edge are evaluated with eval_many; a
-point on a breakpoint has no outcome and is redrawn.  The summary needs only
-per-pair sums, so trials are scattered back into trial order only for the
-log.
+A summary needs only each pair's trials, Σab, Σa and Σb, so the engine draws
+counts, not trials.  A pair's cells are its density's grid refined by both
+observables' breakpoints (GridDensity.refine), so both outcomes are constant
+on each cell (PartialRV.column_values).  The pairs get Multinomial(n,
+setting probabilities) trials, each pair's cells Multinomial counts of those,
+and the sums are the cell counts contracted with the outcome tables, exactly,
+in int64, _CHUNK trials at a time.  Worker i draws its contiguous share of
+the trials from child i of SeedSequence(master_seed).spawn(n_workers), so
+substreams are independent across workers and seeds and a summary is
+bit-identical for a fixed (seed, workers).  Workers run one after another.
+
+The event log continues each worker's generator after all of its counts, so
+a summary is the same with and without it.  Each block of _BLOCK rows takes
+its (pair, cell) composition from its chunk's remaining counts (multivariate
+hypergeometric), shuffles it and places a uniform point strictly inside each
+cell: exactly the law of i.i.d. trials.  Memory is bounded by the block size
+and the cell count, not by n_trials.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, TextIO, Tuple
+from typing import List, NamedTuple, Optional, TextIO, Tuple
 
 import numpy as np
 
 from .chsh import PAIRS, ChshFamily, chsh_value
-from .density import ROUND_OFF, _is_int, _is_real, sample_many
+from .density import ROUND_OFF, _is_int, _is_real
 from .errors import ConfigInvalid, InsufficientTrials
-from .steprv import PartialRV
 
-_BLOCK = 1 << 16  # trials drawn, reduced and logged at a time per worker
+_BLOCK = 1 << 16  # event-log rows drawn and written at a time
+# Trials counted at a time: the log's hypergeometric draws need totals below 1e9.
+_CHUNK = 1 << 29
+MAX_TRIALS = 2**63 - 1  # counts and sums are int64
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,8 @@ class ExperimentConfig:
     n_workers: int = 1
 
     def __post_init__(self):
-        if not _is_int(self.n_trials) or self.n_trials <= 0:
-            raise ConfigInvalid("n_trials must be a positive integer")
+        if not _is_int(self.n_trials) or not 0 < self.n_trials <= MAX_TRIALS:
+            raise ConfigInvalid("n_trials must be a positive integer of at most 2**63 - 1")
         if not _is_int(self.n_workers) or self.n_workers <= 0:
             raise ConfigInvalid("n_workers must be a positive integer")
         if not _is_int(self.master_seed) or self.master_seed < 0:
@@ -95,102 +98,122 @@ class EstimateReport:
     s_se: float
 
 
-def _chunk_sizes(n_trials: int, n_workers: int) -> list[int]:
-    base, extra = divmod(n_trials, n_workers)
-    return [base + (1 if i < extra else 0) for i in range(n_workers)]
+class _Cells(NamedTuple):
+    """One pair's refined cells: their edges, probabilities and outcomes."""
+
+    x_edges: np.ndarray
+    y_edges: np.ndarray
+    probs: np.ndarray  # (len(a), len(b)), sums to 1
+    a: np.ndarray  # Alice's ±1 outcome per x-cell, int64
+    b: np.ndarray  # Bob's ±1 outcome per y-cell, int64
 
 
-def _outcomes(rv: PartialRV, table: np.ndarray, edges: np.ndarray, xs, cols):
-    """rv at each point xs[i] of grid column cols[i], NaN where rv is undefined.
-
-    A point strictly inside its column takes the column's table entry
-    (rv.column_values(edges)).  A point in a NaN column, or exactly on one of
-    its column's edges, is evaluated by rv.eval_many instead.
-    """
-    values = table[cols]
-    slow = np.flatnonzero(np.isnan(values) | (xs == edges[cols]) | (xs == edges[1:][cols]))
-    if len(slow):
-        v, defined = rv.eval_many(xs[slow])
-        values[slow] = np.where(defined, v, np.nan)
-    return values
+def _cells(family: ChshFamily) -> List[_Cells]:
+    """Each pair's _Cells, in PAIRS order."""
+    out = []
+    for (alpha, beta), rho in zip(PAIRS, family.densities()):
+        f, g = family.observables(alpha, beta)
+        xe, ye, probs = rho.refine(f.breakpoints(), g.breakpoints())
+        a, b = (rv.column_values(e).astype(np.int64) for rv, e in ((f, xe), (g, ye)))
+        out.append(_Cells(xe, ye, probs, a, b))
+    return out
 
 
-def _blocks(config: ExperimentConfig, seed: np.random.SeedSequence, size: int):
-    """One worker's trials on its own substream, _BLOCK trials at a time.
-
-    Yields (sums, settings, draws) per block: sums[p] is pair p's
-    (trials, sum_ab, sum_a, sum_b), settings the block's pair indices in
-    trial order, and draws[p] pair p's (x, y, a, b) in the order drawn.
-    """
-    rng = np.random.default_rng(seed)
-    # rng.choice(4, p=p) element for element: a uniform u picks the number of
-    # cdf entries <= u, and cdf[3] is exactly 1.
-    cdf = np.cumsum(np.asarray(config.setting_probabilities, dtype=float))
-    cdf /= cdf[-1]
-    pairs = []
-    for (alpha, beta), rho in zip(PAIRS, config.family.densities()):
-        f, g = config.family.observables(alpha, beta)
-        xe, ye = rho.x_edges(), rho.y_edges()
-        pairs.append((rho, (f, f.column_values(xe), xe), (g, g.column_values(ye), ye)))
-    for start in range(0, size, _BLOCK):
-        n = min(_BLOCK, size - start)
-        settings = (rng.random(n) >= cdf[:3, None]).sum(axis=0)
-        counts = np.bincount(settings, minlength=len(PAIRS)).tolist()
-        sums = np.empty((len(PAIRS), 4), dtype=np.int64)
-        draws = []
-        for pair_index, (count, (rho, fx, gy)) in enumerate(zip(counts, pairs)):
-            x, y, ix, iy = sample_many(rho, rng, count)
-            a, b = _outcomes(*fx, x, ix), _outcomes(*gy, y, iy)
-            bad = np.flatnonzero(np.isnan(a) | np.isnan(b))
-            while len(bad):  # threshold hit: reject and redraw
-                rx, ry, rix, riy = sample_many(rho, rng, len(bad))
-                x[bad], y[bad] = rx, ry
-                a2, b2 = _outcomes(*fx, rx, rix), _outcomes(*gy, ry, riy)
-                a[bad], b[bad] = a2, b2
-                bad = bad[np.isnan(a2) | np.isnan(b2)]
-            # ±1 values, so the sums are exact.  Not a @ b: a BLAS dot per block
-            # wakes OpenBLAS threads that take the cores from the other workers.
-            sums[pair_index] = count, (a * b).sum(), a.sum(), b.sum()
-            draws.append((x, y, a, b))
-        yield sums, settings, draws
+def _counts(rng: np.random.Generator, cells, p: np.ndarray, size: int):
+    """size trials' per-pair cell counts, one list per chunk of at most _CHUNK."""
+    for start in range(0, size, _CHUNK):
+        settings = rng.multinomial(min(_CHUNK, size - start), p).tolist()
+        yield [
+            rng.multinomial(n, c.probs.reshape(-1)).reshape(c.probs.shape)
+            for n, c in zip(settings, cells)
+        ]
 
 
-def _write_block(log: TextIO, first: int, settings, draws) -> None:
-    """One write of the block's rows in trial order, numbered from first."""
-    columns = np.empty((4, len(settings)))  # x, y, a, b
-    for pair_index, draw in enumerate(draws):
-        columns[:, np.flatnonzero(settings == pair_index)] = draw
-    xs, ys, avals, bvals = columns
-    labels = [f"{alpha},{beta}" for alpha, beta in PAIRS]
-    log.write("".join(
-        "%d,%s,%.17g,%.17g,%+d,%+d\n" % row
-        for row in zip(
-            range(first, first + len(settings)), [labels[s] for s in settings.tolist()],
-            xs.tolist(), ys.tolist(), avals.astype(np.int64).tolist(),
-            bvals.astype(np.int64).tolist(),
-        )
-    ))
+def _sums(cells, counts) -> np.ndarray:
+    """(trials, sum_ab, sum_a, sum_b) per pair from its cell counts k."""
+    return np.array([
+        (k.sum(), c.a @ k @ c.b, c.a @ k.sum(axis=1), k.sum(axis=0) @ c.b)
+        for c, k in zip(cells, counts)
+    ], dtype=np.int64)
+
+
+class _LogTable(NamedTuple):
+    """One row per (pair, cell), pairs in PAIRS order and cells row-major."""
+
+    lo: np.ndarray  # (rows, 2): the cell's lower (x, y) corner
+    hi: np.ndarray  # (rows, 2): its upper corner
+    settings: np.ndarray  # "alpha,beta" text, as objects
+    outcomes: np.ndarray  # "%+d,%+d" text of (a, b), as objects
+
+
+def _log_table(cells) -> _LogTable:
+    signs = np.array(["-1,-1", "-1,+1", "+1,-1", "+1,+1"], dtype=object)
+    per_pair = []
+    for (alpha, beta), c in zip(PAIRS, cells):
+        corners = np.stack(np.meshgrid(c.x_edges, c.y_edges, indexing="ij"), axis=-1)
+        outcomes = signs[2 * (c.a[:, None] > 0) + (c.b > 0)].reshape(-1)
+        per_pair.append((corners[:-1, :-1].reshape(-1, 2), corners[1:, 1:].reshape(-1, 2),
+                         np.full(len(outcomes), f"{alpha},{beta}", dtype=object), outcomes))
+    return _LogTable(*map(np.concatenate, zip(*per_pair)))
+
+
+def sample_many(table: _LogTable, rng: np.random.Generator, n: int, left: np.ndarray):
+    """One event-log block of n trials, taken from a chunk's left counts per
+    table row (reduced in place): each trial's table row and (x, y), in trial
+    order.  The composition is multivariate hypergeometric, the order a
+    uniform permutation and each point uniform strictly inside its cell; a
+    point that rounds onto an edge is drawn again in its cell, an event of
+    probability zero, so no point lands on a breakpoint."""
+    taken = rng.multivariate_hypergeometric(left, n)
+    left -= taken
+    rows = rng.permutation(np.repeat(np.arange(len(left)), taken))
+    lo, hi = table.lo[rows], table.hi[rows]
+    points = lo + rng.random(lo.shape) * (hi - lo)
+    while (redo := (points <= lo) | (points >= hi)).any():
+        points[redo] = lo[redo] + rng.random(int(redo.sum())) * (hi[redo] - lo[redo])
+    return rows, points
+
+
+def _format_block(table: _LogTable, first: int, rows, points) -> str:
+    """The block's CSV rows, numbered from first, as one string."""
+    n = len(rows)
+    fields = [None] * (5 * n)
+    fields[0::5] = range(first, first + n)
+    fields[1::5] = table.settings[rows].tolist()
+    fields[2::5], fields[3::5] = points.T.tolist()
+    fields[4::5] = table.outcomes[rows].tolist()
+    return ("%d,%s,%.17g,%.17g,%s\n" * n) % tuple(fields)
 
 
 def run_experiment(
     config: ExperimentConfig, event_log: Optional[TextIO] = None
 ) -> ExperimentSummary:
     """Run all trials; optionally stream a per-trial CSV audit log."""
+    cells = _cells(config.family)
+    p = np.divide(config.setting_probabilities, math.fsum(config.setting_probabilities))
     seeds = np.random.SeedSequence(config.master_seed).spawn(config.n_workers)
-    sizes = _chunk_sizes(config.n_trials, config.n_workers)
-    if event_log is None:
-        def worker_sums(seed, size):
-            return sum(sums for sums, *_ in _blocks(config, seed, size))
-        with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-            totals = sum(pool.map(worker_sums, seeds, sizes))
-    else:
+    base, extra = divmod(config.n_trials, config.n_workers)
+    if event_log is not None:
+        table = _log_table(cells)
         event_log.write("trial,alpha,beta,x,y,a,b\n")
-        totals = trial = 0
-        for seed, size in zip(seeds, sizes):
-            for sums, settings, draws in _blocks(config, seed, size):
-                _write_block(event_log, trial, settings, draws)
-                totals, trial = totals + sums, trial + len(settings)
-    # n_trials > 0, so some block was summed and totals is an array
+    totals, trial = np.zeros((len(PAIRS), 4), dtype=np.int64), 0
+    for worker, seed in enumerate(seeds):
+        size = base + (worker < extra)
+        rng = np.random.default_rng(seed)
+        for counts in _counts(rng, cells, p, size):
+            totals += _sums(cells, counts)
+        if event_log is None:
+            continue
+        # The log goes on with rng; a second generator on the same seed
+        # replays the counts chunk by chunk.
+        for counts in _counts(np.random.default_rng(seed), cells, p, size):
+            left = np.concatenate([k.reshape(-1) for k in counts])
+            chunk = int(left.sum())
+            for start in range(0, chunk, _BLOCK):
+                n = min(_BLOCK, chunk - start)
+                rows, points = sample_many(table, rng, n, left)
+                event_log.write(_format_block(table, trial, rows, points))
+                trial += n
     return ExperimentSummary(
         config.n_trials, tuple(PairCounts(*row) for row in totals.tolist())
     )

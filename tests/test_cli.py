@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import bellhop
-from bellhop import chsh
-from bellhop.cli import _column, main, write_figures
+from bellhop import chsh, simulate
+from bellhop.cli import MAX_GRID, _build_parser, _column, main, write_figures
 from bellhop.steprv import make_step
 
 
@@ -121,6 +121,9 @@ class TestUsage:
             ["saturate", "--out", "f.json", "--grid", "-4"],
             ["simulate", "--family", "f.json", "--seed", "-3", "--trials", "9"],
             ["check-classical", "--trials", "1", "--seed", "-1"],
+            # just past the int64 trial cap and the largest grid; nothing runs
+            ["simulate", "--family", "f.json", "--seed", "1", "--trials", str(2**63)],
+            ["saturate", "--out", "f.json", "--grid", str(MAX_GRID + 1)],
         ],
     )
     def test_bad_int_flag_exit_1(self, capsys, argv):
@@ -130,13 +133,34 @@ class TestUsage:
         assert "error: argument --" in capsys.readouterr().err
 
     def test_workers_above_cpu_count_exit_1(self, capsys):
-        # rejected by the parser, so no thread pool is ever sized from it
+        # rejected by the parser, before any family is read
         workers = str((os.cpu_count() or 1) + 1)
         with pytest.raises(SystemExit) as exc_info:
             main(["simulate", "--family", "f.json", "--seed", "1", "--trials", "9",
                   "--workers", workers])
         assert exc_info.value.code == 1
         assert "CPU count" in capsys.readouterr().err
+
+    def test_trial_cap_is_int64_max(self):
+        parse = _build_parser().parse_args
+        args = parse(["simulate", "--family", "f.json", "--seed", "1", "--trials", str(2**63 - 1)])
+        assert args.trials == 2**63 - 1 == simulate.MAX_TRIALS
+
+    @pytest.mark.parametrize("command", ["saturate", "figures"])
+    def test_empty_out_exit_2(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, command, "--out", "")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --out is empty: it names no file or directory\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr(chsh, "optimize_family", exhausted)
+        code, out, err = run(capsys, "saturate", "--out", "f.json", "--grid", str(MAX_GRID))
+        assert (code, out, err) == (2, "", "error: MemoryError\n")
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "expect", "--family", "/nonexistent.json")

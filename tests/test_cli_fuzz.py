@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from bellhop.chsh import saturating_family
-from bellhop.cli import main
+from bellhop.cli import MAX_GRID, main
+from bellhop.simulate import MAX_TRIALS
 
 # Paths are relative to the working directory, tmp_path.  Inputs come from
 # the pool below; outputs never name a pool file, so no run changes another's.
@@ -59,6 +60,12 @@ def ints(lo, hi):
     return mostly(st.integers(lo, hi).map(str), hostile_ints)
 
 
+def past(cap):
+    """Values just above cap, and some far above it: the parser rejects
+    them all, so none runs."""
+    return st.one_of(st.integers(cap + 1, cap + 8), st.integers(cap + 1, 2**80)).map(str)
+
+
 def flag(name, values):
     """--name=value, left out one time in six."""
     return st.tuples(st.integers(0, 5), values).map(
@@ -71,7 +78,7 @@ def command(name, *flags):
 
 
 def outputs(*fixed):
-    return mostly(st.sampled_from(fixed), names)
+    return mostly(st.sampled_from(["", *fixed]), names)
 
 
 families = mostly(st.just("valid.json"), st.sampled_from(FAMILIES[1:]))
@@ -100,13 +107,15 @@ argvs = st.one_of(
     command("domain", flag("expr", expressions)),
     command("expect", flag("family", families)),
     command("saturate", flag("out", outputs("out.json", "dir", "nodir/out.json")),
-            flag("grid", ints(-8, 64))),
-    command("simulate", flag("family", families), flag("trials", ints(-3, 2000)),
+            flag("grid", st.one_of(ints(-8, 64), past(MAX_GRID)))),
+    command("simulate", flag("family", families),
+            flag("trials", st.one_of(ints(-3, 2000), past(MAX_TRIALS))),
             flag("seed", ints(-3, 2**80)),
             flag("workers", mostly(st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1", "x"]))),
             flag("log", outputs("events.csv", "dir", "nodir/events.csv"))),
     command("check-classical", flag("trials", ints(-3, 20)), flag("seed", ints(-3, 2**31))),
-    command("figures", flag("out", st.sampled_from(["figures", "valid.json", "valid.json/figures"]))),
+    command("figures",
+            flag("out", st.sampled_from(["figures", "", "valid.json", "valid.json/figures"]))),
 )
 
 

@@ -1,21 +1,18 @@
-import sys
-import threading
+import io
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
-from bellhop import density
+from bellhop import simulate
 from bellhop.chsh import PAIRS, ChshFamily, saturating_family
 from bellhop.density import (
     ROUND_OFF,
     GridDensity,
-    _alias_table,
     expectation,
     make_grid_density,
     marginal_means,
-    sample_many,
     uniform_density,
 )
 from bellhop.errors import (
@@ -28,7 +25,8 @@ from bellhop.errors import (
     ZeroTotalMass,
 )
 from bellhop.intervals import Interval
-from bellhop.observables import make_observable
+from bellhop.observables import make_observable, setting_interval, thresholds
+from bellhop.simulate import ExperimentConfig, estimate, run_experiment
 from bellhop.steprv import PartialRV, make_step
 
 
@@ -142,10 +140,44 @@ def family_records(draw):
     return record
 
 
-def implied_probabilities(keep, alias):
-    """Cell probabilities an alias table draws with."""
-    k = len(keep)
-    return (keep + np.bincount(alias, weights=1.0 - keep, minlength=k)) / k
+def family_of(weights):
+    """A family with the same grid weights for every pair."""
+    return ChshFamily(*[
+        make_grid_density(setting_interval(a), setting_interval(b), weights) for a, b in PAIRS
+    ])
+
+
+@st.composite
+def families(draw, sides):
+    """Families of random weights, zeros among them, on grids of the given
+    sides: multiples of 4 keep the thresholds on grid lines, others cut cells."""
+    densities = []
+    for alpha, beta in PAIRS:
+        nx, ny = draw(sides), draw(sides)
+        weight = st.one_of(st.just(0.0), st.floats(1e-3, 1))
+        w = draw(st.lists(weight, min_size=nx * ny, max_size=nx * ny))
+        assume(sum(w) > 0)
+        densities.append(make_grid_density(
+            setting_interval(alpha), setting_interval(beta), np.reshape(w, (nx, ny))))
+    return ChshFamily(*densities)
+
+
+ALIGNED_OR_NOT = st.one_of(st.sampled_from([4, 8, 16, 32]), st.integers(1, 7))
+
+
+def pair_counts(family, n, seed, pair=0):
+    """One pair's cell counts, as the Monte-Carlo engine draws them for n
+    trials of family, and the pair's refined cells."""
+    cells = simulate._cells(family)
+    (counts,) = simulate._counts(np.random.default_rng(seed), cells, np.full(4, 0.25), n)
+    return counts[pair], cells[pair]
+
+
+def log_rows(family, n, seed, workers=1):
+    """The event log of an n-trial run as a float array, one row per trial."""
+    sink = io.StringIO()
+    run_experiment(ExperimentConfig(family, n, seed, n_workers=workers), event_log=sink)
+    return np.loadtxt(sink.getvalue().splitlines()[1:], delimiter=",", ndmin=2)
 
 
 def refined_moments(f, g, rho):
@@ -322,7 +354,8 @@ class TestExpectation:
         g = make_observable(0.0, "y")
         exact = expectation(f, g, rho)
         n = 1_000_000
-        xs, ys, _, _ = sample_many(rho, rng, n)
+        ix, iy = np.divmod(rng.choice(16, size=n, p=rho.cell_probabilities().reshape(-1)), 4)
+        xs, ys = (ix + rng.random(n)) / 4, (iy + rng.random(n)) / 4
         prods = f.eval_many(xs)[0] * g.eval_many(ys)[0]
         se = prods.std() / np.sqrt(n)
         assert abs(prods.mean() - exact) < 4 * se
@@ -377,127 +410,112 @@ class TestMarginals:
         assert expectation(f, g, rho) == pytest.approx(mf * mg, abs=1e-12)
 
 
+class TestRefine:
+    @given(partial_steps("x"), partial_steps("y"), grid_densities())
+    def test_refinement_oracle(self, f, g, rho):
+        # the refined cells carry the grid's mass, cell by cell, and f and g
+        # are constant on each cell inside their domains
+        xe, ye, probs = rho.refine(f.breakpoints(), g.breakpoints())
+        assert probs.shape == (len(xe) - 1, len(ye) - 1)
+        assert (probs >= 0).all() and abs(probs.sum() - 1.0) <= 1e-12
+        for edges, grid, rv, rect in ((xe, rho.x_edges(), f, rho.x_rect),
+                                      (ye, rho.y_edges(), g, rho.y_rect)):
+            inner = [p for p in rv.breakpoints() if rect.lo < p < rect.hi]
+            assert np.array_equal(edges, np.unique([*grid, *inner]))
+        want = refined_moments(f, g, rho)
+        if want is not None:
+            a, b = f.column_values(xe), g.column_values(ye)
+            # NaN outcomes only on cells of no mass: outside the domain, or
+            # one of the excluded points' slivers
+            a0, b0 = np.nan_to_num(a), np.nan_to_num(b)
+            assert (probs[np.isnan(a)] == 0).all() and (probs[:, np.isnan(b)] == 0).all()
+            assert abs(a0 @ probs @ b0 - want[0]) <= 1e-12
+
+    def test_cut_one_ulp_from_a_grid_line_gets_no_mass(self):
+        # on a 196-cell grid, edge 49 rounds to 0.24999999999999997: no float
+        # lies strictly between it and the threshold 0.25, so no point can
+        # be drawn in that cell
+        rho = make_grid_density(*unit_rect(), np.ones((196, 1)))
+        xe, _, probs = rho.refine(thresholds(0.0), [])
+        sliver = np.flatnonzero(xe == 0.25)[0] - 1
+        assert xe[sliver] == np.nextafter(0.25, 0.0) == rho.x_edges()[49]
+        assert probs[sliver, 0] == 0.0
+        assert probs.sum() == pytest.approx(1.0, abs=1e-15) and (probs[:sliver] > 0).all()
+
+    def test_cuts_outside_the_rectangle_are_ignored(self):
+        rho = middle_band_density()
+        xe, ye, probs = rho.refine([-1.0, 0.0, 1.0, 2.0], [0.5])
+        assert np.array_equal(xe, rho.x_edges())
+        assert ye.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert np.array_equal(probs, rho.cell_probabilities())
+
+
 class TestSampling:
+    """Draws from the densities' refined cells: the Monte-Carlo engine's cell
+    counts, and the points its event log places in the cells."""
+
     def test_support(self):
-        rng = np.random.default_rng(1)
-        xs, ys, _, _ = sample_many(uniform_density(*unit_rect()), rng, 1000)
-        assert np.all((xs > 0) & (xs < 1) & (ys > 0) & (ys < 1))
+        _, alpha, beta, x, y, _, _ = log_rows(family_of(np.ones((1, 1))), 1000, 1).T
+        assert np.all((alpha < x) & (x < alpha + 1) & (beta < y) & (y < beta + 1))
 
     def test_concentrated_support(self):
-        rng = np.random.default_rng(1)
-        xs, ys, _, _ = sample_many(middle_band_density(), rng, 1000)
-        assert np.all((xs > 0.25) & (xs < 0.75) & (ys > 0.25) & (ys < 0.75))
+        family = family_of(middle_band_density().weights)
+        counts, cells = pair_counts(family, 100_000, 1)
+        assert counts.sum() > 0 and counts[cells.probs == 0].sum() == 0
+        _, alpha, beta, x, y, a, b = log_rows(family, 1000, 1).T
+        assert np.all((0.25 < x - alpha) & (x - alpha < 0.75))
+        assert np.all((0.25 < y - beta) & (y - beta < 0.75))
+        assert (a == 1).all() and (b == 1).all()
 
     def test_deterministic(self):
-        rho = uniform_density(*unit_rect())
-        p1 = [a.tolist() for a in sample_many(rho, np.random.default_rng(42), 1)]
-        p2 = [a.tolist() for a in sample_many(rho, np.random.default_rng(42), 1)]
-        assert p1 == p2
+        family = family_of(np.arange(1.0, 16.0).reshape(3, 5))
+        assert np.array_equal(log_rows(family, 5000, 42, 2), log_rows(family, 5000, 42, 2))
+        assert np.array_equal(pair_counts(family, 5000, 42)[0], pair_counts(family, 5000, 42)[0])
 
-    @given(
-        grid_densities(max_side=8),
-        st.sampled_from([0.0, 1.0, -3.0, 1e6, 2.0**40]),
-        st.sampled_from([1.0, 1 / 3, 0.7, 1e-3]),
-    )
-    def test_cells_hold_their_points(self, rho, lo, width):
-        # within its cell's closed edges, as the grid computes them, however
-        # the rectangle's ends round
-        rho = make_grid_density(
-            Interval(lo, lo + width), Interval(-lo, -lo + width), rho.weights
-        )
-        xs, ys, ix, iy = sample_many(rho, np.random.default_rng(3), 2000)
-        probs = rho.cell_probabilities()
-        assert (probs[ix, iy] > 0).all()
-        for points, cells, edges in ((xs, ix, rho.x_edges()), (ys, iy, rho.y_edges())):
-            assert ((edges[cells] <= points) & (points <= edges[cells + 1])).all()
+    @settings(max_examples=40, deadline=None)
+    @given(families(st.integers(1, 8)), st.integers(0, 2**32))
+    def test_cells_hold_their_points(self, family, seed):
+        # strictly inside a cell of positive probability: never on a grid
+        # line or breakpoint
+        _, alpha, beta, x, y, _, _ = log_rows(family, 2000, seed).T
+        for (p_alpha, p_beta), cells in zip(PAIRS, simulate._cells(family)):
+            sel = (alpha == p_alpha) & (beta == p_beta)
+            ix = np.searchsorted(cells.x_edges, x[sel]) - 1
+            iy = np.searchsorted(cells.y_edges, y[sel]) - 1
+            for points, cell, edges in ((x[sel], ix, cells.x_edges), (y[sel], iy, cells.y_edges)):
+                assert ((edges[cell] < points) & (points < edges[cell + 1])).all()
+            assert (cells.probs[ix, iy] > 0).all()
 
     def test_chi_square_fidelity(self):
+        # a 3x5 grid whose cells the thresholds cut, refined to 5x7 cells
         rng = np.random.default_rng(9)
-        rho = make_grid_density(*unit_rect(), rng.random((4, 4)) + 0.1)
-        n = 100_000
-        xs, ys, _, _ = sample_many(rho, rng, n)
-        ix = np.clip((xs * 4).astype(int), 0, 3)
-        iy = np.clip((ys * 4).astype(int), 0, 3)
-        observed = np.bincount(ix * 4 + iy, minlength=16)
-        expected = rho.cell_probabilities().reshape(-1) * n
-        _, p = stats.chisquare(observed, expected)
+        counts, cells = pair_counts(family_of(rng.random((3, 5)) + 0.1), 400_000, 9)
+        assert cells.probs.shape == (5, 7)
+        _, p = stats.chisquare(counts.reshape(-1), cells.probs.reshape(-1) * counts.sum())
         assert p > 0.001
 
     def test_chi_square_fidelity_32x32(self):
         rng = np.random.default_rng(21)
         w = rng.random((32, 32))
         w[rng.random((32, 32)) < 0.2] = 0.0
-        rho = make_grid_density(*unit_rect(), w)
-        n = 1_000_000
-        xs, ys, _, _ = sample_many(rho, rng, n)
-        cells = np.clip((xs * 32).astype(int), 0, 31) * 32 + np.clip((ys * 32).astype(int), 0, 31)
-        observed = np.bincount(cells, minlength=32 * 32)
-        probs = rho.cell_probabilities().reshape(-1)
-        assert observed[probs == 0].sum() == 0
-        _, p = stats.chisquare(observed[probs > 0], probs[probs > 0] * n)
+        counts, cells = pair_counts(family_of(w), 4_000_000, 21)
+        probs = cells.probs
+        assert probs.shape == (32, 32)  # the thresholds lie on grid lines
+        assert counts[probs == 0].sum() == 0
+        _, p = stats.chisquare(counts[probs > 0], probs[probs > 0] * counts.sum())
         assert p > 0.001
 
-
-class TestAliasTable:
-    @given(grid_densities(max_side=8))
-    def test_implied_probabilities_oracle(self, rho):
-        probs = rho.cell_probabilities().reshape(-1)
-        keep, alias = _alias_table(probs)
-        assert np.all(np.abs(implied_probabilities(keep, alias) - probs) <= 1e-15)
-        assert np.all((keep >= 0) & (keep <= 1))
-        zero = probs == 0
-        assert np.all(keep[zero] == 0)
-        assert not np.isin(alias[keep < 1], np.flatnonzero(zero)).any()
-
-    def test_zero_weight_cells_never_drawn(self):
-        w = np.zeros((8, 8))
-        w[::3, 1::2] = np.arange(1, 13).reshape(3, 4)
-        rho = make_grid_density(*unit_rect(), w)
-        xs, ys, _, _ = sample_many(rho, np.random.default_rng(4), 200_000)
-        drawn = np.zeros((8, 8), dtype=bool)
-        drawn[(xs * 8).astype(int), (ys * 8).astype(int)] = True
-        assert np.array_equal(drawn, w > 0)
-
-    def test_built_once_on_first_draw(self, monkeypatch):
-        builds = []
-        monkeypatch.setattr(
-            density, "_alias_table", lambda probs: builds.append(1) or _alias_table(probs)
-        )
-        rho = make_grid_density(*unit_rect(), np.arange(1.0, 17.0).reshape(4, 4))
-        assert not builds
-        rng = np.random.default_rng(0)
-        sample_many(rho, rng, 10)
-        table = rho._alias
-        sample_many(rho, rng, 10)
-        assert rho._alias is table
-        assert len(builds) == 1
-
-    def test_concurrent_first_draw(self):
-        # Without a lock (Python 3.12+) racing threads may each build the
-        # table; every build must be the same, so every draw is the same.
-        w = np.arange(1.0, 1025.0).reshape(32, 32)
-        want = [a.tolist() for a in sample_many(
-            make_grid_density(*unit_rect(), w), np.random.default_rng(8), 1000)]
-        rho = make_grid_density(*unit_rect(), w)
-        n_threads = 4
-        start, got = threading.Barrier(n_threads, timeout=10), [None] * n_threads
-
-        def draw(slot):
-            start.wait()
-            got[slot] = [a.tolist() for a in sample_many(rho, np.random.default_rng(8), 1000)]
-
-        threads = [threading.Thread(target=draw, args=(slot,)) for slot in range(n_threads)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert got == [want] * n_threads
-        keep, alias = rho._alias
-        want_keep, want_alias = _alias_table(rho.cell_probabilities().reshape(-1))
-        assert np.array_equal(keep, want_keep) and np.array_equal(alias, want_alias)
+    @settings(max_examples=40, deadline=None)
+    @given(families(ALIGNED_OR_NOT), st.integers(0, 2**32))
+    def test_exact_vs_monte_carlo_oracle(self, family, seed):
+        # 1e9 trials a run: every correlator and marginal within 6 se of exact
+        report = estimate(run_experiment(ExperimentConfig(family, 10**9, seed)))
+        want = family.summary()
+        for (alpha, beta), pair in zip(PAIRS, report.pairs):
+            for got, exact in (
+                (pair.correlator, want[f"e{alpha}{beta}"]),
+                (pair.mean_a, want["marginals"][f"a{alpha}|{alpha}{beta}"]),
+                (pair.mean_b, want["marginals"][f"b{beta}|{alpha}{beta}"]),
+            ):
+                se = np.sqrt(max(0.0, 1.0 - exact * exact) / pair.trials)
+                assert abs(got - exact) <= 6 * se + 1e-12

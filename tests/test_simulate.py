@@ -27,7 +27,7 @@ def uniform_family():
 
 
 def unaligned_family():
-    """3x5 grids: the thresholds cut columns, whose outcomes need eval_many."""
+    """3x5 grids: the thresholds cut grid columns, so the cells are refined."""
     rng = np.random.default_rng(35)
     return ChshFamily(*[
         make_grid_density(setting_interval(a), setting_interval(b), rng.random((3, 5)) + 0.1)
@@ -35,63 +35,42 @@ def unaligned_family():
     ])
 
 
-def reference_blocks(config, seed, size):
-    """The per-point engine that outcome tables replaced: settings by
-    rng.choice, each outcome by eval_many, every block scattered into trial
-    order.  Yields (sums, settings, x, y, a, b) per block."""
-    rng = np.random.default_rng(seed)
-    pairs = [
-        (config.family.observables(alpha, beta), rho)
-        for (alpha, beta), rho in zip(PAIRS, config.family.densities())
-    ]
-    for start in range(0, size, simulate._BLOCK):
-        n = min(simulate._BLOCK, size - start)
-        settings = rng.choice(4, size=n, p=config.setting_probabilities)
-        xs, ys, avals, bvals = (np.empty(n) for _ in range(4))
-        sums = np.empty((len(PAIRS), 4), dtype=np.int64)
-        for pair_index, ((f, g), rho) in enumerate(pairs):
-            idx = np.flatnonzero(settings == pair_index)
-            x, y = simulate.sample_many(rho, rng, len(idx))[:2]
-            a, da = f.eval_many(x)
-            b, db = g.eval_many(y)
-            bad = np.flatnonzero(~(da & db))
-            while len(bad):
-                rx, ry = simulate.sample_many(rho, rng, len(bad))[:2]
-                x[bad], y[bad] = rx, ry
-                a2, da2 = f.eval_many(rx)
-                b2, db2 = g.eval_many(ry)
-                a[bad], b[bad] = a2, b2
-                bad = bad[~(da2 & db2)]
-            sums[pair_index] = len(idx), (a * b).sum(), a.sum(), b.sum()
-            xs[idx], ys[idx] = x, y
-            avals[idx], bvals[idx] = a, b
-        yield sums, settings, xs, ys, avals, bvals
+def per_point(family, log: str) -> ExperimentSummary:
+    """The summary a log's rows reduce to, with every logged outcome checked
+    against the pair's observables evaluated one point at a time."""
+    rows = np.loadtxt(log.splitlines()[1:], delimiter=",", ndmin=2)
+    trial, alpha, beta, x, y, a, b = rows.T
+    assert np.array_equal(trial, np.arange(len(rows)))
+    counts = []
+    for p_alpha, p_beta in PAIRS:
+        sel = (alpha == p_alpha) & (beta == p_beta)
+        f, g = family.observables(p_alpha, p_beta)
+        (fa, f_ok), (gb, g_ok) = f.eval_many(x[sel]), g.eval_many(y[sel])
+        assert f_ok.all() and g_ok.all()  # no point on a breakpoint
+        assert np.array_equal(fa, a[sel]) and np.array_equal(gb, b[sel])
+        counts.append(PairCounts(*(int(v) for v in (
+            sel.sum(), (fa * gb).sum(), fa.sum(), gb.sum()))))
+    return ExperimentSummary(len(rows), tuple(counts))
 
 
-def reference_run(config):
-    """(summary, event log text) of config by reference_blocks."""
-    seeds = np.random.SeedSequence(config.master_seed).spawn(config.n_workers)
-    rows, totals = ["trial,alpha,beta,x,y,a,b\n"], 0
-    for seed, size in zip(seeds, simulate._chunk_sizes(config.n_trials, config.n_workers)):
-        for sums, settings, *columns in reference_blocks(config, seed, size):
-            totals = totals + sums
-            for s, x, y, a, b in zip(settings.tolist(), *(c.tolist() for c in columns)):
-                rows.append("%d,%d,%d,%.17g,%.17g,%+d,%+d\n" % (len(rows) - 1, *PAIRS[s], x, y, a, b))
-    counts = tuple(PairCounts(*row) for row in totals.tolist())
-    return ExperimentSummary(config.n_trials, counts), "".join(rows)
+class Snapping(np.random.Generator):
+    """A generator whose uniforms land on 0 or just below 1 two times in
+    three, so the points placed with them fall on a cell's lower edge or
+    round onto its upper one.  Every other draw is default_rng's."""
+
+    snapped = 0
+
+    def random(self, size=None):
+        u = super().random(size)
+        low, high = u < 1 / 3, u > 2 / 3
+        Snapping.snapped += int(low.sum() + high.sum())
+        return np.where(low, 0.0, np.where(high, np.nextafter(1.0, 0.0), u))
 
 
-def snapping(sample):
-    """sample_many with about a third of the x draws moved onto their
-    column's lower edge and a third of the y draws onto their row's upper
-    edge: breakpoints, domain ends and plain grid lines."""
-    def draw(rho, rng, n):
-        xs, ys, ix, iy = sample(rho, rng, n)
-        snap_x, snap_y = (ys * 1024) % 1 < 0.3, (xs * 1024) % 1 < 0.3
-        xs = np.where(snap_x, rho.x_edges()[ix], xs)
-        ys = np.where(snap_y, rho.y_edges()[iy + 1], ys)
-        return xs, ys, ix, iy
-    return draw
+def logged(config):
+    """(summary, log text) of a logged run."""
+    sink = io.StringIO()
+    return run_experiment(config, event_log=sink), sink.getvalue()
 
 
 class TestConfig:
@@ -142,6 +121,15 @@ class TestConfig:
         config = ExperimentConfig(family=uniform_family(), n_trials=100, master_seed=1,
                                   setting_probabilities=p)
         assert run_experiment(config).counts[1].trials == 0
+
+    def test_trial_cap_is_int64_max(self):
+        # checked without running: such a run would not finish
+        family = uniform_family()
+        config = ExperimentConfig(family=family, n_trials=2**63 - 1, master_seed=1)
+        assert config.n_trials == simulate.MAX_TRIALS
+        for n_trials in (2**63, 2**64 + 1):
+            with pytest.raises(ConfigInvalid):
+                ExperimentConfig(family=family, n_trials=n_trials, master_seed=1)
 
     def test_numpy_integers_accepted(self):
         config = ExperimentConfig(family=uniform_family(), n_trials=np.int64(10),
@@ -213,28 +201,47 @@ class TestRunExperiment:
         assert rows(0)[1000:] != rows(1)[:1000]
 
     def test_memory_bounded_by_block(self):
-        config = ExperimentConfig(family=saturating_family(), n_trials=1_000_000,
-                                  master_seed=4)
+        # a logged run holds one block's rows at a time, not the whole log
+        class Discard:
+            def write(self, text):
+                return len(text)
+
+        config = ExperimentConfig(family=optimize_family((0.5,) * 4, (32, 32))[0],
+                                  n_trials=2 * simulate._BLOCK + 1, master_seed=4)
         tracemalloc.start()
         try:
-            run_experiment(config)
+            run_experiment(config, event_log=Discard())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 32 * 2**20
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_bounded_without_log(self):
+        # counts, not trials: 1e9 trials in two chunks take kilobytes
+        config = ExperimentConfig(family=optimize_family((0.5,) * 4, (32, 32))[0],
+                                  n_trials=10**9, master_seed=4)
+        tracemalloc.start()
+        try:
+            summary = run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(c.trials for c in summary.counts) == 10**9
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_logged_and_unlogged_summaries_agree(self, workers):
-        config = ExperimentConfig(family=uniform_family(), n_trials=2 * simulate._BLOCK + 3,
-                                  master_seed=8, n_workers=workers)
-        assert run_experiment(config, event_log=io.StringIO()) == run_experiment(config)
+        # every worker logs more than one block
+        config = ExperimentConfig(family=optimize_family((0.5,) * 4, (8, 8))[0],
+                                  n_trials=3 * simulate._BLOCK + 5, master_seed=8,
+                                  n_workers=workers)
+        assert logged(config)[0] == run_experiment(config)
 
     def test_event_log_matches_summary_and_draws(self):
         config = ExperimentConfig(family=uniform_family(), n_trials=simulate._BLOCK + 9,
                                   master_seed=6)
-        sink = io.StringIO()
-        summary = run_experiment(config, event_log=sink)
-        rows = [line.split(",") for line in sink.getvalue().splitlines()[1:]]
+        summary, log = logged(config)
+        rows = [line.split(",") for line in log.splitlines()[1:]]
         sums = {pair: [0, 0, 0, 0] for pair in PAIRS}
         for _, alpha, beta, _, _, a, b in rows:
             acc = sums[int(alpha), int(beta)]
@@ -242,17 +249,12 @@ class TestRunExperiment:
                 acc[k] += v
         assert [PairCounts(*sums[pair]) for pair in PAIRS] == list(summary.counts)
 
-        seed = np.random.SeedSequence(config.master_seed).spawn(1)[0]
-        xs, ys = [], []
-        for _, settings, draws in simulate._blocks(config, seed, config.n_trials):
-            # trial positions grouped by pair, each pair's in trial (= draw) order
-            order = np.argsort(settings, kind="stable")
-            for out, column in ((xs, 0), (ys, 1)):
-                block = np.empty(len(settings))
-                block[order] = np.concatenate([draw[column] for draw in draws])
-                out += block.tolist()
-        assert [float(row[3]) for row in rows] == xs
-        assert [float(row[4]) for row in rows] == ys
+        # the rows come in shuffled order, as i.i.d. trials would: a row's
+        # pair equals the previous row's with probability 1/4
+        pairs = [(alpha, beta) for _, alpha, beta, *_ in rows]
+        repeats = sum(p == q for p, q in zip(pairs, pairs[1:]))
+        n = len(pairs) - 1
+        assert abs(repeats / n - 0.25) < 6 * np.sqrt(0.25 * 0.75 / n)
 
     def test_locality(self):
         # Alice's outcome depends on (alpha, x) only: changing Bob's setting
@@ -289,35 +291,26 @@ class TestOutcomeTables:
     @pytest.mark.parametrize("p", [(0.1, 0.2, 0.3, 0.4), (0.5, 0.5, 0.0, 0.0)])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_matches_per_point_engine(self, monkeypatch, family, p, workers):
-        monkeypatch.setattr(simulate, "_BLOCK", 1000)  # several blocks and a partial one
+        # several chunks per worker and several blocks per chunk, partial ones too
+        monkeypatch.setattr(simulate, "_CHUNK", 1500)
+        monkeypatch.setattr(simulate, "_BLOCK", 400)
         config = ExperimentConfig(family=self.FAMILIES[family](), n_trials=4321,
                                   master_seed=12, setting_probabilities=p, n_workers=workers)
-        want_summary, want_log = reference_run(config)
-        assert run_experiment(config) == want_summary
-        sink = io.StringIO()
-        assert run_experiment(config, event_log=sink) == want_summary
-        assert sink.getvalue() == want_log
+        summary, log = logged(config)
+        assert summary == run_experiment(config) == per_point(config.family, log)
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_points_on_edges_match_per_point_engine(self, monkeypatch, family):
-        # edge points take the eval_many path; breakpoints among them are redrawn
-        monkeypatch.setattr(simulate, "sample_many", snapping(simulate.sample_many))
+        # points that fall on a cell edge, breakpoints among them, are redrawn
+        # in their cell, so each logged outcome is the observable's there
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: Snapping(np.random.PCG64(seed)))
+        Snapping.snapped = 0
         config = ExperimentConfig(family=self.FAMILIES[family](), n_trials=3000,
                                   master_seed=13, n_workers=2)
-        want_summary, want_log = reference_run(config)
-        sink = io.StringIO()
-        assert run_experiment(config, event_log=sink) == want_summary
-        assert sink.getvalue() == want_log
-        assert run_experiment(config) == want_summary
-
-    def test_point_on_breakpoint_edge_is_undefined(self):
-        rv, edges = make_observable(0.0), np.arange(5) / 4
-        table = rv.column_values(edges)
-        xs = np.array([0.25, 0.25, 0.75, 0.0, 1.0, 0.5, 0.5, 0.6, 0.1])
-        cols = np.array([0, 1, 2, 0, 3, 1, 2, 2, 0])
-        got = simulate._outcomes(rv, table, edges, xs, cols)
-        assert np.isnan(got[:5]).all()
-        assert got[5:].tolist() == [1.0, 1.0, 1.0, -1.0]
+        summary, log = logged(config)
+        assert Snapping.snapped > 3000
+        assert summary == run_experiment(config) == per_point(config.family, log)
 
 
 class TestEstimate:
