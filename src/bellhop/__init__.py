@@ -20,7 +20,7 @@ from .chsh import (
     saturating_family,
 )
 from .simulate import ExperimentConfig, ExperimentSummary, estimate, run_experiment
-from .deriv import analyze, default_env, format_expr, format_report, parse
+from .deriv import analyze, format_expr, format_report, parse
 
 __all__ = [
     "DomainSet",
@@ -47,7 +47,6 @@ __all__ = [
     "estimate",
     "run_experiment",
     "analyze",
-    "default_env",
     "format_expr",
     "format_report",
     "parse",

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -86,7 +85,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--trials", type=_at_most(simulate.MAX_TRIALS, "2**63 - 1, the int64 limit"),
                     required=True)
     sp.add_argument("--seed", type=_non_negative_int, required=True)
-    sp.add_argument("--workers", type=_at_most(os.cpu_count() or 1, "the CPU count"), default=1)
+    sp.add_argument("--workers", type=_at_most(simulate.MAX_WORKERS, "0.1 s of per-worker set-up"),
+                    default=1)
     sp.add_argument("--log", default=None, help="per-trial CSV event log")
 
     sp = sub.add_parser("check-classical", help="randomized |S| <= 2 oracle suite")
@@ -147,7 +147,7 @@ def _cmd_simulate(args) -> int:
         master_seed=args.seed,
         n_workers=args.workers,
     )
-    if args.log:
+    if args.log is not None:
         with open(args.log, "w") as fh:
             summary = simulate.run_experiment(config, event_log=fh)
     else:
@@ -253,8 +253,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "out", None) == "":  # a runtime error, like any unwritable path
-            raise ValueError("--out is empty: it names no file or directory")
+        for flag in ("out", "log"):
+            if getattr(args, flag, None) == "":  # a runtime error, like any unwritable path
+                raise ValueError(f"--{flag} is empty: it names no file or directory")
         return _COMMANDS[args.command](args)
     except ExprSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from .errors import ExprSyntaxError, UnknownSymbol
 from .intervals import DomainSet
@@ -51,15 +51,7 @@ class Prod:
 
 Expr = Union[Symbol, Neg, Sum, Diff, Prod]
 
-# env: symbol name -> (axis label, index -> DomainSet)
-Env = Mapping[str, Tuple[str, Callable[[float], DomainSet]]]
-
-
-def default_env() -> Dict[str, Tuple[str, Callable[[float], DomainSet]]]:
-    def span(i: float) -> DomainSet:
-        return DomainSet.of([setting_interval(i)])
-
-    return {"a": ("x", span), "b": ("y", span)}
+_AXES = {"a": "x", "b": "y"}  # symbol name -> its axis; a[i] spans setting_interval(i)
 
 
 _TOKEN_RE = re.compile(
@@ -222,22 +214,21 @@ class DomainReport:
     culprit: Optional[Culprit]
 
 
-def _analyze(e: Expr, env: Env):
+def _analyze(e: Expr):
     if isinstance(e, Symbol):
-        if e.name not in env:
+        if e.name not in _AXES:
             raise UnknownSymbol(f"symbol {e.name!r} not declared")
-        axis, rule = env[e.name]
-        return {axis: rule(e.index)}, None
+        return {_AXES[e.name]: DomainSet.of([setting_interval(e.index)])}, None
     if isinstance(e, Neg):
-        return _analyze(e.child, env)
-    la, lc = _analyze(e.left, env)
-    ra, rc = _analyze(e.right, env)
+        return _analyze(e.child)
+    la, lc = _analyze(e.left)
+    ra, rc = _analyze(e.right)
     culprit = lc or rc
     merged = dict(la)
     for axis in sorted(ra):
         if axis in merged:
             inter = merged[axis].intersect(ra[axis])
-            if inter.is_empty() and culprit is None and not merged[axis].is_empty() and not ra[axis].is_empty():
+            if inter.is_empty() and culprit is None:
                 culprit = Culprit(e, axis, merged[axis], ra[axis])
             merged[axis] = inter
         else:
@@ -245,9 +236,9 @@ def _analyze(e: Expr, env: Env):
     return merged, culprit
 
 
-def analyze(e: Expr, env: Optional[Env] = None) -> DomainReport:
+def analyze(e: Expr) -> DomainReport:
     """Bottom-up domain inference; empty verdict pins the responsible node."""
-    axes, culprit = _analyze(e, env if env is not None else default_env())
+    axes, culprit = _analyze(e)
     empty = any(d.is_empty() for d in axes.values())
     return DomainReport("empty" if empty else "exists", axes, culprit)
 
@@ -263,11 +254,8 @@ def format_report(r: DomainReport) -> str:
     if r.verdict == "exists":
         body = " × ".join(f"{axis}:{r.axes[axis]!r}" for axis in sorted(r.axes))
         return f"EXISTS on {body}"
-    if r.culprit is not None:
-        c = r.culprit
-        return (
-            f"EMPTY at '{_culprit_text(c.node)}': axis {c.axis}: "
-            f"{c.left_domain!r} ∩ {c.right_domain!r} = ∅"
-        )
-    axis = next(a for a, d in sorted(r.axes.items()) if d.is_empty())
-    return f"EMPTY on axis {axis}"
+    c = r.culprit
+    return (
+        f"EMPTY at '{_culprit_text(c.node)}': axis {c.axis}: "
+        f"{c.left_domain!r} ∩ {c.right_domain!r} = ∅"
+    )

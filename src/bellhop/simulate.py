@@ -7,20 +7,26 @@ detection loophole by construction.
 A summary needs only each pair's trials, Σab, Σa and Σb, so the engine draws
 counts, not trials.  A pair's cells are its density's grid refined by both
 observables' breakpoints (GridDensity.refine), so both outcomes are constant
-on each cell (PartialRV.column_values).  The pairs get Multinomial(n,
-setting probabilities) trials, each pair's cells Multinomial counts of those,
-and the sums are the cell counts contracted with the outcome tables, exactly,
-in int64, _CHUNK trials at a time.  Worker i draws its contiguous share of
-the trials from child i of SeedSequence(master_seed).spawn(n_workers), so
-substreams are independent across workers and seeds and a summary is
-bit-identical for a fixed (seed, workers).  Workers run one after another.
+on each cell (PartialRV.column_values).  Each worker draws once: the pairs
+get Multinomial(size, setting probabilities) trials, each pair's cells
+Multinomial counts of those, and the sums are the cell counts contracted
+with the outcome tables, exactly, in int64, so even MAX_TRIALS trials take
+about a millisecond.  (numpy's binomial keeps every low bit of a count up
+to about 2**54 trials per pair; above that counts share their low bits, an
+error of about 2**-21 standard deviations.)  Worker i draws its contiguous
+share of the trials from child i of SeedSequence(master_seed).spawn(
+n_workers), so substreams are independent across workers and seeds and a
+summary is bit-identical for a fixed (seed, workers).  Workers run one
+after another.
 
-The event log continues each worker's generator after all of its counts, so
-a summary is the same with and without it.  Each block of _BLOCK rows takes
-its (pair, cell) composition from its chunk's remaining counts (multivariate
-hypergeometric), shuffles it and places a uniform point strictly inside each
-cell: exactly the law of i.i.d. trials.  Memory is bounded by the block size
-and the cell count, not by n_trials.
+The event log continues each worker's generator after its counts, so a
+summary is the same with and without it.  Each block of _BLOCK rows takes
+its (pair, cell) composition from the worker's remaining counts
+(multivariate hypergeometric), shuffles it and places a uniform point
+strictly inside each cell: exactly the law of i.i.d. trials.  Those draws
+need a total below _LOG_LIMIT = 1e9, so a logged worker takes fewer trials
+than that, and more workers split a larger run.  Memory is bounded by the
+block size and the cell count, not by n_trials.
 """
 
 from __future__ import annotations
@@ -37,9 +43,9 @@ from .density import ROUND_OFF, _is_int, _is_real
 from .errors import ConfigInvalid, InsufficientTrials
 
 _BLOCK = 1 << 16  # event-log rows drawn and written at a time
-# Trials counted at a time: the log's hypergeometric draws need totals below 1e9.
-_CHUNK = 1 << 29
+_LOG_LIMIT = 10**9  # logged trials per worker: the hypergeometric draws' total
 MAX_TRIALS = 2**63 - 1  # counts and sums are int64
+MAX_WORKERS = 1024  # about 0.1 s of per-worker set-up
 
 
 @dataclass(frozen=True)
@@ -53,8 +59,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not _is_int(self.n_trials) or not 0 < self.n_trials <= MAX_TRIALS:
             raise ConfigInvalid("n_trials must be a positive integer of at most 2**63 - 1")
-        if not _is_int(self.n_workers) or self.n_workers <= 0:
-            raise ConfigInvalid("n_workers must be a positive integer")
+        if not _is_int(self.n_workers) or not 0 < self.n_workers <= MAX_WORKERS:
+            raise ConfigInvalid(f"n_workers must be a positive integer of at most {MAX_WORKERS}")
         if not _is_int(self.master_seed) or self.master_seed < 0:
             raise ConfigInvalid("master_seed must be a non-negative integer")
         p = self.setting_probabilities
@@ -119,14 +125,13 @@ def _cells(family: ChshFamily) -> List[_Cells]:
     return out
 
 
-def _counts(rng: np.random.Generator, cells, p: np.ndarray, size: int):
-    """size trials' per-pair cell counts, one list per chunk of at most _CHUNK."""
-    for start in range(0, size, _CHUNK):
-        settings = rng.multinomial(min(_CHUNK, size - start), p).tolist()
-        yield [
-            rng.multinomial(n, c.probs.reshape(-1)).reshape(c.probs.shape)
-            for n, c in zip(settings, cells)
-        ]
+def _counts(rng: np.random.Generator, cells, p: np.ndarray, size: int) -> List[np.ndarray]:
+    """size trials' cell counts, one array per pair."""
+    settings = rng.multinomial(size, p).tolist()
+    return [
+        rng.multinomial(n, c.probs.reshape(-1)).reshape(c.probs.shape)
+        for n, c in zip(settings, cells)
+    ]
 
 
 def _sums(cells, counts) -> np.ndarray:
@@ -158,7 +163,7 @@ def _log_table(cells) -> _LogTable:
 
 
 def sample_many(table: _LogTable, rng: np.random.Generator, n: int, left: np.ndarray):
-    """One event-log block of n trials, taken from a chunk's left counts per
+    """One event-log block of n trials, taken from a worker's left counts per
     table row (reduced in place): each trial's table row and (x, y), in trial
     order.  The composition is multivariate hypergeometric, the order a
     uniform permutation and each point uniform strictly inside its cell; a
@@ -189,10 +194,13 @@ def run_experiment(
     config: ExperimentConfig, event_log: Optional[TextIO] = None
 ) -> ExperimentSummary:
     """Run all trials; optionally stream a per-trial CSV audit log."""
+    base, extra = divmod(config.n_trials, config.n_workers)
+    if event_log is not None and base + (extra > 0) >= _LOG_LIMIT:
+        raise ConfigInvalid("an event log needs fewer than 1e9 trials per worker: "
+                            "use more workers")
     cells = _cells(config.family)
     p = np.divide(config.setting_probabilities, math.fsum(config.setting_probabilities))
     seeds = np.random.SeedSequence(config.master_seed).spawn(config.n_workers)
-    base, extra = divmod(config.n_trials, config.n_workers)
     if event_log is not None:
         table = _log_table(cells)
         event_log.write("trial,alpha,beta,x,y,a,b\n")
@@ -200,20 +208,16 @@ def run_experiment(
     for worker, seed in enumerate(seeds):
         size = base + (worker < extra)
         rng = np.random.default_rng(seed)
-        for counts in _counts(rng, cells, p, size):
-            totals += _sums(cells, counts)
+        counts = _counts(rng, cells, p, size)
+        totals += _sums(cells, counts)
         if event_log is None:
             continue
-        # The log goes on with rng; a second generator on the same seed
-        # replays the counts chunk by chunk.
-        for counts in _counts(np.random.default_rng(seed), cells, p, size):
-            left = np.concatenate([k.reshape(-1) for k in counts])
-            chunk = int(left.sum())
-            for start in range(0, chunk, _BLOCK):
-                n = min(_BLOCK, chunk - start)
-                rows, points = sample_many(table, rng, n, left)
-                event_log.write(_format_block(table, trial, rows, points))
-                trial += n
+        left = np.concatenate([k.reshape(-1) for k in counts])
+        for start in range(0, size, _BLOCK):
+            n = min(_BLOCK, size - start)
+            rows, points = sample_many(table, rng, n, left)
+            event_log.write(_format_block(table, trial, rows, points))
+            trial += n
     return ExperimentSummary(
         config.n_trials, tuple(PairCounts(*row) for row in totals.tolist())
     )

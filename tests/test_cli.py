@@ -132,14 +132,15 @@ class TestUsage:
         assert exc_info.value.code == 1
         assert "error: argument --" in capsys.readouterr().err
 
-    def test_workers_above_cpu_count_exit_1(self, capsys):
-        # rejected by the parser, before any family is read
-        workers = str((os.cpu_count() or 1) + 1)
+    def test_workers_above_cap_exit_1(self, capsys):
+        # rejected by the parser, before any family is read, on every machine
+        parse = _build_parser().parse_args
+        argv = ["simulate", "--family", "f.json", "--seed", "1", "--trials", "9", "--workers"]
+        assert parse([*argv, str(simulate.MAX_WORKERS)]).workers == 1024
         with pytest.raises(SystemExit) as exc_info:
-            main(["simulate", "--family", "f.json", "--seed", "1", "--trials", "9",
-                  "--workers", workers])
+            main([*argv, str(simulate.MAX_WORKERS + 1)])
         assert exc_info.value.code == 1
-        assert "CPU count" in capsys.readouterr().err
+        assert "at most 1024" in capsys.readouterr().err
 
     def test_trial_cap_is_int64_max(self):
         parse = _build_parser().parse_args
@@ -154,6 +155,25 @@ class TestUsage:
         assert out == ""
         assert err == "error: --out is empty: it names no file or directory\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_empty_log_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "saturate", "--out", "f.json")
+        code, out, err = run(capsys, "simulate", "--family", "f.json", "--trials", "100",
+                             "--seed", "1", "--log", "")
+        assert (code, out) == (2, "")
+        assert err == "error: --log is empty: it names no file or directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+
+    def test_log_limit_exit_2(self, capsys, tmp_path):
+        # a logged worker takes fewer than 1e9 trials: refused before any row
+        path, log = tmp_path / "f.json", tmp_path / "events.csv"
+        run(capsys, "saturate", "--out", str(path))
+        code, out, err = run(capsys, "simulate", "--family", str(path), "--trials",
+                             str(10**9), "--seed", "1", "--log", str(log))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: an event log needs fewer than 1e9 trials per worker")
+        assert log.read_text() == ""
 
     def test_out_of_memory_exit_2(self, capsys, monkeypatch):
         def exhausted(*args):
@@ -231,10 +251,9 @@ class TestFamilyPipeline:
         path = tmp_path / "sat.json"
         run(capsys, "saturate", "--out", str(path))
         log = tmp_path / "events.csv"
-        workers = str(min(2, os.cpu_count() or 1))  # the CLI caps --workers at the CPU count
         code, out, _ = run(
             capsys, "simulate", "--family", str(path), "--trials", "2000",
-            "--seed", "7", "--workers", workers, "--log", str(log),
+            "--seed", "7", "--workers", "2", "--log", str(log),
         )
         assert code == 0
         assert "S = 4.000000" in out

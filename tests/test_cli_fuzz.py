@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 from bellhop.chsh import saturating_family
 from bellhop.cli import MAX_GRID, main
-from bellhop.simulate import MAX_TRIALS
+from bellhop.simulate import MAX_TRIALS, MAX_WORKERS
 
 # Paths are relative to the working directory, tmp_path.  Inputs come from
 # the pool below; outputs never name a pool file, so no run changes another's.
@@ -111,7 +111,8 @@ argvs = st.one_of(
     command("simulate", flag("family", families),
             flag("trials", st.one_of(ints(-3, 2000), past(MAX_TRIALS))),
             flag("seed", ints(-3, 2**80)),
-            flag("workers", mostly(st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1", "x"]))),
+            flag("workers", mostly(st.sampled_from(["1", "2"]),
+                                   st.one_of(st.sampled_from(["0", "-1", "x"]), past(MAX_WORKERS)))),
             flag("log", outputs("events.csv", "dir", "nodir/events.csv"))),
     command("check-classical", flag("trials", ints(-3, 20)), flag("seed", ints(-3, 2**31))),
     command("figures",

@@ -169,7 +169,7 @@ def pair_counts(family, n, seed, pair=0):
     """One pair's cell counts, as the Monte-Carlo engine draws them for n
     trials of family, and the pair's refined cells."""
     cells = simulate._cells(family)
-    (counts,) = simulate._counts(np.random.default_rng(seed), cells, np.full(4, 0.25), n)
+    counts = simulate._counts(np.random.default_rng(seed), cells, np.full(4, 0.25), n)
     return counts[pair], cells[pair]
 
 

@@ -9,7 +9,6 @@ from bellhop.deriv import (
     Sum,
     Symbol,
     analyze,
-    default_env,
     format_expr,
     format_report,
     parse,
@@ -128,18 +127,6 @@ class TestAnalyze:
 
     def test_neg_transparent(self):
         assert analyze(parse("-a0")).verdict == "exists"
-
-    def test_monotone_in_env(self):
-        # shrinking a symbol's domain never turns empty into exists
-        expressions = ["a0+a[0.5]", "(a0+a1)*b0", "a0*a1", "a0*b0", "a[0.25]+a[0.75]"]
-        wide = default_env()
-        narrow = {
-            "a": ("x", lambda i: DomainSet.of([Interval(i + 0.25, i + 0.75)])),
-            "b": ("y", lambda i: DomainSet.of([Interval(i + 0.25, i + 0.75)])),
-        }
-        for text in expressions:
-            if analyze(parse(text), wide).verdict == "empty":
-                assert analyze(parse(text), narrow).verdict == "empty"
 
 
 class TestFormatReport:

@@ -1,4 +1,5 @@
 import io
+import time
 import tracemalloc
 
 import numpy as np
@@ -123,13 +124,22 @@ class TestConfig:
         assert run_experiment(config).counts[1].trials == 0
 
     def test_trial_cap_is_int64_max(self):
-        # checked without running: such a run would not finish
         family = uniform_family()
         config = ExperimentConfig(family=family, n_trials=2**63 - 1, master_seed=1)
         assert config.n_trials == simulate.MAX_TRIALS
         for n_trials in (2**63, 2**64 + 1):
             with pytest.raises(ConfigInvalid):
                 ExperimentConfig(family=family, n_trials=n_trials, master_seed=1)
+
+    def test_worker_cap(self):
+        # checked without running: each worker costs about 90 µs of set-up
+        family = uniform_family()
+        config = ExperimentConfig(family=family, n_trials=10, master_seed=1,
+                                  n_workers=simulate.MAX_WORKERS)
+        assert config.n_workers == 1024
+        with pytest.raises(ConfigInvalid, match="at most 1024"):
+            ExperimentConfig(family=family, n_trials=10, master_seed=1,
+                             n_workers=simulate.MAX_WORKERS + 1)
 
     def test_numpy_integers_accepted(self):
         config = ExperimentConfig(family=uniform_family(), n_trials=np.int64(10),
@@ -217,7 +227,7 @@ class TestRunExperiment:
         assert peak < 32 * 2**20
 
     def test_memory_bounded_without_log(self):
-        # counts, not trials: 1e9 trials in two chunks take kilobytes
+        # counts, not trials: 1e9 trials in one draw take kilobytes
         config = ExperimentConfig(family=optimize_family((0.5,) * 4, (32, 32))[0],
                                   n_trials=10**9, master_seed=4)
         tracemalloc.start()
@@ -228,6 +238,29 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert sum(c.trials for c in summary.counts) == 10**9
         assert peak < 2**20
+
+    def test_trial_cap_runs_in_one_draw(self):
+        # one count draw per worker, whatever the trial count
+        config = ExperimentConfig(family=saturating_family(), n_trials=simulate.MAX_TRIALS,
+                                  master_seed=1)
+        start = time.perf_counter()
+        summary = run_experiment(config)
+        assert time.perf_counter() - start < 1.0
+        assert sum(c.trials for c in summary.counts) == simulate.MAX_TRIALS
+        assert all(c.sum_ab == c.trials or c.sum_ab == -c.trials for c in summary.counts)
+
+    @pytest.mark.parametrize("n_trials, workers", [
+        (10**9, 1), (2 * 10**9 - 1, 2), (simulate.MAX_TRIALS, simulate.MAX_WORKERS),
+    ])
+    def test_log_limit(self, n_trials, workers):
+        # a logged worker takes fewer than 1e9 trials; checked before the
+        # header is written, so no large log is ever drawn
+        config = ExperimentConfig(family=saturating_family(), n_trials=n_trials,
+                                  master_seed=1, n_workers=workers)
+        sink = io.StringIO()
+        with pytest.raises(ConfigInvalid, match="fewer than 1e9 trials per worker"):
+            run_experiment(config, event_log=sink)
+        assert sink.getvalue() == ""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_logged_and_unlogged_summaries_agree(self, workers):
@@ -291,8 +324,7 @@ class TestOutcomeTables:
     @pytest.mark.parametrize("p", [(0.1, 0.2, 0.3, 0.4), (0.5, 0.5, 0.0, 0.0)])
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_matches_per_point_engine(self, monkeypatch, family, p, workers):
-        # several chunks per worker and several blocks per chunk, partial ones too
-        monkeypatch.setattr(simulate, "_CHUNK", 1500)
+        # several blocks per worker, partial ones too
         monkeypatch.setattr(simulate, "_BLOCK", 400)
         config = ExperimentConfig(family=self.FAMILIES[family](), n_trials=4321,
                                   master_seed=12, setting_probabilities=p, n_workers=workers)
