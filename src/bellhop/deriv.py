@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
+import numpy as np
+
 from .errors import ExprSyntaxError, UnknownSymbol
 from .intervals import DomainSet
 from .observables import setting_interval
@@ -51,6 +53,8 @@ class Prod:
 
 Expr = Union[Symbol, Neg, Sum, Diff, Prod]
 
+_BINARY = {"+": (1, Sum), "-": (1, Diff), "*": (2, Prod)}  # operator -> (precedence, node)
+_OPERATORS = {node: (op, prec) for op, (prec, node) in _BINARY.items()}
 _AXES = {"a": "x", "b": "y"}  # symbol name -> its axis; a[i] spans setting_interval(i)
 
 
@@ -83,7 +87,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -110,19 +113,12 @@ class _Parser:
             self.fail(["'+'", "'-'", "'*'", "end of input"])
         return e
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
-            rhs = self.term()
-            node = Sum(node, rhs) if op == "+" else Diff(node, rhs)
-        return node
-
-    def term(self) -> Expr:
+    def expr(self, prec: int = 1) -> Expr:
+        """Operators of precedence >= prec; right operands bind one tighter."""
         node = self.factor()
-        while self.peek()[1] == "*":
-            self.advance()
-            node = Prod(node, self.factor())
+        while self.peek()[1] in _BINARY and _BINARY[self.peek()[1]][0] >= prec:
+            op_prec, node_type = _BINARY[self.advance()[1]]
+            node = node_type(node, self.expr(op_prec + 1))
         return node
 
     def factor(self) -> Expr:
@@ -178,19 +174,13 @@ def parse(text: str) -> Expr:
 def _format(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, Symbol):
         if e.index >= 0 and e.index == int(e.index) and e.index < 10:
-            text = f"{e.name}{int(e.index)}"
-        else:
-            text = f"{e.name}[{e.index:g}]"
-        return text
+            return f"{e.name}{int(e.index)}"
+        # the shortest positional digits that read back as this float
+        return f"{e.name}[{np.format_float_positional(e.index, trim='-')}]"
     if isinstance(e, Neg):
-        return f"-{_format(e.child, 3)}"
-    if isinstance(e, Prod):
-        text = f"{_format(e.left, 2)} * {_format(e.right, 3)}"
-        prec = 2
-    else:
-        op = "+" if isinstance(e, Sum) else "-"
-        text = f"{_format(e.left, 1)} {op} {_format(e.right, 2)}"
-        prec = 1
+        return f"-{_format(e.child, 3)}"  # 3: tighter than every binary operator
+    op, prec = _OPERATORS[type(e)]
+    text = f"{_format(e.left, prec)} {op} {_format(e.right, prec + 1)}"
     return f"({text})" if prec < parent_prec else text
 
 
@@ -224,30 +214,19 @@ def _analyze(e: Expr):
     la, lc = _analyze(e.left)
     ra, rc = _analyze(e.right)
     culprit = lc or rc
-    merged = dict(la)
-    for axis in sorted(ra):
-        if axis in merged:
-            inter = merged[axis].intersect(ra[axis])
-            if inter.is_empty() and culprit is None:
-                culprit = Culprit(e, axis, merged[axis], ra[axis])
-            merged[axis] = inter
-        else:
-            merged[axis] = ra[axis]
+    merged = {**la, **ra}
+    for axis in sorted(la.keys() & ra.keys()):
+        merged[axis] = la[axis].intersect(ra[axis])
+        if culprit is None and merged[axis].is_empty():
+            culprit = Culprit(e, axis, la[axis], ra[axis])
     return merged, culprit
 
 
 def analyze(e: Expr) -> DomainReport:
-    """Bottom-up domain inference; empty verdict pins the responsible node."""
+    """Bottom-up domain inference; empty verdict pins the responsible node
+    (a symbol's span is never empty, so an empty axis always has a culprit)."""
     axes, culprit = _analyze(e)
-    empty = any(d.is_empty() for d in axes.values())
-    return DomainReport("empty" if empty else "exists", axes, culprit)
-
-
-def _culprit_text(node: Expr) -> str:
-    text = format_expr(node)
-    if isinstance(node, (Sum, Diff)):
-        return f"({text})"
-    return text
+    return DomainReport("exists" if culprit is None else "empty", axes, culprit)
 
 
 def format_report(r: DomainReport) -> str:
@@ -255,7 +234,8 @@ def format_report(r: DomainReport) -> str:
         body = " × ".join(f"{axis}:{r.axes[axis]!r}" for axis in sorted(r.axes))
         return f"EXISTS on {body}"
     c = r.culprit
+    # formatted as a factor, so a sum or difference culprit keeps its parentheses
     return (
-        f"EMPTY at '{_culprit_text(c.node)}': axis {c.axis}: "
+        f"EMPTY at '{_format(c.node, 2)}': axis {c.axis}: "
         f"{c.left_domain!r} ∩ {c.right_domain!r} = ∅"
     )

@@ -74,7 +74,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class PairCounts:
-    """Streaming accumulators for one setting pair."""
+    """One setting pair's trials and its sums of a·b, a and b over them."""
 
     trials: int = 0
     sum_ab: int = 0
@@ -190,14 +190,20 @@ def _format_block(table: _LogTable, first: int, rows, points) -> str:
     return ("%d,%s,%.17g,%.17g,%s\n" * n) % tuple(fields)
 
 
+def _check_log_limit(config: ExperimentConfig) -> None:
+    """ConfigInvalid if a logged run of config gives a worker _LOG_LIMIT trials or more."""
+    if -(-config.n_trials // config.n_workers) >= _LOG_LIMIT:
+        raise ConfigInvalid("an event log needs fewer than 1e9 trials per worker: "
+                            "use more workers")
+
+
 def run_experiment(
     config: ExperimentConfig, event_log: Optional[TextIO] = None
 ) -> ExperimentSummary:
     """Run all trials; optionally stream a per-trial CSV audit log."""
+    if event_log is not None:
+        _check_log_limit(config)
     base, extra = divmod(config.n_trials, config.n_workers)
-    if event_log is not None and base + (extra > 0) >= _LOG_LIMIT:
-        raise ConfigInvalid("an event log needs fewer than 1e9 trials per worker: "
-                            "use more workers")
     cells = _cells(config.family)
     p = np.divide(config.setting_probabilities, math.fsum(config.setting_probabilities))
     seeds = np.random.SeedSequence(config.master_seed).spawn(config.n_workers)

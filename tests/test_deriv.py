@@ -52,13 +52,25 @@ class TestParse:
             Diff(Symbol("a", 0.0), Symbol("a", 1.0)), Symbol("b", 0.0)
         )
 
-    def test_unclosed_paren(self):
-        with pytest.raises(ExprSyntaxError):
-            parse("(a0 + a1")
-
-    def test_bare_name(self):
-        with pytest.raises(ExprSyntaxError):
-            parse("a + b")
+    @pytest.mark.parametrize("text, position, expected", [
+        ("", 0, ("'-'", "'('", "symbol")),
+        ("a0 +", 4, ("'-'", "'('", "symbol")),
+        ("(a0", 3, ("')'",)),
+        ("(a0 + a1", 8, ("')'",)),
+        ("a0 a1", 3, ("'+'", "'-'", "'*'", "end of input")),
+        ("a[0.5", 5, ("']'",)),
+        ("a[x]", 2, ("real index",)),
+        ("a", 1, ("digits", "'['")),
+        ("a + b", 2, ("digits", "'['")),
+        ("a0)", 2, ("'+'", "'-'", "'*'", "end of input")),
+        ("(a0+a1))", 7, ("'+'", "'-'", "'*'", "end of input")),
+    ], ids=["empty", "dangling_plus", "open_paren", "unclosed_paren", "juxtaposed",
+            "open_bracket", "name_index", "lone_name", "bare_name", "stray_close",
+            "extra_close"])
+    def test_error_contract(self, text, position, expected):
+        with pytest.raises(ExprSyntaxError) as exc_info:
+            parse(text)
+        assert (exc_info.value.position, exc_info.value.expected) == (position, expected)
 
     @pytest.mark.parametrize("text, position", [
         ("a[1" + "0" * 400 + "]", 2),
@@ -75,7 +87,8 @@ class TestParse:
 def exprs(draw, depth=0):
     if depth >= 3 or draw(st.booleans()):
         name = draw(st.sampled_from(["a", "b"]))
-        index = draw(st.sampled_from([0.0, 1.0, 0.5, 2.0, 0.25]))
+        index = draw(st.one_of(st.sampled_from([0.0, 1.0, 0.5, 2.0, 0.25]),
+                               st.floats(allow_nan=False, allow_infinity=False)))
         return Symbol(name, index)
     kind = draw(st.sampled_from(["sum", "diff", "prod", "neg"]))
     if kind == "neg":
@@ -92,6 +105,13 @@ class TestFormat:
 
     def test_plain(self):
         assert format_expr(parse("(a0+a1)*b0")) == "(a0 + a1) * b0"
+
+    @pytest.mark.parametrize("index, text", [
+        (0.1234567, "a[0.1234567]"), (1e-05, "a[0.00001]"), (12345678.0, "a[12345678]"),
+        (-0.5, "a[-0.5]"), (10.0, "a[10]"),
+    ])
+    def test_index_is_exact(self, index, text):
+        assert format_expr(Symbol("a", index)) == text
 
 
 class TestAnalyze:
@@ -141,6 +161,17 @@ class TestFormatReport:
     def test_ghz(self):
         text = format_report(analyze(parse("a0*a1")))
         assert "a0 * a1" in text
+
+    @pytest.mark.parametrize("text, culprit", [
+        ("(a0 - a1)*b0", "(a0 - a1)"),  # a sum or difference is parenthesized
+        ("a0*b0 + a1*b0", "(a0 * b0 + a1 * b0)"),
+        ("a0*a1", "a0 * a1"),  # a product is not
+        ("(a0*b0)*(a1*b1)", "a0 * b0 * (a1 * b1)"),  # both axes empty here: x is named
+    ])
+    def test_culprit_text(self, text, culprit):
+        assert format_report(analyze(parse(text))) == (
+            f"EMPTY at '{culprit}': axis x: (0,1) ∩ (1,2) = ∅"
+        )
 
 
 class TestCrossModuleCoherence:
