@@ -33,31 +33,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
-
-
-def _at_most(limit: int, what: str):
-    """An argparse type: a positive integer of at most limit."""
-    def positive_int(text: str) -> int:
-        value = _positive_int(text)
-        if value > limit:
-            raise argparse.ArgumentTypeError(f"at most {limit} ({what}), got {value}")
-        return value
-    return positive_int
-
-
 MAX_GRID = 512  # the largest saturate grid measured: 78 MB of RSS, an 11.5 MB file
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+def _int_flag(low: int, high: int | None = None, why: str = ""):
+    """An argparse type: an integer of at least low (0 or 1) and at most high, if given."""
+    def int_flag(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value < low:
+            kind = "positive" if low else "non-negative"
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"at most {high} ({why}), got {value}")
+        return value
+    return int_flag
 
 
 def _build_parser() -> _Parser:
@@ -67,34 +59,41 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("eval", help="evaluate an observable at a point")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--x", type=float, required=True)
+    sp.set_defaults(run=_cmd_eval)
 
     sp = sub.add_parser("domain", help="existence analysis of an expression")
     sp.add_argument("--expr", required=True)
+    sp.set_defaults(run=_cmd_domain)
 
     sp = sub.add_parser("expect", help="exact correlators of a family file")
     sp.add_argument("--family", required=True)
+    sp.set_defaults(run=_cmd_expect)
 
     sp = sub.add_parser("saturate", help="write a family saturating |S| = 4")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--grid", type=_at_most(MAX_GRID, "the largest grid measured"), default=4,
+    sp.add_argument("--grid", type=_int_flag(1, MAX_GRID, "the largest grid measured"), default=4,
                     help="build the family on an NxN grid, N a multiple of 4 "
                          f"up to {MAX_GRID} (default 4)")
+    sp.set_defaults(run=_cmd_saturate)
 
     sp = sub.add_parser("simulate", help="Monte-Carlo run of a family")
     sp.add_argument("--family", required=True)
-    sp.add_argument("--trials", type=_at_most(simulate.MAX_TRIALS, "2**63 - 1, the int64 limit"),
-                    required=True)
-    sp.add_argument("--seed", type=_non_negative_int, required=True)
-    sp.add_argument("--workers", type=_at_most(simulate.MAX_WORKERS, "0.1 s of per-worker set-up"),
-                    default=1)
+    sp.add_argument("--trials", required=True,
+                    type=_int_flag(1, simulate.MAX_TRIALS, "2**63 - 1, the int64 limit"))
+    sp.add_argument("--seed", type=_int_flag(0), required=True)
+    sp.add_argument("--workers", default=1,
+                    type=_int_flag(1, simulate.MAX_WORKERS, "0.1 s of per-worker set-up"))
     sp.add_argument("--log", default=None, help="per-trial CSV event log")
+    sp.set_defaults(run=_cmd_simulate)
 
     sp = sub.add_parser("check-classical", help="randomized |S| <= 2 oracle suite")
-    sp.add_argument("--trials", type=_positive_int, required=True)
-    sp.add_argument("--seed", type=_non_negative_int, default=0)
+    sp.add_argument("--trials", type=_int_flag(1), required=True)
+    sp.add_argument("--seed", type=_int_flag(0), default=0)
+    sp.set_defaults(run=_cmd_check_classical)
 
     sp = sub.add_parser("figures", help="write figure data CSVs")
     sp.add_argument("--out", required=True)
+    sp.set_defaults(run=_cmd_figures)
 
     return p
 
@@ -215,40 +214,23 @@ def write_figures(out_dir: str) -> None:
                 curve = math.nan
             fh.write(f"{label},{a},{curve:.17g}\n")
 
-    with open(out / "fig2.csv", "w") as fh:
-        fh.write("alpha,x,value\n")
+    with open(out / "fig2.csv", "w") as fig2, open(out / "fig3.csv", "w") as fig3:
+        fig2.write("alpha,x,value\n")
+        fig3.write("alpha,x,sumvalue\n")
         for i in range(101):
             alpha = i / 100
-            values = _column(make_observable(alpha), alpha + steps)
-            fh.write(block(f"{alpha:.2f}", x_labels[10 * i : 10 * i + 1001], values))
-
-    with open(out / "fig3.csv", "w") as fh:
-        fh.write("alpha,x,sumvalue\n")
-        for i in range(101):
-            alpha = i / 100
+            label, rv = f"{alpha:.2f}", make_observable(alpha)
+            fig2.write(block(label, x_labels[10 * i : 10 * i + 1001], _column(rv, alpha + steps)))
             try:
-                total = combine(a0, make_observable(alpha), "sum")
-            except EmptyDomain:
+                values = _column(combine(a0, rv, "sum"), steps)
+            except EmptyDomain:  # a0 + rv exists nowhere
                 values = ["nan"] * len(steps)
-            else:
-                values = _column(total, steps)
-            fh.write(block(f"{alpha:.2f}", x_labels, values))
+            fig3.write(block(label, x_labels, values))
 
 
 def _cmd_figures(args) -> int:
     write_figures(args.out)
     return EXIT_OK
-
-
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "domain": _cmd_domain,
-    "expect": _cmd_expect,
-    "saturate": _cmd_saturate,
-    "simulate": _cmd_simulate,
-    "check-classical": _cmd_check_classical,
-    "figures": _cmd_figures,
-}
 
 
 def main(argv=None) -> int:
@@ -257,7 +239,7 @@ def main(argv=None) -> int:
         for flag in ("out", "log"):
             if getattr(args, flag, None) == "":  # a runtime error, like any unwritable path
                 raise ValueError(f"--{flag} is empty: it names no file or directory")
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ExprSyntaxError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -76,10 +76,10 @@ class ExperimentConfig:
 class PairCounts:
     """One setting pair's trials and its sums of a·b, a and b over them."""
 
-    trials: int = 0
-    sum_ab: int = 0
-    sum_a: int = 0
-    sum_b: int = 0
+    trials: int
+    sum_ab: int
+    sum_a: int
+    sum_b: int
 
 
 @dataclass(frozen=True)
@@ -147,19 +147,18 @@ class _LogTable(NamedTuple):
 
     lo: np.ndarray  # (rows, 2): the cell's lower (x, y) corner
     hi: np.ndarray  # (rows, 2): its upper corner
-    settings: np.ndarray  # "alpha,beta" text, as objects
-    outcomes: np.ndarray  # "%+d,%+d" text of (a, b), as objects
+    templates: list  # the row's CSV line, its trial and (x, y) left as %d,%.17g,%.17g
 
 
 def _log_table(cells) -> _LogTable:
-    signs = np.array(["-1,-1", "-1,+1", "+1,-1", "+1,+1"], dtype=object)
-    per_pair = []
+    lo, hi, templates = [], [], []
     for (alpha, beta), c in zip(PAIRS, cells):
         corners = np.stack(np.meshgrid(c.x_edges, c.y_edges, indexing="ij"), axis=-1)
-        outcomes = signs[2 * (c.a[:, None] > 0) + (c.b > 0)].reshape(-1)
-        per_pair.append((corners[:-1, :-1].reshape(-1, 2), corners[1:, 1:].reshape(-1, 2),
-                         np.full(len(outcomes), f"{alpha},{beta}", dtype=object), outcomes))
-    return _LogTable(*map(np.concatenate, zip(*per_pair)))
+        lo.append(corners[:-1, :-1].reshape(-1, 2))
+        hi.append(corners[1:, 1:].reshape(-1, 2))
+        templates += [f"%d,{alpha},{beta},%.17g,%.17g,{a:+d},{b:+d}\n"
+                      for a in c.a.tolist() for b in c.b.tolist()]
+    return _LogTable(np.concatenate(lo), np.concatenate(hi), templates)
 
 
 def sample_many(table: _LogTable, rng: np.random.Generator, n: int, left: np.ndarray):
@@ -182,12 +181,10 @@ def sample_many(table: _LogTable, rng: np.random.Generator, n: int, left: np.nda
 def _format_block(table: _LogTable, first: int, rows, points) -> str:
     """The block's CSV rows, numbered from first, as one string."""
     n = len(rows)
-    fields = [None] * (5 * n)
-    fields[0::5] = range(first, first + n)
-    fields[1::5] = table.settings[rows].tolist()
-    fields[2::5], fields[3::5] = points.T.tolist()
-    fields[4::5] = table.outcomes[rows].tolist()
-    return ("%d,%s,%.17g,%.17g,%s\n" * n) % tuple(fields)
+    fields = [None] * (3 * n)
+    fields[0::3] = range(first, first + n)
+    fields[1::3], fields[2::3] = points.T.tolist()
+    return "".join([table.templates[r] for r in rows.tolist()]) % tuple(fields)
 
 
 def _check_log_limit(config: ExperimentConfig) -> None:

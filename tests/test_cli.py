@@ -22,6 +22,43 @@ FIGURE_SHA256 = {
 }
 
 
+# (argv, the last stderr line after "error: argument "); the test ids are
+# argv0, argv1, ... in list order, so a new case goes at the end
+BAD_INT_FLAGS = [
+    (["simulate", "--family", "f.json", "--seed", "1", "--trials", "0"],
+     "--trials: must be a positive integer, got 0"),
+    (["simulate", "--family", "f.json", "--seed", "1", "--trials", "9",
+      "--workers", "0"],
+     "--workers: must be a positive integer, got 0"),
+    (["check-classical", "--trials", "-5"],
+     "--trials: must be a positive integer, got -5"),
+    (["check-classical", "--trials", "many"],
+     "--trials: must be an integer, got 'many'"),
+    (["saturate", "--out", "f.json", "--grid", "0"],
+     "--grid: must be a positive integer, got 0"),
+    (["saturate", "--out", "f.json", "--grid", "-4"],
+     "--grid: must be a positive integer, got -4"),
+    (["simulate", "--family", "f.json", "--seed", "-3", "--trials", "9"],
+     "--seed: must be a non-negative integer, got -3"),
+    (["check-classical", "--trials", "1", "--seed", "-1"],
+     "--seed: must be a non-negative integer, got -1"),
+    # just past the int64 trial cap, the largest grid and the worker cap; nothing runs
+    (["simulate", "--family", "f.json", "--seed", "1", "--trials", str(2**63)],
+     "--trials: at most 9223372036854775807 (2**63 - 1, the int64 limit), "
+     "got 9223372036854775808"),
+    (["saturate", "--out", "f.json", "--grid", str(MAX_GRID + 1)],
+     "--grid: at most 512 (the largest grid measured), got 513"),
+    (["simulate", "--family", "f.json", "--seed", "1", "--trials", "9",
+      "--workers", "1025"],
+     "--workers: at most 1024 (0.1 s of per-worker set-up), got 1025"),
+    # text that is no integer gets one message on every flag
+    (["saturate", "--out", "f.json", "--grid", "4.0"],
+     "--grid: must be an integer, got '4.0'"),
+    (["simulate", "--family", "f.json", "--seed", "x", "--trials", "9"],
+     "--seed: must be an integer, got 'x'"),
+]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -109,28 +146,24 @@ class TestUsage:
             main(["eval", "--nope", "1"])
         assert exc_info.value.code == 1
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["simulate", "--family", "f.json", "--seed", "1", "--trials", "0"],
-            ["simulate", "--family", "f.json", "--seed", "1", "--trials", "9",
-             "--workers", "0"],
-            ["check-classical", "--trials", "-5"],
-            ["check-classical", "--trials", "many"],
-            ["saturate", "--out", "f.json", "--grid", "0"],
-            ["saturate", "--out", "f.json", "--grid", "-4"],
-            ["simulate", "--family", "f.json", "--seed", "-3", "--trials", "9"],
-            ["check-classical", "--trials", "1", "--seed", "-1"],
-            # just past the int64 trial cap and the largest grid; nothing runs
-            ["simulate", "--family", "f.json", "--seed", "1", "--trials", str(2**63)],
-            ["saturate", "--out", "f.json", "--grid", str(MAX_GRID + 1)],
-        ],
-    )
-    def test_bad_int_flag_exit_1(self, capsys, argv):
+    @pytest.mark.parametrize("argv, message", BAD_INT_FLAGS,
+                             ids=[f"argv{i}" for i in range(len(BAD_INT_FLAGS))])
+    def test_bad_int_flag_exit_1(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
         assert exc_info.value.code == 1
-        assert "error: argument --" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: argument {message}"
+
+    @pytest.mark.parametrize("command", [[], ["eval"], ["domain"], ["expect"], ["saturate"],
+                                         ["simulate"], ["check-classical"], ["figures"]],
+                             ids=lambda c: " ".join(c) or "bellhop")
+    def test_help_exit_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc_info:
+            main([*command, "--help"])
+        assert exc_info.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"usage: {' '.join(['bellhop', *command])} ")
+        assert err == ""
 
     def test_workers_above_cap_exit_1(self, capsys):
         # rejected by the parser, before any family is read, on every machine

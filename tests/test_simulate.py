@@ -199,6 +199,8 @@ class TestRunExperiment:
             assert int(trial) == k
             assert a in ("+1", "-1") and b in ("+1", "-1")
             assert float(alpha) < float(x) < float(alpha) + 1
+            fields = (int(trial), int(alpha), int(beta), float(x), float(y), int(a), int(b))
+            assert line == "%d,%d,%d,%.17g,%.17g,%+d,%+d" % fields
 
     def test_substreams_independent_across_seeds(self):
         # worker 1 of seed 0 must not replay worker 0 of seed 1
