@@ -5,13 +5,7 @@ classical Bell argument fails to exist."""
 from .intervals import DomainSet, Interval
 from .steprv import PartialRV, combine, make_step
 from .observables import log_curve, make_observable, setting_interval, thresholds
-from .density import (
-    GridDensity,
-    expectation,
-    make_grid_density,
-    marginal_means,
-    uniform_density,
-)
+from .density import GridDensity, expectation, marginal_means
 from .chsh import (
     ChshFamily,
     chsh_value,
@@ -34,9 +28,7 @@ __all__ = [
     "thresholds",
     "GridDensity",
     "expectation",
-    "make_grid_density",
     "marginal_means",
-    "uniform_density",
     "ChshFamily",
     "chsh_value",
     "classical_bound_check",

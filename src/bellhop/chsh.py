@@ -27,7 +27,6 @@ from .density import (
     _integrate,
     _is_int,
     _is_real,
-    make_grid_density,
 )
 from .errors import DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput
 from .intervals import Interval
@@ -133,7 +132,7 @@ def _check_stored(stored, want: dict, what: str) -> None:
 def chsh_value(e00: float, e10: float, e01: float, e11: float) -> float:
     """Signed CHSH combination e00 + e10 + e01 - e11."""
     for e in (e00, e10, e01, e11):
-        if abs(e) > 1.0 + ROUND_OFF:
+        if not abs(e) <= 1.0 + ROUND_OFF:  # a NaN is out of range too
             raise InputOutOfRange(f"correlator {e!r} outside [-1, 1]")
     return e00 + e10 + e01 - e11
 
@@ -187,7 +186,7 @@ def optimize_family(
     nx, ny = grid
     c = np.outer(_band_signs(nx), _band_signs(ny))
     family = ChshFamily(*(
-        make_grid_density(setting_interval(alpha), setting_interval(beta), 1.0 + float(t) * c)
+        GridDensity(setting_interval(alpha), setting_interval(beta), 1.0 + float(t) * c)
         for (alpha, beta), t in zip(PAIRS, targets)
     ))
     return family, family.expectations()
@@ -210,9 +209,7 @@ def random_classical_instance(rng: np.random.Generator):
     a0, a1 = random_rv("x"), random_rv("x")
     b0, b1 = random_rv("y"), random_rv("y")
     nx, ny = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-    rho = make_grid_density(
-        Interval(0.0, 1.0), Interval(0.0, 1.0), rng.random((nx, ny)) + 1e-3
-    )
+    rho = GridDensity(Interval(0.0, 1.0), Interval(0.0, 1.0), rng.random((nx, ny)) + 1e-3)
     return a0, a1, b0, b1, rho
 
 

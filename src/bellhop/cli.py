@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -42,7 +43,14 @@ def _int_flag(low: int, high: int | None = None, why: str = ""):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+            digits = re.fullmatch(r"\s*[+-]?(\d+)\s*", text)
+            if digits:  # an integer beyond int()'s limit on digits
+                raise argparse.ArgumentTypeError(
+                    f"must have at most {sys.get_int_max_str_digits()} digits, "
+                    f"got {len(digits[1])}"
+                ) from None
+            shown = text if len(text) <= 40 else text[:40] + "…"
+            raise argparse.ArgumentTypeError(f"must be an integer, got {shown!r}") from None
         if value < low:
             kind = "positive" if low else "non-negative"
             raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")

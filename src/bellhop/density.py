@@ -38,7 +38,11 @@ class GridDensity:
     """Normalized nx-by-ny piecewise-constant density on x_rect × y_rect.
 
     weights[ix, iy] is the density value on the (ix, iy) cell; the row-major
-    flattening (ix*ny + iy) matches the JSON wire format.
+    flattening (ix*ny + iy) matches the JSON wire format.  The constructor
+    rescales the given nonnegative weights so the density integrates to 1 and
+    keeps a read-only copy.  A NaN or infinite weight, total mass, rectangle
+    endpoint or rescaled weight raises NonFiniteInput instead of becoming a
+    NaN, infinite or all-zero density.
     """
 
     x_rect: Interval
@@ -46,7 +50,29 @@ class GridDensity:
     weights: np.ndarray  # shape (nx, ny), nonnegative, integrates to 1
 
     def __post_init__(self):
-        self.weights.setflags(write=False)
+        x_rect, y_rect = self.x_rect, self.y_rect
+        if x_rect.is_empty() or y_rect.is_empty():
+            raise EmptyRect(f"{x_rect!r} × {y_rect!r}")
+        w = np.array(self.weights, dtype=float)
+        if w.ndim != 2 or w.size == 0:
+            raise MalformedInput(f"weights must be a 2-d array with cells, got shape {w.shape}")
+        if np.any(w < 0):
+            raise NegativeWeight("density weights must be nonnegative")
+        nx, ny = w.shape
+        cell_area = (x_rect.length / nx) * (y_rect.length / ny)
+        # an overflow gives inf, which the checks below reject as NonFiniteInput
+        with np.errstate(over="ignore"):
+            total = float(np.sum(w)) * cell_area
+        if not all(map(math.isfinite, (x_rect.lo, x_rect.hi, y_rect.lo, y_rect.hi, total))):
+            raise NonFiniteInput(f"weights or rectangle {x_rect!r} × {y_rect!r} not finite")
+        if total <= 0.0:
+            raise ZeroTotalMass("density weights sum to zero")
+        with np.errstate(over="ignore"):
+            w /= total
+        if not np.isfinite(w).all():  # the cells are too small for their mass
+            raise NonFiniteInput(f"density on {x_rect!r} × {y_rect!r} overflows")
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
     @property
     def nx(self) -> int:
@@ -103,7 +129,7 @@ class GridDensity:
         x_lo, x_hi = _reals(x_rect, 2, "x_rect").tolist()
         y_lo, y_hi = _reals(y_rect, 2, "y_rect").tolist()
         w = _reals(weights, nx * ny, "weights").reshape(nx, ny)
-        return make_grid_density(Interval(x_lo, x_hi), Interval(y_lo, y_hi), w)
+        return GridDensity(Interval(x_lo, x_hi), Interval(y_lo, y_hi), w)
 
 
 def _refine_axis(grid: np.ndarray, rect: Interval, cuts):
@@ -148,41 +174,6 @@ def _fields(d, what: str, keys) -> list:
     if missing:
         raise MalformedInput(f"{what} lacks key(s) {', '.join(missing)}")
     return [d[key] for key in keys]
-
-
-def make_grid_density(x_rect: Interval, y_rect: Interval, weights) -> GridDensity:
-    """Rescale nonnegative weights so the density integrates to 1.
-
-    A NaN or infinite weight, total mass, rectangle endpoint or rescaled
-    weight raises NonFiniteInput instead of becoming a NaN, infinite or
-    all-zero density.
-    """
-    if x_rect.is_empty() or y_rect.is_empty():
-        raise EmptyRect(f"{x_rect!r} × {y_rect!r}")
-    w = np.array(weights, dtype=float)
-    if w.ndim != 2 or w.size == 0:
-        raise MalformedInput(f"weights must be a 2-d array with cells, got shape {w.shape}")
-    if np.any(w < 0):
-        raise NegativeWeight("density weights must be nonnegative")
-    nx, ny = w.shape
-    cell_area = (x_rect.length / nx) * (y_rect.length / ny)
-    # an overflow gives inf, which the checks below reject as NonFiniteInput
-    with np.errstate(over="ignore"):
-        total = float(np.sum(w)) * cell_area
-    if not all(map(math.isfinite, (x_rect.lo, x_rect.hi, y_rect.lo, y_rect.hi, total))):
-        raise NonFiniteInput(f"weights or rectangle {x_rect!r} × {y_rect!r} not finite")
-    if total <= 0.0:
-        raise ZeroTotalMass("density weights sum to zero")
-    with np.errstate(over="ignore"):
-        w /= total
-    if not np.isfinite(w).all():  # the cells are too small for their mass
-        raise NonFiniteInput(f"density on {x_rect!r} × {y_rect!r} overflows")
-    return GridDensity(x_rect, y_rect, w)
-
-
-def uniform_density(x_rect: Interval, y_rect: Interval) -> GridDensity:
-    """Single-cell density with constant value 1/area."""
-    return make_grid_density(x_rect, y_rect, np.ones((1, 1)))
 
 
 def _axis_integrals(rv: PartialRV, edges: np.ndarray, rect: Interval, axis: str):

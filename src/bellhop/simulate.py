@@ -57,6 +57,8 @@ class ExperimentConfig:
     n_workers: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.family, ChshFamily):
+            raise ConfigInvalid(f"family must be a ChshFamily, got {type(self.family).__name__}")
         if not _is_int(self.n_trials) or not 0 < self.n_trials <= MAX_TRIALS:
             raise ConfigInvalid("n_trials must be a positive integer of at most 2**63 - 1")
         if not _is_int(self.n_workers) or not 0 < self.n_workers <= MAX_WORKERS:

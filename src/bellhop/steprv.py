@@ -37,7 +37,8 @@ class PartialRV:
     """Piecewise-constant function on a union of open intervals of one axis.
 
     pieces exactly partition the domain; every breakpoint between pieces is
-    excluded (the function is undefined there).  The pieces must be nonempty,
+    excluded (the function is undefined there).  Every piece's ends and value
+    must be finite, else NonFiniteInput, and the pieces must be nonempty,
     sorted and disjoint (touching is allowed), else NonMonotoneBoundaries.
     With no pieces at all there is no function, and EmptyDomain is raised.
     """
@@ -48,6 +49,8 @@ class PartialRV:
     def __post_init__(self):
         if not self.pieces:
             raise EmptyDomain(f"no pieces on axis {self.axis_label!r}: no function exists")
+        if not all(math.isfinite(x) for iv, v in self.pieces for x in (iv.lo, iv.hi, v)):
+            raise NonFiniteInput(f"pieces {self.pieces} on axis {self.axis_label!r} not finite")
         prev_hi = -math.inf
         for iv, _ in self.pieces:
             if not prev_hi <= iv.lo < iv.hi:
@@ -115,17 +118,12 @@ class PartialRV:
 
 
 def make_step(boundaries: Sequence[float], values: Sequence[float], axis_label: str) -> PartialRV:
-    """Build a step function with the given breakpoints, all excluded."""
+    """Build a step function with the given breakpoints, all excluded: value i
+    on (boundaries[i], boundaries[i+1]), the pieces checked by PartialRV."""
     bs = list(boundaries)
-    if not all(map(math.isfinite, [*bs, *values])):
-        raise NonFiniteInput(f"boundaries {bs} or values {list(values)} not finite")
-    if any(b1 >= b2 for b1, b2 in zip(bs, bs[1:])) or len(bs) < 2:
-        raise NonMonotoneBoundaries(f"boundaries not strictly increasing: {bs}")
     if len(values) != len(bs) - 1:
         raise ArityMismatch(f"{len(values)} values for {len(bs)} boundaries")
-    pieces = tuple(
-        (Interval(bs[i], bs[i + 1]), float(values[i])) for i in range(len(values))
-    )
+    pieces = tuple((Interval(lo, hi), float(v)) for lo, hi, v in zip(bs, bs[1:], values))
     return PartialRV(pieces, axis_label)
 
 

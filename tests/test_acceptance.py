@@ -22,7 +22,7 @@ from bellhop.deriv import Prod, Sum, Symbol, analyze, parse
 from bellhop.errors import EmptyDomain
 from bellhop.observables import log_curve, make_observable, thresholds
 from bellhop.simulate import ExperimentConfig, estimate, run_experiment
-from bellhop.density import uniform_density
+from bellhop.density import GridDensity
 from bellhop.intervals import Interval
 from bellhop.chsh import PAIRS, ChshFamily
 from bellhop.steprv import combine
@@ -137,7 +137,7 @@ def test_criterion_7_monte_carlo_consistency():
     assert abs(report.s_value - 4.0) <= 4 * report.s_se
 
     uniform = ChshFamily(*[
-        uniform_density(Interval(float(a), a + 1.0), Interval(float(b), b + 1.0))
+        GridDensity(Interval(float(a), a + 1.0), Interval(float(b), b + 1.0), [[1.0]])
         for a, b in PAIRS
     ])
     uconfig = ExperimentConfig(family=uniform, n_trials=1_000_000, master_seed=7)

@@ -12,7 +12,7 @@ from bellhop.chsh import (
     random_classical_instance,
     saturating_family,
 )
-from bellhop.density import ROUND_OFF, expectation, make_grid_density, uniform_density
+from bellhop.density import ROUND_OFF, GridDensity, expectation
 from bellhop.errors import DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput
 from bellhop.intervals import Interval
 from bellhop.observables import make_observable
@@ -21,7 +21,7 @@ from bellhop.steprv import PartialRV, make_step
 
 def uniform_family():
     return ChshFamily(*[
-        uniform_density(Interval(float(a), a + 1.0), Interval(float(b), b + 1.0))
+        GridDensity(Interval(float(a), a + 1.0), Interval(float(b), b + 1.0), [[1.0]])
         for a, b in PAIRS
     ])
 
@@ -58,7 +58,7 @@ def random_partial_instance(rng):
         second = first if rng.random() < 0.8 else random_segments(rng)
         rvs += [random_partial(rng, first, axis), random_partial(rng, second, axis)]
     nx, ny = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-    rho = make_grid_density(Interval(0.0, 1.0), Interval(0.0, 1.0), rng.random((nx, ny)) + 1e-3)
+    rho = GridDensity(Interval(0.0, 1.0), Interval(0.0, 1.0), rng.random((nx, ny)) + 1e-3)
     return (*rvs, rho)
 
 
@@ -88,8 +88,9 @@ class TestChshValue:
         assert chsh_value(1, 1, 1, 1) == 2
 
     def test_out_of_range(self):
-        with pytest.raises(InputOutOfRange):
-            chsh_value(1.1, 0, 0, 0)
+        for e in (1.1, float("nan")):
+            with pytest.raises(InputOutOfRange):
+                chsh_value(e, 0, 0, 0)
 
 
 class TestSaturatingFamily:
@@ -189,7 +190,7 @@ class TestClassicalBound:
     def test_factorizing_case(self):
         a = make_observable(0.0, "x")
         b = make_observable(0.0, "y")
-        rho = uniform_density(Interval(0, 1), Interval(0, 1))
+        rho = GridDensity(Interval(0, 1), Interval(0, 1), [[1.0]])
         s = classical_bound_check(a, a, b, b, rho)
         assert s == 0.0
 
@@ -214,7 +215,7 @@ class TestClassicalBound:
         # each correlator still passes chsh_value's |E| <= 1 check
         a = make_step([0.0, 1.0], [2.0], "x")
         b = make_step([0.0, 1.0], [2.0], "y")
-        rho = uniform_density(Interval(0, 1), Interval(0, 1))
+        rho = GridDensity(Interval(0, 1), Interval(0, 1), [[1.0]])
         with pytest.raises(InputOutOfRange):
             classical_bound_check(a, a, b, b, rho)
 
@@ -237,7 +238,7 @@ class TestClassicalBound:
         a0 = make_observable(0.0, "x")
         a1 = make_observable(1.0, "x")
         b = make_observable(0.0, "y")
-        rho = uniform_density(Interval(0, 1), Interval(0, 1))
+        rho = GridDensity(Interval(0, 1), Interval(0, 1), [[1.0]])
         with pytest.raises(DomainMismatch):
             classical_bound_check(a0, a1, b, b, rho)
 
@@ -320,6 +321,6 @@ class TestFamilySerialization:
         assert ChshFamily.from_dict(d).expectations()[2] == 0.75
 
     def test_rectangle_validation(self):
-        rho = uniform_density(Interval(0, 1), Interval(0, 1))
+        rho = GridDensity(Interval(0, 1), Interval(0, 1), [[1.0]])
         with pytest.raises(DomainMismatch):
             ChshFamily(rho, rho, rho, rho)

@@ -56,6 +56,16 @@ BAD_INT_FLAGS = [
      "--grid: must be an integer, got '4.0'"),
     (["simulate", "--family", "f.json", "--seed", "x", "--trials", "9"],
      "--seed: must be an integer, got 'x'"),
+    # past int()'s limit on digits: the digits are counted, not echoed
+    (["check-classical", "--trials", "9" * 5000],
+     "--trials: must have at most 4300 digits, got 5000"),
+    (["simulate", "--family", "f.json", "--seed", "1", "--trials", "9" * 5000],
+     "--trials: must have at most 4300 digits, got 5000"),
+    (["simulate", "--family", "f.json", "--seed", "+" + "9" * 5000, "--trials", "9"],
+     "--seed: must have at most 4300 digits, got 5000"),
+    # long text that is no integer is echoed up to its 40th character
+    (["check-classical", "--trials", "x" * 5000],
+     f"--trials: must be an integer, got '{'x' * 40}…'"),
 ]
 
 

@@ -11,9 +11,7 @@ from bellhop.density import (
     ROUND_OFF,
     GridDensity,
     expectation,
-    make_grid_density,
     marginal_means,
-    uniform_density,
 )
 from bellhop.errors import (
     BellhopError,
@@ -38,7 +36,7 @@ def middle_band_density():
     # all mass uniform on (0.25, 0.75)^2, on a quarter-aligned 4x4 grid
     w = np.zeros((4, 4))
     w[1:3, 1:3] = 1.0
-    return make_grid_density(*unit_rect(), w)
+    return GridDensity(*unit_rect(), w)
 
 
 @st.composite
@@ -69,7 +67,7 @@ def grid_densities(draw, max_side=6):
     weight = st.one_of(st.just(0.0), st.floats(1e-3, 1))
     weights = draw(st.lists(weight, min_size=nx * ny, max_size=nx * ny))
     assume(sum(weights) > 0)
-    return make_grid_density(*unit_rect(), np.reshape(weights, (nx, ny)))
+    return GridDensity(*unit_rect(), np.reshape(weights, (nx, ny)))
 
 
 # Arbitrary JSON-shaped values, as json.loads could return them.
@@ -143,7 +141,7 @@ def family_records(draw):
 def family_of(weights):
     """A family with the same grid weights for every pair."""
     return ChshFamily(*[
-        make_grid_density(setting_interval(a), setting_interval(b), weights) for a, b in PAIRS
+        GridDensity(setting_interval(a), setting_interval(b), weights) for a, b in PAIRS
     ])
 
 
@@ -157,7 +155,7 @@ def families(draw, sides):
         weight = st.one_of(st.just(0.0), st.floats(1e-3, 1))
         w = draw(st.lists(weight, min_size=nx * ny, max_size=nx * ny))
         assume(sum(w) > 0)
-        densities.append(make_grid_density(
+        densities.append(GridDensity(
             setting_interval(alpha), setting_interval(beta), np.reshape(w, (nx, ny))))
     return ChshFamily(*densities)
 
@@ -209,20 +207,25 @@ def refined_moments(f, g, rho):
 
 class TestConstruction:
     def test_uniform_single_cell(self):
-        rho = make_grid_density(*unit_rect(), np.ones((1, 1)))
+        rho = GridDensity(*unit_rect(), np.ones((1, 1)))
         assert rho.weights[0, 0] == 1.0
 
     def test_uniform_offset_rect(self):
-        rho = make_grid_density(Interval(1, 2), Interval(0, 1), np.ones((2, 2)))
+        rho = GridDensity(Interval(1, 2), Interval(0, 1), np.ones((2, 2)))
         assert np.all(rho.weights == 1.0)
 
     def test_zero_mass(self):
         with pytest.raises(ZeroTotalMass):
-            make_grid_density(*unit_rect(), np.zeros((2, 2)))
+            GridDensity(*unit_rect(), np.zeros((2, 2)))
 
     def test_negative_weight(self):
         with pytest.raises(NegativeWeight):
-            make_grid_density(*unit_rect(), np.array([[1.0, -1.0]]))
+            GridDensity(*unit_rect(), np.array([[1.0, -1.0]]))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_weight(self, value):
+        with pytest.raises(NonFiniteInput):
+            GridDensity(*unit_rect(), [[1.0, value]])
 
     @pytest.mark.parametrize(
         "key, index, value, error",
@@ -260,22 +263,22 @@ class TestConstruction:
     @pytest.mark.filterwarnings("error")
     def test_total_mass_overflow(self):
         with pytest.raises(NonFiniteInput):
-            make_grid_density(*unit_rect(), np.full((2, 2), 1e308))
+            GridDensity(*unit_rect(), np.full((2, 2), 1e308))
 
     @pytest.mark.filterwarnings("error")
     def test_rescaled_weight_overflow(self):
         tiny = Interval(0.0, 1e-160)
         with pytest.raises(NonFiniteInput):
-            make_grid_density(tiny, tiny, np.ones((1, 1)))
+            GridDensity(tiny, tiny, np.ones((1, 1)))
 
     def test_empty_rect(self):
         with pytest.raises(EmptyRect):
-            uniform_density(Interval(0, 0), Interval(0, 1))
+            GridDensity(Interval(0, 0), Interval(0, 1), [[1.0]])
 
     def test_normalization_exact(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            rho = make_grid_density(*unit_rect(), rng.random((3, 5)))
+            rho = GridDensity(*unit_rect(), rng.random((3, 5)))
             assert abs(rho.cell_probabilities().sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("key, value", [("nx", 0), ("ny", 0), ("nx", -1), ("nx", True)])
@@ -289,7 +292,7 @@ class TestConstruction:
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (4,), (1, 1, 1)])
     def test_weights_without_cells(self, shape):
         with pytest.raises(MalformedInput):
-            make_grid_density(*unit_rect(), np.ones(shape))
+            GridDensity(*unit_rect(), np.ones(shape))
 
     def test_json_round_trip(self):
         rho = middle_band_density()
@@ -327,12 +330,12 @@ class TestExpectation:
     def test_uniform_factorizes_to_zero(self):
         f = make_observable(0.0, "x")
         g = make_observable(0.0, "y")
-        assert expectation(f, g, uniform_density(*unit_rect())) == 0.0
+        assert expectation(f, g, GridDensity(*unit_rect(), [[1.0]])) == 0.0
 
     def test_offset_pair(self):
         f = make_observable(1.0, "x")
         g = make_observable(0.0, "y")
-        rho = uniform_density(Interval(1, 2), Interval(0, 1))
+        rho = GridDensity(Interval(1, 2), Interval(0, 1), [[1.0]])
         assert expectation(f, g, rho) == 0.0
 
     def test_middle_band_support(self):
@@ -344,12 +347,12 @@ class TestExpectation:
         f = make_observable(1.0, "x")
         g = make_observable(0.0, "y")
         with pytest.raises(DomainMismatch):
-            expectation(f, g, uniform_density(*unit_rect()))
+            expectation(f, g, GridDensity(*unit_rect(), [[1.0]]))
 
     def test_monte_carlo_oracle(self):
         # 1e6-point Monte-Carlo quadrature agrees with the exact sum within 4 se
         rng = np.random.default_rng(11)
-        rho = make_grid_density(*unit_rect(), rng.random((4, 4)))
+        rho = GridDensity(*unit_rect(), rng.random((4, 4)))
         f = make_observable(0.0, "x")
         g = make_observable(0.0, "y")
         exact = expectation(f, g, rho)
@@ -365,10 +368,10 @@ class TestExpectation:
         g = make_observable(0.0, "y")
         rng = np.random.default_rng(2)
         w1, w2 = rng.random((4, 4)), rng.random((4, 4))
-        e1 = expectation(f, g, make_grid_density(*unit_rect(), w1))
-        e2 = expectation(f, g, make_grid_density(*unit_rect(), w2))
+        e1 = expectation(f, g, GridDensity(*unit_rect(), w1))
+        e2 = expectation(f, g, GridDensity(*unit_rect(), w2))
         s1, s2 = w1.sum(), w2.sum()
-        mix = expectation(f, g, make_grid_density(*unit_rect(), w1 + w2))
+        mix = expectation(f, g, GridDensity(*unit_rect(), w1 + w2))
         assert mix == pytest.approx((s1 * e1 + s2 * e2) / (s1 + s2), abs=1e-12)
 
 
@@ -392,7 +395,7 @@ class TestMarginals:
     def test_uniform(self):
         f = make_observable(0.0, "x")
         g = make_observable(0.0, "y")
-        assert marginal_means(f, g, uniform_density(*unit_rect())) == (0.0, 0.0)
+        assert marginal_means(f, g, GridDensity(*unit_rect(), [[1.0]])) == (0.0, 0.0)
 
     def test_middle_band(self):
         f = make_observable(0.0, "x")
@@ -403,7 +406,7 @@ class TestMarginals:
         # rank-1 weights => E[fg] = E[f] E[g]
         rng = np.random.default_rng(3)
         w = np.outer(rng.random(4), rng.random(4))
-        rho = make_grid_density(*unit_rect(), w)
+        rho = GridDensity(*unit_rect(), w)
         f = make_observable(0.0, "x")
         g = make_observable(0.0, "y")
         mf, mg = marginal_means(f, g, rho)
@@ -435,7 +438,7 @@ class TestRefine:
         # on a 196-cell grid, edge 49 rounds to 0.24999999999999997: no float
         # lies strictly between it and the threshold 0.25, so no point can
         # be drawn in that cell
-        rho = make_grid_density(*unit_rect(), np.ones((196, 1)))
+        rho = GridDensity(*unit_rect(), np.ones((196, 1)))
         xe, _, probs = rho.refine(thresholds(0.0), [])
         sliver = np.flatnonzero(xe == 0.25)[0] - 1
         assert xe[sliver] == np.nextafter(0.25, 0.0) == rho.x_edges()[49]

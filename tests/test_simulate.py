@@ -7,7 +7,7 @@ import pytest
 
 from bellhop import simulate
 from bellhop.chsh import PAIRS, ChshFamily, optimize_family, saturating_family
-from bellhop.density import make_grid_density, uniform_density
+from bellhop.density import GridDensity
 from bellhop.errors import ConfigInvalid, InsufficientTrials
 from bellhop.intervals import Interval
 from bellhop.observables import make_observable, setting_interval
@@ -22,7 +22,7 @@ from bellhop.simulate import (
 
 def uniform_family():
     return ChshFamily(*[
-        uniform_density(Interval(float(a), a + 1.0), Interval(float(b), b + 1.0))
+        GridDensity(Interval(float(a), a + 1.0), Interval(float(b), b + 1.0), [[1.0]])
         for a, b in PAIRS
     ])
 
@@ -31,7 +31,7 @@ def unaligned_family():
     """3x5 grids: the thresholds cut grid columns, so the cells are refined."""
     rng = np.random.default_rng(35)
     return ChshFamily(*[
-        make_grid_density(setting_interval(a), setting_interval(b), rng.random((3, 5)) + 0.1)
+        GridDensity(setting_interval(a), setting_interval(b), rng.random((3, 5)) + 0.1)
         for a, b in PAIRS
     ])
 
@@ -78,6 +78,11 @@ class TestConfig:
     def test_zero_trials(self):
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(family=uniform_family(), n_trials=0, master_seed=1)
+
+    @pytest.mark.parametrize("family", ["nope", None])
+    def test_family_not_a_family(self, family):
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig(family=family, n_trials=10, master_seed=1)
 
     def test_bad_probabilities(self):
         with pytest.raises(ConfigInvalid):

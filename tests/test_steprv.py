@@ -97,6 +97,13 @@ class TestMakeStep:
         with pytest.raises(ArityMismatch):
             make_step((0, 0.5, 1), (1,), "x")
 
+    def test_too_few_boundaries(self):
+        # one boundary makes no piece; no boundary leaves no room even for that
+        with pytest.raises(EmptyDomain):
+            make_step((0.0,), (), "x")
+        with pytest.raises(ArityMismatch):
+            make_step((), (), "x")
+
     @pytest.mark.parametrize("boundaries, values", [
         ((float("nan"), 0.5, 1.0), (1, -1)),
         ((0.0, float("nan"), 1.0), (1, -1)),
@@ -119,6 +126,15 @@ class TestPieces:
     ], ids=["unsorted", "overlapping", "empty", "reversed", "repeated"])
     def test_rejected(self, pieces):
         with pytest.raises(NonMonotoneBoundaries):
+            PartialRV(pieces, "x")
+
+    @pytest.mark.parametrize("pieces", [
+        ((Interval(0, 0.5), 1.0), (Interval(0.5, 1), float("nan"))),
+        ((Interval(0, 0.5), 1.0), (Interval(0.5, float("inf")), -1.0)),
+        ((Interval(float("nan"), 0.5), 1.0),),
+    ], ids=["nan-value", "inf-end", "nan-end"])
+    def test_non_finite(self, pieces):
+        with pytest.raises(NonFiniteInput):
             PartialRV(pieces, "x")
 
     def test_no_pieces(self):
