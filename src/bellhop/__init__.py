@@ -5,7 +5,7 @@ classical Bell argument fails to exist."""
 from .intervals import DomainSet, Interval
 from .steprv import PartialRV, combine, make_step
 from .observables import log_curve, make_observable, setting_interval, thresholds
-from .density import GridDensity, expectation, marginal_means
+from .density import GridDensity, expectation
 from .chsh import (
     ChshFamily,
     chsh_value,
@@ -28,7 +28,6 @@ __all__ = [
     "thresholds",
     "GridDensity",
     "expectation",
-    "marginal_means",
     "ChshFamily",
     "chsh_value",
     "classical_bound_check",

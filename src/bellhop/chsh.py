@@ -19,16 +19,10 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .density import (
-    ROUND_OFF,
-    GridDensity,
-    _axis_integrals,
-    _fields,
-    _integrate,
-    _is_int,
-    _is_real,
+from .density import ROUND_OFF, GridDensity, _axis_integrals, _fields, _integrate
+from .errors import (
+    DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput, _is_int, _is_real,
 )
-from .errors import DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput
 from .intervals import Interval
 from .observables import make_observable, setting_interval
 from .steprv import PartialRV, make_step

@@ -11,8 +11,6 @@ counts over.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -25,6 +23,9 @@ from .errors import (
     NegativeWeight,
     NonFiniteInput,
     ZeroTotalMass,
+    _finite,
+    _is_int,
+    _is_real,
 )
 from .intervals import Interval
 from .steprv import PartialRV
@@ -40,9 +41,9 @@ class GridDensity:
     weights[ix, iy] is the density value on the (ix, iy) cell; the row-major
     flattening (ix*ny + iy) matches the JSON wire format.  The constructor
     rescales the given nonnegative weights so the density integrates to 1 and
-    keeps a read-only copy.  A NaN or infinite weight, total mass, rectangle
-    endpoint or rescaled weight raises NonFiniteInput instead of becoming a
-    NaN, infinite or all-zero density.
+    keeps a read-only copy.  A weight, total mass, rectangle endpoint or
+    rescaled weight that is not a finite float raises NonFiniteInput instead
+    of becoming a NaN, infinite or all-zero density.
     """
 
     x_rect: Interval
@@ -53,21 +54,25 @@ class GridDensity:
         x_rect, y_rect = self.x_rect, self.y_rect
         if x_rect.is_empty() or y_rect.is_empty():
             raise EmptyRect(f"{x_rect!r} × {y_rect!r}")
-        w = np.array(self.weights, dtype=float)
+        w = np.array(self.weights)
+        # numpy keeps numbers it has no type for, such as 10**400, as objects
+        if w.dtype == object and not _finite(*filter(_is_real, w.flat)):
+            raise NonFiniteInput(f"weights on {x_rect!r} × {y_rect!r} not finite")
+        w = w.astype(float, copy=False)
         if w.ndim != 2 or w.size == 0:
             raise MalformedInput(f"weights must be a 2-d array with cells, got shape {w.shape}")
         if np.any(w < 0):
             raise NegativeWeight("density weights must be nonnegative")
         nx, ny = w.shape
-        cell_area = (x_rect.length / nx) * (y_rect.length / ny)
-        # an overflow gives inf, which the checks below reject as NonFiniteInput
+        # a rectangle with an end that is not finite has no cell area, and an
+        # overflow gives inf: either way the total is rejected
         with np.errstate(over="ignore"):
-            total = float(np.sum(w)) * cell_area
-        if not all(map(math.isfinite, (x_rect.lo, x_rect.hi, y_rect.lo, y_rect.hi, total))):
-            raise NonFiniteInput(f"weights or rectangle {x_rect!r} × {y_rect!r} not finite")
-        if total <= 0.0:
-            raise ZeroTotalMass("density weights sum to zero")
-        with np.errstate(over="ignore"):
+            total = (float(np.sum(w)) * ((x_rect.length / nx) * (y_rect.length / ny))
+                     if _finite(x_rect.lo, x_rect.hi, y_rect.lo, y_rect.hi) else np.inf)
+            if not _finite(total):
+                raise NonFiniteInput(f"weights or rectangle {x_rect!r} × {y_rect!r} not finite")
+            if total <= 0.0:
+                raise ZeroTotalMass("density weights sum to zero")
             w /= total
         if not np.isfinite(w).all():  # the cells are too small for their mass
             raise NonFiniteInput(f"density on {x_rect!r} × {y_rect!r} overflows")
@@ -143,27 +148,12 @@ def _refine_axis(grid: np.ndarray, rect: Interval, cuts):
 
 def _reals(value, n: int, key: str) -> np.ndarray:
     """A density field that must be a list of n numbers, as floats."""
-    if not (
-        isinstance(value, (list, tuple)) and len(value) == n
-        and all(map(_is_real, value))
-    ):
+    if not (isinstance(value, (list, tuple)) and len(value) == n and all(map(_is_real, value))):
         raise MalformedInput(f"density {key} must be a list of {n} numbers")
-    try:
-        return np.array(value, dtype=float)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise NonFiniteInput(f"density {key} not finite: {exc}") from exc
-
-
-# int and float are tried before the numbers ABCs, whose isinstance check is
-# slow, and a weights list holds thousands of values.
-def _is_int(value) -> bool:
-    """An integer in the numbers sense, with bool counted as not one."""
-    return isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A real number in the numbers sense, with bool counted as not one."""
-    return isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool)
+    # only a non-float can lack a float; a NaN or ±inf is left to GridDensity
+    if not _finite(*value) and not _finite(*(v for v in value if not isinstance(v, float))):
+        raise NonFiniteInput(f"density {key} not finite: int too large to convert to float")
+    return np.array(value, dtype=float)
 
 
 def _fields(d, what: str, keys) -> list:
@@ -198,9 +188,3 @@ def _integrate(f: PartialRV, g: PartialRV, rho: GridDensity):
 def expectation(f: PartialRV, g: PartialRV, rho: GridDensity) -> float:
     """Exact ∬ f(x) g(y) ρ(x,y) dx dy."""
     return _integrate(f, g, rho)[0]
-
-
-def marginal_means(f: PartialRV, g: PartialRV, rho: GridDensity) -> Tuple[float, float]:
-    """Exact (∬ f ρ, ∬ g ρ)."""
-    _, e_f, e_g = _integrate(f, g, rho)
-    return e_f, e_g

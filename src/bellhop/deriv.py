@@ -10,14 +10,13 @@ derivation gets stuck.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 import numpy as np
 
-from .errors import ExprSyntaxError, UnknownSymbol
+from .errors import ExprSyntaxError, UnknownSymbol, _finite
 from .intervals import DomainSet
 from .observables import setting_interval
 
@@ -140,7 +139,7 @@ class _Parser:
     def index(self) -> float:
         _, value, pos = self.advance()
         index = float(value)
-        if math.isinf(index):
+        if not _finite(index):
             raise ExprSyntaxError(f"index at position {pos} overflows a float", pos)
         return index
 

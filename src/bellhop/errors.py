@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all bellhop modules."""
+"""Exception hierarchy shared by all bellhop modules, and what counts as a number."""
+
+import math
+import numbers
 
 
 class BellhopError(Exception):
@@ -39,7 +42,8 @@ class ZeroTotalMass(BellhopError):
 
 class NonFiniteInput(BellhopError):
     """Step boundaries and values, density weights, their total and rectangle
-    endpoints must be finite."""
+    endpoints must be finite floats: NaN, ±inf and an integer past the float
+    range, such as 10**400, are not."""
 
 
 class MalformedInput(BellhopError):
@@ -86,3 +90,23 @@ class ExprSyntaxError(BellhopError):
         super().__init__(message)
         self.position = position
         self.expected = tuple(expected)
+
+
+def _finite(*values) -> bool:
+    """Whether every value is a finite float: NaN and ±inf are not, and
+    neither is an integer past the float range, whose float() overflows."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
+
+
+# int and float go before the slow numbers ABCs: a weights list holds thousands
+def _is_int(value) -> bool:
+    """An integer in the numbers sense, with bool counted as not one."""
+    return isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number in the numbers sense, with bool counted as not one."""
+    return isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool)

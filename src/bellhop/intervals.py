@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
+from .errors import _finite, _is_int
+
 
 @dataclass(frozen=True, order=True)
 class Interval:
@@ -42,7 +44,10 @@ class Interval:
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def __repr__(self) -> str:
-        return f"({self.lo:g},{self.hi:g})"
+        # :g turns an integer into a float, so one past the float range is shown whole
+        lo, hi = (repr(x) if _is_int(x) and not _finite(x) else f"{x:g}"
+                  for x in (self.lo, self.hi))
+        return f"({lo},{hi})"
 
 
 @dataclass(frozen=True)

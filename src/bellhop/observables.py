@@ -5,24 +5,23 @@ on setting_interval(alpha) = (alpha, alpha+1), changes sign at thresholds(alpha)
 and is -1 on the outer quarter bands and +1 on the middle half.  The sign
 changes are hard-coded at alpha+1/4 and alpha+3/4: 16*x*(1-x) = 3 factors as
 (4x-1)(4x-3) = 0, so the thresholds are exact binary floats and no root
-finding (hence no tolerance) is involved.  A setting so large that
-alpha, alpha+1/4, alpha+3/4 and alpha+1 are not four increasing floats has
-no quarter bands, and raises InputOutOfRange.
+finding (hence no tolerance) is involved.  A setting that is not a finite
+float, or so large that alpha, alpha+1/4, alpha+3/4 and alpha+1 are not four
+increasing floats, has no quarter bands and raises InputOutOfRange.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import InputOutOfRange, OutOfDomain
+from .errors import InputOutOfRange, OutOfDomain, _finite
 from .intervals import Interval
 from .steprv import PartialRV, make_step
 
 
 def setting_interval(alpha: float) -> Interval:
     """(alpha, alpha+1): the span on which the observable for setting alpha exists."""
-    lo = float(alpha)
-    if not lo < lo + 0.25 < lo + 0.75 < lo + 1.0:
+    if not (_finite(alpha) and (lo := float(alpha)) < lo + 0.25 < lo + 0.75 < lo + 1.0):
         raise InputOutOfRange(
             f"setting {alpha!r} not finite or too large: its quarter points are not increasing floats"
         )

@@ -39,8 +39,8 @@ from typing import List, NamedTuple, Optional, TextIO, Tuple
 import numpy as np
 
 from .chsh import PAIRS, ChshFamily, chsh_value
-from .density import ROUND_OFF, _is_int, _is_real
-from .errors import ConfigInvalid, InsufficientTrials
+from .density import ROUND_OFF
+from .errors import ConfigInvalid, InsufficientTrials, _finite, _is_int, _is_real
 
 _BLOCK = 1 << 16  # event-log rows drawn and written at a time
 _LOG_LIMIT = 10**9  # logged trials per worker: the hypergeometric draws' total
@@ -68,7 +68,7 @@ class ExperimentConfig:
         p = self.setting_probabilities
         if not (isinstance(p, Sequence) and len(p) == 4 and all(map(_is_real, p))):
             raise ConfigInvalid("setting probabilities must be a sequence of 4 real numbers")
-        if not all(math.isfinite(q) and q >= 0 for q in p):
+        if not (_finite(*p) and min(p) >= 0):
             raise ConfigInvalid("need 4 finite nonnegative setting probabilities")
         if abs(sum(p) - 1.0) > ROUND_OFF:
             raise ConfigInvalid("setting probabilities must sum to 1")
@@ -200,13 +200,12 @@ def run_experiment(
     config: ExperimentConfig, event_log: Optional[TextIO] = None
 ) -> ExperimentSummary:
     """Run all trials; optionally stream a per-trial CSV audit log."""
-    if event_log is not None:
-        _check_log_limit(config)
     base, extra = divmod(config.n_trials, config.n_workers)
     cells = _cells(config.family)
     p = np.divide(config.setting_probabilities, math.fsum(config.setting_probabilities))
     seeds = np.random.SeedSequence(config.master_seed).spawn(config.n_workers)
     if event_log is not None:
+        _check_log_limit(config)
         table = _log_table(cells)
         event_log.write("trial,alpha,beta,x,y,a,b\n")
     totals, trial = np.zeros((len(PAIRS), 4), dtype=np.int64), 0

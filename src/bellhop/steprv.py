@@ -22,6 +22,7 @@ from .errors import (
     NonMonotoneBoundaries,
     OutOfDomain,
     UndefinedPoint,
+    _finite,
 )
 from .intervals import DomainSet, Interval
 
@@ -38,7 +39,7 @@ class PartialRV:
 
     pieces exactly partition the domain; every breakpoint between pieces is
     excluded (the function is undefined there).  Every piece's ends and value
-    must be finite, else NonFiniteInput, and the pieces must be nonempty,
+    must be finite floats, else NonFiniteInput, and the pieces must be nonempty,
     sorted and disjoint (touching is allowed), else NonMonotoneBoundaries.
     With no pieces at all there is no function, and EmptyDomain is raised.
     """
@@ -49,7 +50,7 @@ class PartialRV:
     def __post_init__(self):
         if not self.pieces:
             raise EmptyDomain(f"no pieces on axis {self.axis_label!r}: no function exists")
-        if not all(math.isfinite(x) for iv, v in self.pieces for x in (iv.lo, iv.hi, v)):
+        if not _finite(*[x for iv, v in self.pieces for x in (iv.lo, iv.hi, v)]):
             raise NonFiniteInput(f"pieces {self.pieces} on axis {self.axis_label!r} not finite")
         prev_hi = -math.inf
         for iv, _ in self.pieces:
@@ -64,11 +65,7 @@ class PartialRV:
         return DomainSet(tuple(iv for iv, _ in self.pieces))
 
     def breakpoints(self) -> Tuple[float, ...]:
-        pts = set()
-        for iv, _ in self.pieces:
-            pts.add(iv.lo)
-            pts.add(iv.hi)
-        return tuple(sorted(pts))
+        return tuple(sorted({x for iv, _ in self.pieces for x in (iv.lo, iv.hi)}))
 
     def _arrays(self) -> np.ndarray:
         """Rows los, his, values: the pieces as arrays, in piece order."""
@@ -76,7 +73,7 @@ class PartialRV:
 
     def eval(self, x: float) -> float:
         """eval_many at the single point x; raises where that leaves x undefined."""
-        if not math.isfinite(x):
+        if not _finite(x):
             raise NonFiniteInput(f"{self.axis_label}={x!r} not finite")
         values, defined = self.eval_many(np.array([x]))
         if defined[0]:
@@ -123,7 +120,7 @@ def make_step(boundaries: Sequence[float], values: Sequence[float], axis_label: 
     bs = list(boundaries)
     if len(values) != len(bs) - 1:
         raise ArityMismatch(f"{len(values)} values for {len(bs)} boundaries")
-    pieces = tuple((Interval(lo, hi), float(v)) for lo, hi, v in zip(bs, bs[1:], values))
+    pieces = tuple((Interval(lo, hi), v) for lo, hi, v in zip(bs, bs[1:], values))
     return PartialRV(pieces, axis_label)
 
 

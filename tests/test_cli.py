@@ -66,6 +66,12 @@ BAD_INT_FLAGS = [
     # long text that is no integer is echoed up to its 40th character
     (["check-classical", "--trials", "x" * 5000],
      f"--trials: must be an integer, got '{'x' * 40}…'"),
+    # an out-of-range integer of more than 40 digits is counted, not echoed
+    (["simulate", "--family", "f.json", "--seed", "1", "--trials", "9",
+      "--workers", "9" * 4000],
+     "--workers: at most 1024 (0.1 s of per-worker set-up), got a 4000-digit number"),
+    (["check-classical", "--trials", "-" + "9" * 4000],
+     "--trials: must be a positive integer, got a 4000-digit number"),
 ]
 
 

@@ -35,6 +35,7 @@ class TestMakeObservable:
 
     @pytest.mark.parametrize("alpha", [
         2.0**51, -(2.0**52), 1e17, 10**17, math.inf, -math.inf, math.nan,
+        pytest.param(10**400, id="huge-int"), pytest.param(-10**400, id="-huge-int"),
     ])
     def test_no_quarter_bands(self, alpha):
         with pytest.raises(InputOutOfRange):

@@ -91,7 +91,10 @@ class TestConfig:
                 setting_probabilities=(0.5, 0.5, 0.5, 0.5),
             )
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [
+        float("nan"), float("inf"),
+        pytest.param(10**400, id="huge-int"), pytest.param(-10**400, id="-huge-int"),
+    ])
     def test_non_finite_probability(self, bad):
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(

@@ -110,6 +110,8 @@ class TestMakeStep:
         ((0.0, 0.5, float("inf")), (1, -1)),
         ((0.0, 0.5, 1.0), (1, float("nan"))),
         ((0.0, 0.5, 1.0), (float("-inf"), 1)),
+        ((0.0, 0.5, 10**400), (1, -1)),
+        ((0.0, 0.5, 1.0), (1, -10**400)),
     ])
     def test_non_finite(self, boundaries, values):
         with pytest.raises(NonFiniteInput):
@@ -132,7 +134,9 @@ class TestPieces:
         ((Interval(0, 0.5), 1.0), (Interval(0.5, 1), float("nan"))),
         ((Interval(0, 0.5), 1.0), (Interval(0.5, float("inf")), -1.0)),
         ((Interval(float("nan"), 0.5), 1.0),),
-    ], ids=["nan-value", "inf-end", "nan-end"])
+        ((Interval(0, 0.5), 10**400),),
+        ((Interval(-10**400, 0.5), 1.0),),
+    ], ids=["nan-value", "inf-end", "nan-end", "huge-int-value", "huge-int-end"])
     def test_non_finite(self, pieces):
         with pytest.raises(NonFiniteInput):
             PartialRV(pieces, "x")
@@ -160,7 +164,10 @@ class TestEval:
         with pytest.raises(UndefinedPoint):
             make_observable(0.0).eval(0.25)
 
-    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("x", [
+        float("nan"), float("inf"), float("-inf"),
+        pytest.param(10**400, id="huge-int"), pytest.param(-10**400, id="-huge-int"),
+    ])
     def test_non_finite_point(self, x):
         with pytest.raises(NonFiniteInput):
             make_observable(0.0).eval(x)
