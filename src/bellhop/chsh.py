@@ -21,7 +21,7 @@ import numpy as np
 
 from .density import ROUND_OFF, GridDensity, _axis_integrals, _fields, _integrate
 from .errors import (
-    DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput, _is_int, _is_real,
+    DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput, _is_int, _is_real, _show,
 )
 from .intervals import Interval
 from .observables import make_observable, setting_interval
@@ -120,14 +120,14 @@ def _check_stored(stored, want: dict, what: str) -> None:
         # bounds, not a difference, so a huge integer cannot overflow
         lo, hi = expected - _STORED_TOLERANCE, expected + _STORED_TOLERANCE
         if not (_is_real(value) and lo <= value <= hi):
-            raise MalformedInput(f"{what} {key} = {value!r}, but the weights give {expected!r}")
+            raise MalformedInput(f"{what} {key} = {_show(value)}, but the weights give {expected}")
 
 
 def chsh_value(e00: float, e10: float, e01: float, e11: float) -> float:
     """Signed CHSH combination e00 + e10 + e01 - e11."""
     for e in (e00, e10, e01, e11):
         if not abs(e) <= 1.0 + ROUND_OFF:  # a NaN is out of range too
-            raise InputOutOfRange(f"correlator {e!r} outside [-1, 1]")
+            raise InputOutOfRange(f"correlator {_show(e)} outside [-1, 1]")
     return e00 + e10 + e01 - e11
 
 
@@ -171,12 +171,12 @@ def optimize_family(
         isinstance(targets, Sequence) and len(targets) == len(PAIRS)
         and all(_is_real(t) and -1 <= t <= 1 for t in targets)
     ):
-        raise InputOutOfRange(f"need four real targets in [-1, 1], got {targets!r}")
+        raise InputOutOfRange(f"need four real targets in [-1, 1], got {_show(targets)}")
     if not (
         isinstance(grid, Sequence) and len(grid) == 2
         and all(_is_int(n) and n > 0 and n % 4 == 0 for n in grid)
     ):
-        raise GridMisaligned(f"grid {grid!r} is not two positive multiples of 4")
+        raise GridMisaligned(f"grid {_show(grid)} is not two positive multiples of 4")
     nx, ny = grid
     c = np.outer(_band_signs(nx), _band_signs(ny))
     family = ChshFamily(*(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import chsh, deriv, simulate
 from .density import ROUND_OFF
-from .errors import BellhopError, EmptyDomain, ExprSyntaxError, OutOfDomain, UndefinedPoint
+from .errors import BellhopError, EmptyDomain, ExprSyntaxError, OutOfDomain, UndefinedPoint, _show
 from .observables import log_curve, make_observable, thresholds
 from .steprv import combine
 
@@ -35,7 +35,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 MAX_GRID = 512  # the largest saturate grid measured: 78 MB of RSS, an 11.5 MB file
-_ECHO = 40  # the most characters of flag text, or digits of an integer, a message echoes
 
 
 def _int_flag(low: int, high: int | None = None, why: str = ""):
@@ -50,9 +49,8 @@ def _int_flag(low: int, high: int | None = None, why: str = ""):
                     f"must have at most {sys.get_int_max_str_digits()} digits, "
                     f"got {len(digits[1])}"
                 ) from None
-            shown = text if len(text) <= _ECHO else text[:_ECHO] + "…"
-            raise argparse.ArgumentTypeError(f"must be an integer, got {shown!r}") from None
-        shown = value if abs(value) < 10**_ECHO else f"a {len(str(abs(value)))}-digit number"
+            raise argparse.ArgumentTypeError(f"must be an integer, got {_show(text)}") from None
+        shown = _show(value, "number")
         if value < low:
             kind = "positive" if low else "non-negative"
             raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {shown}")

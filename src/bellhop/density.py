@@ -26,6 +26,7 @@ from .errors import (
     _finite,
     _is_int,
     _is_real,
+    _show,
 )
 from .intervals import Interval
 from .steprv import PartialRV
@@ -130,7 +131,7 @@ class GridDensity:
         )
         for key, n in (("nx", nx), ("ny", ny)):
             if not _is_int(n) or n < 1:
-                raise MalformedInput(f"density {key} must be a positive integer, got {n!r}")
+                raise MalformedInput(f"density {key} must be a positive integer, got {_show(n)}")
         x_lo, x_hi = _reals(x_rect, 2, "x_rect").tolist()
         y_lo, y_hi = _reals(y_rect, 2, "y_rect").tolist()
         w = _reals(weights, nx * ny, "weights").reshape(nx, ny)
@@ -149,7 +150,7 @@ def _refine_axis(grid: np.ndarray, rect: Interval, cuts):
 def _reals(value, n: int, key: str) -> np.ndarray:
     """A density field that must be a list of n numbers, as floats."""
     if not (isinstance(value, (list, tuple)) and len(value) == n and all(map(_is_real, value))):
-        raise MalformedInput(f"density {key} must be a list of {n} numbers")
+        raise MalformedInput(f"density {key} must be a list of {_show(n)} numbers")
     # only a non-float can lack a float; a NaN or ±inf is left to GridDensity
     if not _finite(*value) and not _finite(*(v for v in value if not isinstance(v, float))):
         raise NonFiniteInput(f"density {key} not finite: int too large to convert to float")

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from .errors import ExprSyntaxError, UnknownSymbol, _finite
+from .errors import ExprSyntaxError, UnknownSymbol, _finite, _show
 from .intervals import DomainSet
 from .observables import setting_interval
 
@@ -99,7 +99,7 @@ class _Parser:
 
     def fail(self, expected):
         kind, value, pos = self.peek()
-        got = repr(value) if kind != "end" else "end of input"
+        got = _show(value) if kind != "end" else "end of input"
         raise ExprSyntaxError(
             f"expected {' or '.join(expected)} at position {pos}, got {got}",
             pos,
@@ -206,7 +206,7 @@ class DomainReport:
 def _analyze(e: Expr):
     if isinstance(e, Symbol):
         if e.name not in _AXES:
-            raise UnknownSymbol(f"symbol {e.name!r} not declared")
+            raise UnknownSymbol(f"symbol {_show(e.name)} not declared")
         return {_AXES[e.name]: DomainSet.of([setting_interval(e.index)])}, None
     if isinstance(e, Neg):
         return _analyze(e.child)

@@ -49,8 +49,8 @@ class NonFiniteInput(BellhopError):
 class MalformedInput(BellhopError):
     """A family or density record is not a JSON object, lacks a required key,
     or has a field of the wrong type or shape; a family record's stored
-    expectations differ from its weights' values; or density weights are not
-    a 2-d array with at least one cell."""
+    expectations differ from its weights' values; density weights are not a
+    2-d array with cells; or a step function's end, value or point is no number."""
 
 
 class EmptyRect(BellhopError):
@@ -101,7 +101,7 @@ def _finite(*values) -> bool:
         return False
 
 
-# int and float go before the slow numbers ABCs: a weights list holds thousands
+# float and int go before the slow numbers ABCs: weights lists and step pieces are checked
 def _is_int(value) -> bool:
     """An integer in the numbers sense, with bool counted as not one."""
     return isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
@@ -109,4 +109,23 @@ def _is_int(value) -> bool:
 
 def _is_real(value) -> bool:
     """A real number in the numbers sense, with bool counted as not one."""
-    return isinstance(value, (int, float, numbers.Real)) and not isinstance(value, bool)
+    return type(value) is float or (
+        isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool))
+
+
+_ECHO = 40  # the most characters of text, or digits of an integer, a message echoes
+
+
+def _show(value, noun: str = "integer") -> str:
+    """repr(value), but text past _ECHO characters cut with '…' and an integer past
+    _ECHO digits, also in a list or tuple, as 'a N-digit integer' (repr raises past 4300)."""
+    if isinstance(value, str) and len(value) > _ECHO:
+        return repr(value[:_ECHO] + "…")
+    if isinstance(value, (list, tuple)):
+        items = ", ".join(_show(v, noun) for v in value)
+        return f"[{items}]" if isinstance(value, list) else f"({items}{',' * (len(value) == 1)})"
+    if not (_is_int(value) and abs(value) >= 10**_ECHO):
+        return repr(value)
+    digits = int(math.log10(abs(value)))  # the digits less one, give or take one
+    digits += (abs(value) >= 10 ** (digits + 1)) - (abs(value) < 10**digits)
+    return f"a {digits + 1}-digit {noun}"

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
-from .errors import _finite, _is_int
+from .errors import _finite, _is_int, _is_real, _show
 
 
 @dataclass(frozen=True, order=True)
@@ -44,8 +44,8 @@ class Interval:
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def __repr__(self) -> str:
-        # :g turns an integer into a float, so one past the float range is shown whole
-        lo, hi = (repr(x) if _is_int(x) and not _finite(x) else f"{x:g}"
+        # :g overflows on an integer past the float range: it and a non-number go to _show
+        lo, hi = (_show(x) if not _is_real(x) or _is_int(x) and not _finite(x) else f"{x:g}"
                   for x in (self.lo, self.hi))
         return f"({lo},{hi})"
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InputOutOfRange, OutOfDomain, _finite
+from .errors import InputOutOfRange, OutOfDomain, _finite, _show
 from .intervals import Interval
 from .steprv import PartialRV, make_step
 
@@ -23,7 +23,8 @@ def setting_interval(alpha: float) -> Interval:
     """(alpha, alpha+1): the span on which the observable for setting alpha exists."""
     if not (_finite(alpha) and (lo := float(alpha)) < lo + 0.25 < lo + 0.75 < lo + 1.0):
         raise InputOutOfRange(
-            f"setting {alpha!r} not finite or too large: its quarter points are not increasing floats"
+            f"setting {_show(alpha)} not finite or too large: "
+            "its quarter points are not increasing floats"
         )
     return Interval(lo, lo + 1.0)
 
@@ -44,5 +45,5 @@ def log_curve(alpha: float, x: float) -> float:
     """ln(16*t*(1-t)/3) with t = x - alpha; defined for 0 < t < 1."""
     t = x - alpha
     if not 0.0 < t < 1.0:
-        raise OutOfDomain(f"x-alpha={t!r} outside (0,1)")
+        raise OutOfDomain(f"x-alpha={_show(t)} outside (0,1)")
     return math.log(16.0 * t * (1.0 - t) / 3.0)

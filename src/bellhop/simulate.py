@@ -5,28 +5,29 @@ Every trial: draw a setting pair (free choice), draw a hidden-variable pair
 detection loophole by construction.
 
 A summary needs only each pair's trials, Σab, Σa and Σb, so the engine draws
-counts, not trials.  A pair's cells are its density's grid refined by both
-observables' breakpoints (GridDensity.refine), so both outcomes are constant
-on each cell (PartialRV.column_values).  Each worker draws once: the pairs
-get Multinomial(size, setting probabilities) trials, each pair's cells
-Multinomial counts of those, and the sums are the cell counts contracted
-with the outcome tables, exactly, in int64, so even MAX_TRIALS trials take
-about a millisecond.  (numpy's binomial keeps every low bit of a count up
-to about 2**54 trials per pair; above that counts share their low bits, an
-error of about 2**-21 standard deviations.)  Worker i draws its contiguous
-share of the trials from child i of SeedSequence(master_seed).spawn(
-n_workers), so substreams are independent across workers and seeds and a
-summary is bit-identical for a fixed (seed, workers).  Workers run one
-after another.
+class counts, split into cells only for the log.  A pair's cells are its
+density's grid refined by both observables' breakpoints (GridDensity.refine),
+so both outcomes are constant on each cell (PartialRV.column_values), and
+the counts of its at most 2×2 outcome classes (a, b) are Multinomial with
+the classes' summed cell probabilities.  Each worker draws once: the pairs
+get Multinomial(size, setting probabilities) trials, each pair's classes
+Multinomial counts of those, and the sums are the class counts contracted
+with the outcome values, exactly, in int64.  (numpy's binomial keeps every low bit
+of a count up to about 2**54 trials per pair; above that counts share their
+low bits, an error of about 2**-21 standard deviations.)  Worker i draws its
+share from child i of SeedSequence(master_seed).spawn(n_workers), so
+substreams are independent across workers and seeds and a summary is
+bit-identical for a fixed (seed, workers).  Workers run one after another.
 
 The event log continues each worker's generator after its counts, so a
 summary is the same with and without it.  Each block of _BLOCK rows takes
-its (pair, cell) composition from the worker's remaining counts
-(multivariate hypergeometric), shuffles it and places a uniform point
-strictly inside each cell: exactly the law of i.i.d. trials.  Those draws
-need a total below _LOG_LIMIT = 1e9, so a logged worker takes fewer trials
-than that, and more workers split a larger run.  Memory is bounded by the
-block size and the cell count, not by n_trials.
+its (pair, class) composition from the worker's remaining counts
+(multivariate hypergeometric), splits each class over its cells (Multinomial
+on their probabilities given the class), shuffles the rows and places a
+uniform point strictly inside each cell: exactly the law of i.i.d. trials.
+Those draws need a total below _LOG_LIMIT = 1e9, so a logged worker takes
+fewer trials than that, and more workers split a larger run.  Memory is
+bounded by the block size and the cell count, not by n_trials.
 """
 
 from __future__ import annotations
@@ -107,13 +108,16 @@ class EstimateReport:
 
 
 class _Cells(NamedTuple):
-    """One pair's refined cells: their edges, probabilities and outcomes."""
+    """One pair's refined cells, their outcomes and the outcome classes' law."""
 
     x_edges: np.ndarray
     y_edges: np.ndarray
     probs: np.ndarray  # (len(a), len(b)), sums to 1
     a: np.ndarray  # Alice's ±1 outcome per x-cell, int64
     b: np.ndarray  # Bob's ±1 outcome per y-cell, int64
+    a_values: np.ndarray  # the distinct values of a, sorted
+    b_values: np.ndarray  # the distinct values of b, sorted
+    classes: np.ndarray  # (len(a_values), len(b_values)): probs summed per (a, b)
 
 
 def _cells(family: ChshFamily) -> List[_Cells]:
@@ -123,56 +127,64 @@ def _cells(family: ChshFamily) -> List[_Cells]:
         f, g = family.observables(alpha, beta)
         xe, ye, probs = rho.refine(f.breakpoints(), g.breakpoints())
         a, b = (rv.column_values(e).astype(np.int64) for rv, e in ((f, xe), (g, ye)))
-        out.append(_Cells(xe, ye, probs, a, b))
+        a_values, b_values = np.unique(a), np.unique(b)
+        classes = (a[:, None] == a_values).T @ probs @ (b[:, None] == b_values)
+        out.append(_Cells(xe, ye, probs, a, b, a_values, b_values, classes))
     return out
 
 
 def _counts(rng: np.random.Generator, cells, p: np.ndarray, size: int) -> List[np.ndarray]:
-    """size trials' cell counts, one array per pair."""
+    """size trials' outcome-class counts, one array per pair, shaped as its classes."""
     settings = rng.multinomial(size, p).tolist()
     return [
-        rng.multinomial(n, c.probs.reshape(-1)).reshape(c.probs.shape)
+        rng.multinomial(n, c.classes.reshape(-1)).reshape(c.classes.shape)
         for n, c in zip(settings, cells)
     ]
 
 
 def _sums(cells, counts) -> np.ndarray:
-    """(trials, sum_ab, sum_a, sum_b) per pair from its cell counts k."""
+    """(trials, sum_ab, sum_a, sum_b) per pair from its class counts k."""
     return np.array([
-        (k.sum(), c.a @ k @ c.b, c.a @ k.sum(axis=1), k.sum(axis=0) @ c.b)
-        for c, k in zip(cells, counts)
+        (k.sum(), a @ k @ b, a @ k.sum(axis=1), k.sum(axis=0) @ b)
+        for (a, b), k in zip(((c.a_values, c.b_values) for c in cells), counts)
     ], dtype=np.int64)
 
 
 class _LogTable(NamedTuple):
-    """One row per (pair, cell), pairs in PAIRS order and cells row-major."""
+    """One row per (pair, class, cell): pairs in PAIRS order, the rest row-major."""
 
     lo: np.ndarray  # (rows, 2): the cell's lower (x, y) corner
     hi: np.ndarray  # (rows, 2): its upper corner
     templates: list  # the row's CSV line, its trial and (x, y) left as %d,%.17g,%.17g
+    split: list  # per (pair, class), as the counts: its cells' probabilities given it, or 0s
 
 
 def _log_table(cells) -> _LogTable:
-    lo, hi, templates = [], [], []
+    lo, hi, templates, split = [], [], [], []
     for (alpha, beta), c in zip(PAIRS, cells):
         corners = np.stack(np.meshgrid(c.x_edges, c.y_edges, indexing="ij"), axis=-1)
-        lo.append(corners[:-1, :-1].reshape(-1, 2))
-        hi.append(corners[1:, 1:].reshape(-1, 2))
-        templates += [f"%d,{alpha},{beta},%.17g,%.17g,{a:+d},{b:+d}\n"
-                      for a in c.a.tolist() for b in c.b.tolist()]
-    return _LogTable(np.concatenate(lo), np.concatenate(hi), templates)
+        for i, a in enumerate(c.a_values.tolist()):
+            for j, b in enumerate(c.b_values.tolist()):
+                cell = np.ix_(c.a == a, c.b == b)
+                lo.append(corners[:-1, :-1][cell].reshape(-1, 2))
+                hi.append(corners[1:, 1:][cell].reshape(-1, 2))
+                templates += [f"%d,{alpha},{beta},%.17g,%.17g,{a:+d},{b:+d}\n"] * len(lo[-1])
+                split.append(c.probs[cell].reshape(-1) / (c.classes[i, j] or 1.0))
+    return _LogTable(np.concatenate(lo), np.concatenate(hi), templates, split)
 
 
 def sample_many(table: _LogTable, rng: np.random.Generator, n: int, left: np.ndarray):
     """One event-log block of n trials, taken from a worker's left counts per
-    table row (reduced in place): each trial's table row and (x, y), in trial
-    order.  The composition is multivariate hypergeometric, the order a
-    uniform permutation and each point uniform strictly inside its cell; a
-    point that rounds onto an edge is drawn again in its cell, an event of
-    probability zero, so no point lands on a breakpoint."""
+    (pair, class) (reduced in place): each trial's table row and (x, y), in
+    trial order.  The classes are multivariate hypergeometric, each class's
+    cells Multinomial, the order a uniform permutation and each point uniform
+    strictly inside its cell; a point that rounds onto an edge is drawn again
+    in its cell (probability zero), so no point lands on a breakpoint."""
     taken = rng.multivariate_hypergeometric(left, n)
     left -= taken
-    rows = rng.permutation(np.repeat(np.arange(len(left)), taken))
+    per_cell = np.concatenate([rng.multinomial(k, q) if k else np.zeros(len(q), np.int64)
+                               for k, q in zip(taken.tolist(), table.split)])
+    rows = rng.permutation(np.repeat(np.arange(len(per_cell)), per_cell))
     lo, hi = table.lo[rows], table.hi[rows]
     points = lo + rng.random(lo.shape) * (hi - lo)
     while (redo := (points <= lo) | (points >= hi)).any():

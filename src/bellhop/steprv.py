@@ -18,11 +18,14 @@ from .errors import (
     ArityMismatch,
     AxisMismatch,
     EmptyDomain,
+    MalformedInput,
     NonFiniteInput,
     NonMonotoneBoundaries,
     OutOfDomain,
     UndefinedPoint,
     _finite,
+    _is_real,
+    _show,
 )
 from .intervals import DomainSet, Interval
 
@@ -38,9 +41,9 @@ class PartialRV:
     """Piecewise-constant function on a union of open intervals of one axis.
 
     pieces exactly partition the domain; every breakpoint between pieces is
-    excluded (the function is undefined there).  Every piece's ends and value
-    must be finite floats, else NonFiniteInput, and the pieces must be nonempty,
-    sorted and disjoint (touching is allowed), else NonMonotoneBoundaries.
+    excluded (the function is undefined there).  Piece ends and values must be
+    real numbers (MalformedInput) and finite floats (NonFiniteInput), and pieces
+    nonempty, sorted and disjoint, touching allowed (NonMonotoneBoundaries).
     With no pieces at all there is no function, and EmptyDomain is raised.
     """
 
@@ -49,9 +52,11 @@ class PartialRV:
 
     def __post_init__(self):
         if not self.pieces:
-            raise EmptyDomain(f"no pieces on axis {self.axis_label!r}: no function exists")
-        if not _finite(*[x for iv, v in self.pieces for x in (iv.lo, iv.hi, v)]):
-            raise NonFiniteInput(f"pieces {self.pieces} on axis {self.axis_label!r} not finite")
+            raise EmptyDomain(f"no pieces on axis {_show(self.axis_label)}: no function exists")
+        numbers = [x for iv, v in self.pieces for x in (iv.lo, iv.hi, v)]
+        if not (real := all(map(_is_real, numbers))) or not _finite(*numbers):
+            raise (NonFiniteInput if real else MalformedInput)(
+                f"pieces {_show(self.pieces)} on axis {_show(self.axis_label)} not finite floats")
         prev_hi = -math.inf
         for iv, _ in self.pieces:
             if not prev_hi <= iv.lo < iv.hi:
@@ -73,14 +78,16 @@ class PartialRV:
 
     def eval(self, x: float) -> float:
         """eval_many at the single point x; raises where that leaves x undefined."""
+        if not _is_real(x):
+            raise MalformedInput(f"{self.axis_label}={_show(x)} is not a real number")
         if not _finite(x):
-            raise NonFiniteInput(f"{self.axis_label}={x!r} not finite")
+            raise NonFiniteInput(f"{self.axis_label}={_show(x)} not finite")
         values, defined = self.eval_many(np.array([x]))
         if defined[0]:
             return float(values[0])
         if x in self.breakpoints():
-            raise UndefinedPoint(f"{self.axis_label}={x!r} is an excluded breakpoint")
-        raise OutOfDomain(f"{self.axis_label}={x!r} outside domain {self.domain!r}")
+            raise UndefinedPoint(f"{self.axis_label}={_show(x)} is an excluded breakpoint")
+        raise OutOfDomain(f"{self.axis_label}={_show(x)} outside domain {self.domain!r}")
 
     def eval_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized evaluation.
@@ -133,9 +140,9 @@ def combine(f: PartialRV, g: PartialRV, op: str) -> PartialRV:
     excludes every breakpoint of either operand.
     """
     if op not in _OPS:
-        raise ValueError(f"unknown op {op!r}")
+        raise ValueError(f"unknown op {_show(op)}")
     if f.axis_label != g.axis_label:
-        raise AxisMismatch(f"{f.axis_label!r} vs {g.axis_label!r}")
+        raise AxisMismatch(f"{_show(f.axis_label)} vs {_show(g.axis_label)}")
     cuts = np.array(sorted({*f.breakpoints(), *g.breakpoints()}))
     los, his = cuts[:-1], cuts[1:]
     mids = 0.5 * (los + his)

@@ -92,6 +92,12 @@ class TestChshValue:
             with pytest.raises(InputOutOfRange):
                 chsh_value(e, 0, 0, 0)
 
+    def test_huge_integer_message(self):
+        # past 4300 digits an integer has no repr: the message counts its digits
+        with pytest.raises(InputOutOfRange, match="correlator a 5001-digit integer") as err:
+            chsh_value(10**5000, 0, 0, 0)
+        assert len(str(err.value)) < 300
+
 
 class TestSaturatingFamily:
     def test_expectations_exact(self):
@@ -154,6 +160,20 @@ class TestOptimizeFamily:
     def test_bad_targets(self, targets):
         with pytest.raises(InputOutOfRange):
             optimize_family(targets, (4, 4))
+
+    @pytest.mark.parametrize("targets, shown", [
+        ((10**5000, 0, 0, 0), "(a 5001-digit integer, 0, 0, 0)"),
+        ([0, 0, 0, -10**5000], "[0, 0, 0, a 5001-digit integer]"),
+    ])
+    def test_huge_integer_message(self, targets, shown):
+        with pytest.raises(InputOutOfRange) as err:
+            optimize_family(targets)
+        assert str(err.value).endswith(f"got {shown}") and len(str(err.value)) < 300
+
+    def test_huge_integer_grid_message(self):
+        with pytest.raises(GridMisaligned) as err:
+            optimize_family((0, 0, 0, 0), (4, 10**5000 + 1))
+        assert str(err.value) == "grid (4, a 5001-digit integer) is not two positive multiples of 4"
 
     def test_output_feasibility(self):
         family, _ = optimize_family((0.5, -0.25, 0.75, 0.125), (8, 8))

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 from bellhop import simulate
-from bellhop.chsh import PAIRS, ChshFamily, saturating_family
+from bellhop.chsh import PAIRS, ChshFamily, optimize_family, saturating_family
 from bellhop.density import ROUND_OFF, GridDensity, _integrate, expectation
 from bellhop.errors import (
     BellhopError,
@@ -159,11 +159,33 @@ ALIGNED_OR_NOT = st.one_of(st.sampled_from([4, 8, 16, 32]), st.integers(1, 7))
 
 
 def pair_counts(family, n, seed, pair=0):
-    """One pair's cell counts, as the Monte-Carlo engine draws them for n
-    trials of family, and the pair's refined cells."""
+    """One pair's outcome-class counts, as the Monte-Carlo engine draws them
+    for n trials of family, and the pair's refined cells."""
     cells = simulate._cells(family)
     counts = simulate._counts(np.random.default_rng(seed), cells, np.full(4, 0.25), n)
     return counts[pair], cells[pair]
+
+
+def pair_cell_counts(family, n, seed, pair=0):
+    """One pair's refined-cell counts, as the event log's class split draws
+    them block by block for n trials of family, and the pair's refined cells."""
+    cells = simulate._cells(family)
+    table = simulate._log_table(cells)
+    rng = np.random.default_rng(seed)
+    left = np.concatenate([
+        k.reshape(-1) for k in simulate._counts(rng, cells, np.full(4, 0.25), n)])
+    hits = np.zeros(len(table.lo), dtype=np.int64)
+    for start in range(0, n, simulate._BLOCK):
+        rows, _ = simulate.sample_many(table, rng, min(simulate._BLOCK, n - start), left)
+        hits += np.bincount(rows, minlength=len(hits))
+    # the table's rows hold the pairs in PAIRS order; a row's lower corner is
+    # an edge of its cell on each axis
+    first, c = sum(k.probs.size for k in cells[:pair]), cells[pair]
+    lo = table.lo[first:first + c.probs.size]
+    counts = np.zeros(c.probs.shape, dtype=np.int64)
+    counts[np.searchsorted(c.x_edges, lo[:, 0]), np.searchsorted(c.y_edges, lo[:, 1])] = (
+        hits[first:first + c.probs.size])
+    return counts, c
 
 
 def log_rows(family, n, seed, workers=1):
@@ -289,6 +311,16 @@ class TestConstruction:
         d[key] = value
         with pytest.raises(MalformedInput):
             GridDensity.from_dict(d)
+
+    @pytest.mark.parametrize("key", ["nx", "ny"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_huge_grid_size(self, key, sign):
+        # past 4300 digits an integer has no repr: the message counts its digits
+        d = middle_band_density().to_dict()
+        d[key] = sign * 10**5000
+        with pytest.raises(MalformedInput, match="a 5001-digit integer") as err:
+            GridDensity.from_dict(d)
+        assert len(str(err.value)) < 300
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (4,), (1, 1, 1)])
     def test_weights_without_cells(self, shape):
@@ -455,8 +487,9 @@ class TestRefine:
 
 
 class TestSampling:
-    """Draws from the densities' refined cells: the Monte-Carlo engine's cell
-    counts, and the points its event log places in the cells."""
+    """Draws from the densities' refined cells: the Monte-Carlo engine's class
+    counts, the cells its event log splits them into, and the points it places
+    in the cells."""
 
     def test_support(self):
         _, alpha, beta, x, y, _, _ = log_rows(family_of(np.ones((1, 1))), 1000, 1).T
@@ -464,7 +497,7 @@ class TestSampling:
 
     def test_concentrated_support(self):
         family = family_of(middle_band_density().weights)
-        counts, cells = pair_counts(family, 100_000, 1)
+        counts, cells = pair_cell_counts(family, 100_000, 1)
         assert counts.sum() > 0 and counts[cells.probs == 0].sum() == 0
         _, alpha, beta, x, y, a, b = log_rows(family, 1000, 1).T
         assert np.all((0.25 < x - alpha) & (x - alpha < 0.75))
@@ -493,7 +526,7 @@ class TestSampling:
     def test_chi_square_fidelity(self):
         # a 3x5 grid whose cells the thresholds cut, refined to 5x7 cells
         rng = np.random.default_rng(9)
-        counts, cells = pair_counts(family_of(rng.random((3, 5)) + 0.1), 400_000, 9)
+        counts, cells = pair_cell_counts(family_of(rng.random((3, 5)) + 0.1), 400_000, 9)
         assert cells.probs.shape == (5, 7)
         _, p = stats.chisquare(counts.reshape(-1), cells.probs.reshape(-1) * counts.sum())
         assert p > 0.001
@@ -502,12 +535,37 @@ class TestSampling:
         rng = np.random.default_rng(21)
         w = rng.random((32, 32))
         w[rng.random((32, 32)) < 0.2] = 0.0
-        counts, cells = pair_counts(family_of(w), 4_000_000, 21)
+        counts, cells = pair_cell_counts(family_of(w), 4_000_000, 21)
         probs = cells.probs
         assert probs.shape == (32, 32)  # the thresholds lie on grid lines
         assert counts[probs == 0].sum() == 0
         _, p = stats.chisquare(counts[probs > 0], probs[probs > 0] * counts.sum())
         assert p > 0.001
+
+    def test_class_chi_square_fidelity(self):
+        # the summary's draw: a 3x5 grid's 5x7 refined cells, pooled into the
+        # 2x2 outcome classes
+        rng = np.random.default_rng(9)
+        family = family_of(rng.random((3, 5)) + 0.1)
+        for pair in range(len(PAIRS)):
+            counts, cells = pair_counts(family, 400_000, 10 + pair, pair)
+            assert counts.shape == cells.classes.shape == (2, 2)
+            assert cells.classes.sum() == pytest.approx(1.0, abs=ROUND_OFF)
+            want = [cells.probs[np.ix_(cells.a == a, cells.b == b)].sum()
+                    for a in (-1, 1) for b in (-1, 1)]
+            assert cells.classes.reshape(-1) == pytest.approx(want, abs=ROUND_OFF)
+            _, p = stats.chisquare(counts.reshape(-1), cells.classes.reshape(-1) * counts.sum())
+            assert p > 0.001
+
+    @pytest.mark.parametrize("side", [4, 32, 512])
+    def test_count_draw_does_not_grow_with_the_cells(self, side):
+        # at most 2x2 counts per pair, whatever the pair's cell count
+        family = optimize_family((0.5, -0.25, 1.0, 0.0), (side, side))[0]
+        cells = simulate._cells(family)
+        assert all(c.probs.shape == (side, side) for c in cells)
+        counts = simulate._counts(np.random.default_rng(side), cells, np.full(4, 0.25), 10**7)
+        assert [k.shape for k in counts] == [(2, 2)] * len(PAIRS)
+        assert sum(int(k.sum()) for k in counts) == 10**7
 
     @settings(max_examples=40, deadline=None)
     @given(families(ALIGNED_OR_NOT), st.integers(0, 2**32))

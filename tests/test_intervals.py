@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from bellhop.errors import _show
 from bellhop.intervals import DomainSet, Interval
 
 
@@ -99,3 +100,34 @@ class TestNormalization:
     def test_keeps_excluded_breakpoint(self):
         d = dset((0, 0.5), (0.5, 1))
         assert len(d.intervals) == 2
+
+
+class TestShow:
+    """How a message shows a value: an integer past 40 digits by its digit count."""
+
+    @pytest.mark.parametrize("value, shown", [
+        (10**40 - 1, "9" * 40),
+        (10**40, "a 41-digit integer"),
+        (-10**40, "a 41-digit integer"),
+        (10**400 - 1, "a 400-digit integer"),
+        (10**5000, "a 5001-digit integer"),
+        (-(10**5000 - 1), "a 5000-digit integer"),
+        (0.5, "0.5"),
+        ("x" * 40, repr("x" * 40)),
+        ("x" * 41, repr("x" * 40 + "…")),
+        ((10**5000,), "(a 5001-digit integer,)"),
+        ([(0.5, 10**50)], "[(0.5, a 51-digit integer)]"),
+    ], ids=["40-digits", "41-digits", "-41-digits", "400-digits", "5001-digits",
+            "-5000-digits", "float", "40-characters", "41-characters", "in-tuple", "in-list"])
+    def test_show(self, value, shown):
+        assert _show(value) == shown
+
+    @pytest.mark.parametrize("k", [41, 100, 308, 309, 4299, 4300, 4301, 9999])
+    def test_digit_count_at_powers_of_ten(self, k):
+        assert _show(10**k) == f"a {k + 1}-digit integer"
+        assert _show(10**k - 1) == f"a {k}-digit integer"
+
+    def test_interval_repr(self):
+        assert repr(Interval(0.25, 1)) == "(0.25,1)"
+        assert repr(Interval(-10**5000, 10**400)) == "(a 5001-digit integer,a 401-digit integer)"
+        assert repr(Interval("0", 1)) == "('0',1)"

@@ -43,6 +43,12 @@ class TestMakeObservable:
         with pytest.raises(InputOutOfRange):
             make_observable(alpha)
 
+    def test_huge_integer_message(self):
+        # past 4300 digits an integer has no repr: the message counts its digits
+        with pytest.raises(InputOutOfRange, match="setting a 5001-digit integer") as err:
+            make_observable(10**5000)
+        assert len(str(err.value)) < 300
+
 
 class TestLogCurve:
     def test_midpoint(self):

@@ -8,6 +8,7 @@ from bellhop.errors import (
     ArityMismatch,
     AxisMismatch,
     EmptyDomain,
+    MalformedInput,
     NonFiniteInput,
     NonMonotoneBoundaries,
     OutOfDomain,
@@ -117,6 +118,19 @@ class TestMakeStep:
         with pytest.raises(NonFiniteInput):
             make_step(boundaries, values, "x")
 
+    def test_huge_integer_message(self):
+        # past 4300 digits an integer has no repr: the message counts its digits
+        with pytest.raises(NonFiniteInput, match="a 5001-digit integer") as err:
+            make_step([0, 1], [10**5000], "x")
+        assert len(str(err.value)) < 300
+
+    @pytest.mark.parametrize("boundaries, values", [
+        ((0, 1), ("1.5",)), (("0", 1), (1.0,)), ((0, 1), (None,)), ((0, 1), (True,)),
+    ], ids=["string-value", "string-boundary", "none-value", "bool-value"])
+    def test_non_number(self, boundaries, values):
+        with pytest.raises(MalformedInput):
+            make_step(boundaries, values, "x")
+
 
 class TestPieces:
     @pytest.mark.parametrize("pieces", [
@@ -139,6 +153,15 @@ class TestPieces:
     ], ids=["nan-value", "inf-end", "nan-end", "huge-int-value", "huge-int-end"])
     def test_non_finite(self, pieces):
         with pytest.raises(NonFiniteInput):
+            PartialRV(pieces, "x")
+
+    @pytest.mark.parametrize("pieces", [
+        ((Interval("0", 1), 1.0),),
+        ((Interval(0, 0.5), 1.0), (Interval(0.5, 1), "-1")),
+        ((Interval(0, 0.5), 1.0), (Interval(0.5, 1), float("nan")), (Interval(1, 2), "1")),
+    ], ids=["string-end", "string-value", "string-after-nan"])
+    def test_non_number(self, pieces):
+        with pytest.raises(MalformedInput, match="not finite floats"):
             PartialRV(pieces, "x")
 
     def test_no_pieces(self):
@@ -170,6 +193,16 @@ class TestEval:
     ])
     def test_non_finite_point(self, x):
         with pytest.raises(NonFiniteInput):
+            make_observable(0.0).eval(x)
+
+    def test_huge_integer_point(self):
+        with pytest.raises(NonFiniteInput, match="x=a 5001-digit integer") as err:
+            make_observable(0.0).eval(10**5000)
+        assert len(str(err.value)) < 300
+
+    @pytest.mark.parametrize("x", ["0.5", None, True, [0.5]])
+    def test_non_number_point(self, x):
+        with pytest.raises(MalformedInput):
             make_observable(0.0).eval(x)
 
     def test_eval_many(self):
