@@ -126,8 +126,8 @@ def _check_stored(stored, want: dict, what: str) -> None:
 def chsh_value(e00: float, e10: float, e01: float, e11: float) -> float:
     """Signed CHSH combination e00 + e10 + e01 - e11."""
     for e in (e00, e10, e01, e11):
-        if not abs(e) <= 1.0 + ROUND_OFF:  # a NaN is out of range too
-            raise InputOutOfRange(f"correlator {_show(e)} outside [-1, 1]")
+        if not (_is_real(e) and abs(e) <= 1.0 + ROUND_OFF):  # a NaN is out of range too
+            raise InputOutOfRange(f"correlator {_show(e)} is not a real number in [-1, 1]")
     return e00 + e10 + e01 - e11
 
 

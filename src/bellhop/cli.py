@@ -35,6 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 MAX_GRID = 512  # the largest saturate grid measured: 78 MB of RSS, an 11.5 MB file
+MAX_CHECKS = 10**7  # check-classical instances: 0.4 ms each (instance plus check) on a Xeon
 
 
 def _int_flag(low: int, high: int | None = None, why: str = ""):
@@ -95,7 +96,8 @@ def _build_parser() -> _Parser:
     sp.set_defaults(run=_cmd_simulate)
 
     sp = sub.add_parser("check-classical", help="randomized |S| <= 2 oracle suite")
-    sp.add_argument("--trials", type=_int_flag(1), required=True)
+    sp.add_argument("--trials", required=True,
+                    type=_int_flag(1, MAX_CHECKS, "about an hour at 0.4 ms an instance"))
     sp.add_argument("--seed", type=_int_flag(0), default=0)
     sp.set_defaults(run=_cmd_check_classical)
 
@@ -183,17 +185,18 @@ def _cmd_check_classical(args) -> int:
     return EXIT_OK
 
 
-def _column(rv, xs: np.ndarray) -> list:
-    """rv at each x as %.17g text, with "nan" where rv is undefined.
-
-    A step function takes few values, so each distinct one is formatted once.
-    Values are told apart by their bits, which keeps -0.0 and 0.0 apart.
+def _runs(rv, xs: np.ndarray) -> list:
+    """rv at xs as runs [(text, length), ...] of one %.17g text, "nan" where rv is
+    undefined.  A step function takes few values, so each run is formatted once;
+    a run ends where the value's bits change, which keeps -0.0, 0.0 and nan apart.
     """
     values, defined = rv.eval_many(xs)
     bits = np.where(defined, values, math.nan).view(np.int64)
-    keys, inverse = np.unique(bits, return_inverse=True)
-    text = [f"{v:.17g}" for v in keys.view(np.float64).tolist()]
-    return [text[i] for i in inverse.tolist()]
+    change = np.concatenate(([True], bits[1:] != bits[:-1]))[: len(bits)]  # [:0] for no xs
+    starts = np.flatnonzero(change).tolist()
+    firsts = bits[starts].view(np.float64).tolist()
+    return [(f"{v:.17g}", end - start)
+            for v, start, end in zip(firsts, starts, [*starts[1:], len(bits)])]
 
 
 def write_figures(out_dir: str) -> None:
@@ -208,12 +211,18 @@ def write_figures(out_dir: str) -> None:
     # f"{alpha + k/1000:.3f}" for every i <= 100 and k <= 1000.
     x_labels = [f"{k / 1000:.3f}" for k in range(2001)]
 
-    def block(alpha_label: str, labels, values) -> str:
-        return "".join([f"{alpha_label},{x},{v}\n" for x, v in zip(labels, values)])
+    def block(alpha_label: str, labels, runs) -> str:
+        rows, at = [], 0
+        for text, n in runs:  # the rows alpha_label,x,text of a run: one join over its labels
+            sep = f",{text}\n{alpha_label},"
+            rows.append(f"{alpha_label},{sep.join(labels[at : at + n])},{text}\n")
+            at += n
+        return "".join(rows)
 
     with open(out / "fig1.csv", "w") as fh:
         fh.write("x,a0,logcurve\n")
-        for x, label, a in zip(steps.tolist(), x_labels, _column(a0, steps)):
+        a0_text = [text for text, n in _runs(a0, steps) for _ in range(n)]
+        for x, label, a in zip(steps.tolist(), x_labels, a0_text):
             try:
                 curve = math.nan if x in excluded else log_curve(0.0, x)
             except OutOfDomain:
@@ -226,12 +235,12 @@ def write_figures(out_dir: str) -> None:
         for i in range(101):
             alpha = i / 100
             label, rv = f"{alpha:.2f}", make_observable(alpha)
-            fig2.write(block(label, x_labels[10 * i : 10 * i + 1001], _column(rv, alpha + steps)))
+            fig2.write(block(label, x_labels[10 * i : 10 * i + 1001], _runs(rv, alpha + steps)))
             try:
-                values = _column(combine(a0, rv, "sum"), steps)
+                runs = _runs(combine(a0, rv, "sum"), steps)
             except EmptyDomain:  # a0 + rv exists nowhere
-                values = ["nan"] * len(steps)
-            fig3.write(block(label, x_labels, values))
+                runs = [("nan", len(steps))]
+            fig3.write(block(label, x_labels, runs))
 
 
 def _cmd_figures(args) -> int:

@@ -50,7 +50,8 @@ class MalformedInput(BellhopError):
     """A family or density record is not a JSON object, lacks a required key,
     or has a field of the wrong type or shape; a family record's stored
     expectations differ from its weights' values; density weights are not a
-    2-d array with cells; or a step function's end, value or point is no number."""
+    2-d array with cells; or a step function's end, value or point, or an
+    argument of log_curve, is no number."""
 
 
 class EmptyRect(BellhopError):
@@ -62,8 +63,9 @@ class DomainMismatch(BellhopError):
 
 
 class InputOutOfRange(BellhopError):
-    """Correlator magnitude exceeds 1, or a setting is too large (or not
-    finite) for its quarter bands to be distinct floats."""
+    """A correlator is not a real number of magnitude at most 1, or a setting
+    is not a real number or too large (or not finite) for its quarter bands
+    to be distinct floats."""
 
 
 class GridMisaligned(BellhopError):

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import math
 
-from .errors import InputOutOfRange, OutOfDomain, _finite, _show
+from .errors import InputOutOfRange, MalformedInput, OutOfDomain, _finite, _is_real, _show
 from .intervals import Interval
 from .steprv import PartialRV, make_step
 
 
 def setting_interval(alpha: float) -> Interval:
     """(alpha, alpha+1): the span on which the observable for setting alpha exists."""
+    if not _is_real(alpha):
+        raise InputOutOfRange(f"setting {_show(alpha)} is not a real number")
     if not (_finite(alpha) and (lo := float(alpha)) < lo + 0.25 < lo + 0.75 < lo + 1.0):
         raise InputOutOfRange(
             f"setting {_show(alpha)} not finite or too large: "
@@ -43,6 +45,8 @@ def thresholds(alpha: float) -> tuple[float, float]:
 
 def log_curve(alpha: float, x: float) -> float:
     """ln(16*t*(1-t)/3) with t = x - alpha; defined for 0 < t < 1."""
+    if not (_is_real(alpha) and _is_real(x)):
+        raise MalformedInput(f"alpha={_show(alpha)}, x={_show(x)}: not two real numbers")
     t = x - alpha
     if not 0.0 < t < 1.0:
         raise OutOfDomain(f"x-alpha={_show(t)} outside (0,1)")

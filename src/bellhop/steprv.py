@@ -96,7 +96,8 @@ class PartialRV:
         outside the domain or on an excluded breakpoint; values there are 0.
         """
         los, his, values = self._arrays()
-        idx = np.clip(np.searchsorted(los, xs, side="right") - 1, 0, len(los) - 1)
+        # side="right" puts no index past len - 1; only points left of los[0] need lifting to 0
+        idx = np.maximum(np.searchsorted(los, xs, side="right") - 1, 0)
         defined = (xs > los[idx]) & (xs < his[idx])
         return np.where(defined, values[idx], 0.0), defined
 
@@ -105,8 +106,8 @@ class PartialRV:
         and the measure of the domain inside it."""
         los, his, values = self._arrays()
         # overlap[i, j]: length of cell i ∩ piece j
-        overlap = np.clip(
-            np.minimum(edges[1:, None], his) - np.maximum(edges[:-1, None], los), 0.0, None
+        overlap = np.maximum(
+            np.minimum(edges[1:, None], his) - np.maximum(edges[:-1, None], los), 0.0
         )
         return overlap @ values, overlap.sum(axis=1)
 

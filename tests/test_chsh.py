@@ -92,6 +92,13 @@ class TestChshValue:
             with pytest.raises(InputOutOfRange):
                 chsh_value(e, 0, 0, 0)
 
+    @pytest.mark.parametrize("e", ["1", None, True, [0.5]])
+    def test_not_a_number(self, e):
+        with pytest.raises(InputOutOfRange, match="is not a real number"):
+            chsh_value(e, 0, 0, 0)
+        with pytest.raises(InputOutOfRange, match="is not a real number"):
+            chsh_value(0, 0, 0, e)
+
     def test_huge_integer_message(self):
         # past 4300 digits an integer has no repr: the message counts its digits
         with pytest.raises(InputOutOfRange, match="correlator a 5001-digit integer") as err:

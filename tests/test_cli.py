@@ -10,7 +10,7 @@ import pytest
 
 import bellhop
 from bellhop import chsh, simulate
-from bellhop.cli import MAX_GRID, _build_parser, _column, main, write_figures
+from bellhop.cli import MAX_CHECKS, MAX_GRID, _build_parser, _runs, main, write_figures
 from bellhop.steprv import make_step
 
 
@@ -72,6 +72,11 @@ BAD_INT_FLAGS = [
      "--workers: at most 1024 (0.1 s of per-worker set-up), got a 4000-digit number"),
     (["check-classical", "--trials", "-" + "9" * 4000],
      "--trials: must be a positive integer, got a 4000-digit number"),
+    # check-classical's cap keeps a run near an hour
+    (["check-classical", "--trials", "10000001"],
+     "--trials: at most 10000000 (about an hour at 0.4 ms an instance), got 10000001"),
+    (["check-classical", "--trials", "1" + "0" * 40],
+     "--trials: at most 10000000 (about an hour at 0.4 ms an instance), got a 41-digit number"),
 ]
 
 
@@ -195,6 +200,10 @@ class TestUsage:
         parse = _build_parser().parse_args
         args = parse(["simulate", "--family", "f.json", "--seed", "1", "--trials", str(2**63 - 1)])
         assert args.trials == 2**63 - 1 == simulate.MAX_TRIALS
+
+    def test_check_cap_is_accepted(self):
+        args = _build_parser().parse_args(["check-classical", "--trials", str(MAX_CHECKS)])
+        assert args.trials == MAX_CHECKS == 10**7
 
     @pytest.mark.parametrize("command", ["saturate", "figures"])
     def test_empty_out_exit_2(self, capsys, tmp_path, monkeypatch, command):
@@ -404,10 +413,29 @@ class TestFigures:
         for name, want in FIGURE_SHA256.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
 
-    def test_column_text(self):
+    def test_runs(self):
         rv = make_step([0.0, 1.0, 2.0, 3.0], [-0.0, 0.0, -1.0], "x")
-        xs = [0.5, 1.0, 1.5, 2.5, 1.5, 3.5, 0.5]
-        assert _column(rv, np.array(xs)) == ["-0", "nan", "0", "-1", "0", "nan", "-0"]
+        xs = np.array([0.5, 0.6, 1.0, 1.5, 1.7, 2.5, 1.5, 3.5, 4.0, 0.5])
+        runs = _runs(rv, xs)
+        # -0.0 and 0.0 compare equal but make separate runs
+        assert runs == [("-0", 2), ("nan", 1), ("0", 2), ("-1", 1), ("0", 1), ("nan", 2),
+                        ("-0", 1)]
+        assert sum(n for _, n in runs) == len(xs)
+        assert _runs(rv, np.array([2.25, 2.5, 2.75])) == [("-1", 3)]
+        assert _runs(rv, np.array([-1.0, 1.0, 2.0, 7.0])) == [("nan", 4)]
+        assert _runs(rv, np.array([])) == []
+
+    def test_fig2_blocks_have_seven_runs(self):
+        # a -1/+1/-1 step function on the closed span of its setting interval:
+        # three bands, and a one-row nan run at each of its four breakpoints,
+        # which all lie on the x grid
+        steps = np.arange(1001) / 1000
+        for i in range(101):
+            alpha = i / 100
+            runs = _runs(bellhop.make_observable(alpha), alpha + steps)
+            assert len(runs) == 7
+            assert {text for text, _ in runs} <= {"-1", "1", "nan"}
+            assert sum(n for _, n in runs) == len(steps)
 
     def test_fig1_contents(self, tmp_path):
         write_figures(tmp_path)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellhop.errors import InputOutOfRange, OutOfDomain
+from bellhop.errors import InputOutOfRange, MalformedInput, OutOfDomain
 from bellhop.observables import log_curve, make_observable, setting_interval, thresholds
 
 
@@ -43,6 +43,13 @@ class TestMakeObservable:
         with pytest.raises(InputOutOfRange):
             make_observable(alpha)
 
+    @pytest.mark.parametrize("alpha", ["0.5", None, True, [0.5]])
+    def test_not_a_number(self, alpha):
+        with pytest.raises(InputOutOfRange, match="is not a real number"):
+            setting_interval(alpha)
+        with pytest.raises(InputOutOfRange, match="is not a real number"):
+            make_observable(alpha)
+
     def test_huge_integer_message(self):
         # past 4300 digits an integer has no repr: the message counts its digits
         with pytest.raises(InputOutOfRange, match="setting a 5001-digit integer") as err:
@@ -60,6 +67,11 @@ class TestLogCurve:
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
             log_curve(0.0, 1.5)
+
+    @pytest.mark.parametrize("alpha, x", [("0", 0.5), (0.0, "0.5"), (None, 0.5), (0.0, True)])
+    def test_not_a_number(self, alpha, x):
+        with pytest.raises(MalformedInput, match="not two real numbers"):
+            log_curve(alpha, x)
 
 
 class TestThresholds:

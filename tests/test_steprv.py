@@ -212,6 +212,17 @@ class TestEval:
         assert list(defined) == [True, True, False, False, True]
         assert list(vals[defined]) == [-1.0, 1.0, -1.0]
 
+    def test_eval_many_at_the_edges(self):
+        # pieces (0, 1) and (1, 2), a gap, then (3, 4): left of the first piece,
+        # every breakpoint, the gap, and at and right of the last hi
+        f = PartialRV(((Interval(0.0, 1.0), 2.0), (Interval(1.0, 2.0), -3.0),
+                       (Interval(3.0, 4.0), 5.0)), "x")
+        xs = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 9.0])
+        values, defined = f.eval_many(xs)
+        assert values.tolist() == [0.0, 0.0, 2.0, 0.0, -3.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0]
+        assert defined.tolist() == [False, False, True, False, True, False, False, False,
+                                    True, False, False]
+
     @given(
         st.one_of(
             step_rvs(),
