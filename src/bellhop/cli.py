@@ -219,15 +219,16 @@ def write_figures(out_dir: str) -> None:
             at += n
         return "".join(rows)
 
+    rows = ["x,a0,logcurve\n"]
+    a0_text = [text for text, n in _runs(a0, steps) for _ in range(n)]
+    for x, label, a in zip(steps.tolist(), x_labels, a0_text):
+        try:
+            curve = math.nan if x in excluded else log_curve(0.0, x)
+        except OutOfDomain:
+            curve = math.nan
+        rows.append(f"{label},{a},{curve:.17g}\n")
     with open(out / "fig1.csv", "w") as fh:
-        fh.write("x,a0,logcurve\n")
-        a0_text = [text for text, n in _runs(a0, steps) for _ in range(n)]
-        for x, label, a in zip(steps.tolist(), x_labels, a0_text):
-            try:
-                curve = math.nan if x in excluded else log_curve(0.0, x)
-            except OutOfDomain:
-                curve = math.nan
-            fh.write(f"{label},{a},{curve:.17g}\n")
+        fh.write("".join(rows))
 
     with open(out / "fig2.csv", "w") as fig2, open(out / "fig3.csv", "w") as fig3:
         fig2.write("alpha,x,value\n")

@@ -3,16 +3,15 @@
 Both the observables and the densities are piecewise constant, so every
 expectation is a finite sum over the grid cells of per-cell integrals of the
 observables.  There is no quadrature error; excluded breakpoints have
-measure zero and are ignored.  GridDensity.refine cuts the grid also at
-given breakpoints, so that an observable is constant on every refined cell:
-those cells and their probabilities are what the Monte-Carlo engine draws
-counts over.
+measure zero and are ignored.  _refine_axis cuts one axis of the grid also
+at given breakpoints, so that an observable is constant on every refined
+cell, and GridDensity.refine gives the cells of two such axes their
+probabilities: those are what the Monte-Carlo engine draws counts over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -105,15 +104,14 @@ class GridDensity:
     def cell_probabilities(self) -> np.ndarray:
         return self.weights * (self.cell_width * self.cell_height)
 
-    def refine(self, x_cuts, y_cuts) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x_edges, y_edges, probs) of the grid cut also at the x_cuts and
-        y_cuts inside the rectangle: probs[i, j] is refined cell (i, j)'s grid
-        weight times its area, rescaled to sum 1, and 0 for a cell too thin
-        for any float to lie strictly inside it (a cut one ulp from a line)."""
-        xe, x_cells, x_widths = _refine_axis(self.x_edges(), self.x_rect, x_cuts)
-        ye, y_cells, y_widths = _refine_axis(self.y_edges(), self.y_rect, y_cuts)
-        probs = self.weights[np.ix_(x_cells, y_cells)] * np.outer(x_widths, y_widths)
-        return xe, ye, probs / probs.sum()
+    def refine(self, x_axis, y_axis) -> np.ndarray:
+        """Probabilities of the grid's cells cut along two _refine_axis axes:
+        probs[i, j] is refined cell (i, j)'s grid weight times its area,
+        rescaled to sum 1, and 0 for a cell too thin for any float to lie
+        strictly inside it (a cut one ulp from a line)."""
+        (_, x_cells, x_widths), (_, y_cells, y_widths) = x_axis, y_axis
+        probs = self.weights[x_cells[:, None], y_cells] * np.outer(x_widths, y_widths)
+        return probs / probs.sum()
 
     def to_dict(self) -> dict:
         return {
@@ -148,12 +146,14 @@ def _refine_axis(grid: np.ndarray, rect: Interval, cuts):
 
 
 def _reals(value, n: int, key: str) -> np.ndarray:
-    """A density field that must be a list of n numbers, as floats."""
+    """A density field that must be a list of n numbers that floats hold exactly."""
     if not (isinstance(value, (list, tuple)) and len(value) == n and all(map(_is_real, value))):
         raise MalformedInput(f"density {key} must be a list of {_show(n)} numbers")
     # only a non-float can lack a float; a NaN or ±inf is left to GridDensity
     if not _finite(*value) and not _finite(*(v for v in value if not isinstance(v, float))):
         raise NonFiniteInput(f"density {key} not finite: int too large to convert to float")
+    if any(isinstance(v, int) and float(v) != v for v in value):  # 2**53 + 1 would round
+        raise MalformedInput(f"density {key} holds an integer that no float equals")
     return np.array(value, dtype=float)
 
 

@@ -6,18 +6,19 @@ detection loophole by construction.
 
 A summary needs only each pair's trials, Σab, Σa and Σb, so the engine draws
 class counts, split into cells only for the log.  A pair's cells are its
-density's grid refined by both observables' breakpoints (GridDensity.refine),
-so both outcomes are constant on each cell (PartialRV.column_values), and
-the counts of its at most 2×2 outcome classes (a, b) are Multinomial with
-the classes' summed cell probabilities.  Each worker draws once: the pairs
-get Multinomial(size, setting probabilities) trials, each pair's classes
-Multinomial counts of those, and the sums are the class counts contracted
-with the outcome values, exactly, in int64.  (numpy's binomial keeps every low bit
-of a count up to about 2**54 trials per pair; above that counts share their
-low bits, an error of about 2**-21 standard deviations.)  Worker i draws its
-share from child i of SeedSequence(master_seed).spawn(n_workers), so
-substreams are independent across workers and seeds and a summary is
-bit-identical for a fixed (seed, workers).  Workers run one after another.
+density's grid refined by both observables' breakpoints, each distinct axis
+once per call (_refine_axis; GridDensity.refine per pair), so both outcomes are
+constant on each cell (PartialRV.column_values), and the counts of its at most
+2×2 outcome classes (a, b) are Multinomial with the classes' summed cell
+probabilities.  Each worker draws once: the pairs get Multinomial(size, setting
+probabilities) trials, each pair's classes Multinomial counts of those; the
+class counts, summed over the workers, are contracted once with the outcome
+values, exactly, in int64.  (numpy's binomial keeps every low bit of a count up
+to about 2**54 trials per pair; above that counts share their low bits, an
+error of about 2**-21 standard deviations.)  Worker i draws its share from
+child i of SeedSequence(master_seed).spawn(n_workers), so substreams are
+independent across workers and seeds and a summary is bit-identical for a fixed
+(seed, workers).  Workers run one after another.
 
 The event log continues each worker's generator after its counts, so a
 summary is the same with and without it.  Each block of _BLOCK rows takes
@@ -40,7 +41,7 @@ from typing import List, NamedTuple, Optional, TextIO, Tuple
 import numpy as np
 
 from .chsh import PAIRS, ChshFamily, chsh_value
-from .density import ROUND_OFF
+from .density import ROUND_OFF, _refine_axis
 from .errors import ConfigInvalid, InsufficientTrials, _finite, _is_int, _is_real
 
 _BLOCK = 1 << 16  # event-log rows drawn and written at a time
@@ -67,12 +68,14 @@ class ExperimentConfig:
         if not _is_int(self.master_seed) or self.master_seed < 0:
             raise ConfigInvalid("master_seed must be a non-negative integer")
         p = self.setting_probabilities
+        p = p.tolist() if isinstance(p, np.ndarray) and p.ndim == 1 else p
         if not (isinstance(p, Sequence) and len(p) == 4 and all(map(_is_real, p))):
             raise ConfigInvalid("setting probabilities must be a sequence of 4 real numbers")
         if not (_finite(*p) and min(p) >= 0):
             raise ConfigInvalid("need 4 finite nonnegative setting probabilities")
         if abs(sum(p) - 1.0) > ROUND_OFF:
             raise ConfigInvalid("setting probabilities must sum to 1")
+        object.__setattr__(self, "setting_probabilities", tuple(map(float, p)))
 
 
 @dataclass(frozen=True)
@@ -121,15 +124,26 @@ class _Cells(NamedTuple):
 
 
 def _cells(family: ChshFamily) -> List[_Cells]:
-    """Each pair's _Cells, in PAIRS order."""
+    """Each pair's _Cells, in PAIRS order; each distinct axis (side, setting,
+    rectangle and cell count, so grid and observable) is refined and evaluated once."""
+    axes = {}
+
+    def axis(rv, setting, rect, grid):
+        key = (rv.axis_label, setting, rect, len(grid))
+        if key not in axes:
+            refined = _refine_axis(grid, rect, rv.breakpoints())
+            values = rv.column_values(refined[0]).astype(np.int64)
+            distinct = np.unique(values)
+            axes[key] = refined, values, distinct, values[:, None] == distinct
+        return axes[key]
+
     out = []
     for (alpha, beta), rho in zip(PAIRS, family.densities()):
         f, g = family.observables(alpha, beta)
-        xe, ye, probs = rho.refine(f.breakpoints(), g.breakpoints())
-        a, b = (rv.column_values(e).astype(np.int64) for rv, e in ((f, xe), (g, ye)))
-        a_values, b_values = np.unique(a), np.unique(b)
-        classes = (a[:, None] == a_values).T @ probs @ (b[:, None] == b_values)
-        out.append(_Cells(xe, ye, probs, a, b, a_values, b_values, classes))
+        x, a, a_values, in_a = axis(f, alpha, rho.x_rect, rho.x_edges())
+        y, b, b_values, in_b = axis(g, beta, rho.y_rect, rho.y_edges())
+        probs = rho.refine(x, y)
+        out.append(_Cells(x[0], y[0], probs, a, b, a_values, b_values, in_a.T @ probs @ in_b))
     return out
 
 
@@ -220,12 +234,12 @@ def run_experiment(
         _check_log_limit(config)
         table = _log_table(cells)
         event_log.write("trial,alpha,beta,x,y,a,b\n")
-    totals, trial = np.zeros((len(PAIRS), 4), dtype=np.int64), 0
+    totals, trial = [0] * len(PAIRS), 0
     for worker, seed in enumerate(seeds):
         size = base + (worker < extra)
         rng = np.random.default_rng(seed)
         counts = _counts(rng, cells, p, size)
-        totals += _sums(cells, counts)
+        totals = [t + k for t, k in zip(totals, counts)]
         if event_log is None:
             continue
         left = np.concatenate([k.reshape(-1) for k in counts])
@@ -235,7 +249,7 @@ def run_experiment(
             event_log.write(_format_block(table, trial, rows, points))
             trial += n
     return ExperimentSummary(
-        config.n_trials, tuple(PairCounts(*row) for row in totals.tolist())
+        config.n_trials, tuple(PairCounts(*row) for row in _sums(cells, totals).tolist())
     )
 
 

@@ -7,7 +7,7 @@ from scipy import stats
 
 from bellhop import simulate
 from bellhop.chsh import PAIRS, ChshFamily, optimize_family, saturating_family
-from bellhop.density import ROUND_OFF, GridDensity, _integrate, expectation
+from bellhop.density import ROUND_OFF, GridDensity, _integrate, _refine_axis, expectation
 from bellhop.errors import (
     BellhopError,
     DomainMismatch,
@@ -25,6 +25,14 @@ from bellhop.steprv import PartialRV, make_step
 
 def unit_rect():
     return Interval(0.0, 1.0), Interval(0.0, 1.0)
+
+
+def refine(rho, x_cuts, y_cuts):
+    """(x_edges, y_edges, probs) of rho's grid cut also at the cuts inside its
+    rectangle: each axis by _refine_axis, the cells' probabilities by refine."""
+    x = _refine_axis(rho.x_edges(), rho.x_rect, x_cuts)
+    y = _refine_axis(rho.y_edges(), rho.y_rect, y_cuts)
+    return x[0], y[0], rho.refine(x, y)
 
 
 def middle_band_density():
@@ -283,6 +291,19 @@ class TestConstruction:
         with pytest.raises(MalformedInput):
             GridDensity.from_dict(d)
 
+    @pytest.mark.parametrize("key, index", [("x_rect", 0), ("y_rect", 0), ("weights", 5)])
+    def test_integer_no_float_equals_refused(self, key, index):
+        # -(2**53) - 1 would round to -(2**53): refused, not silently moved
+        d = middle_band_density().to_dict()
+        d[key][index] = -(2**53) - 1
+        with pytest.raises(MalformedInput, match="no float equals"):
+            GridDensity.from_dict(d)
+
+    def test_integer_a_float_equals_kept(self):
+        d = middle_band_density().to_dict()
+        d["x_rect"][0] = -(2**53)
+        assert GridDensity.from_dict(d).x_rect.lo == -(2**53)
+
     @pytest.mark.filterwarnings("error")
     def test_total_mass_overflow(self):
         with pytest.raises(NonFiniteInput):
@@ -451,7 +472,7 @@ class TestRefine:
     def test_refinement_oracle(self, f, g, rho):
         # the refined cells carry the grid's mass, cell by cell, and f and g
         # are constant on each cell inside their domains
-        xe, ye, probs = rho.refine(f.breakpoints(), g.breakpoints())
+        xe, ye, probs = refine(rho, f.breakpoints(), g.breakpoints())
         assert probs.shape == (len(xe) - 1, len(ye) - 1)
         assert (probs >= 0).all() and abs(probs.sum() - 1.0) <= 1e-12
         for edges, grid, rv, rect in ((xe, rho.x_edges(), f, rho.x_rect),
@@ -472,7 +493,7 @@ class TestRefine:
         # lies strictly between it and the threshold 0.25, so no point can
         # be drawn in that cell
         rho = GridDensity(*unit_rect(), np.ones((196, 1)))
-        xe, _, probs = rho.refine(thresholds(0.0), [])
+        xe, _, probs = refine(rho, thresholds(0.0), [])
         sliver = np.flatnonzero(xe == 0.25)[0] - 1
         assert xe[sliver] == np.nextafter(0.25, 0.0) == rho.x_edges()[49]
         assert probs[sliver, 0] == 0.0
@@ -480,7 +501,7 @@ class TestRefine:
 
     def test_cuts_outside_the_rectangle_are_ignored(self):
         rho = middle_band_density()
-        xe, ye, probs = rho.refine([-1.0, 0.0, 1.0, 2.0], [0.5])
+        xe, ye, probs = refine(rho, [-1.0, 0.0, 1.0, 2.0], [0.5])
         assert np.array_equal(xe, rho.x_edges())
         assert ye.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert np.array_equal(probs, rho.cell_probabilities())

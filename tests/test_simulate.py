@@ -1,3 +1,4 @@
+import hashlib
 import io
 import time
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 
 from bellhop import simulate
 from bellhop.chsh import PAIRS, ChshFamily, optimize_family, saturating_family
-from bellhop.density import GridDensity
+from bellhop.density import GridDensity, _refine_axis
 from bellhop.errors import ConfigInvalid, InsufficientTrials
 from bellhop.intervals import Interval
 from bellhop.observables import make_observable, setting_interval
@@ -34,6 +35,35 @@ def unaligned_family():
         GridDensity(setting_interval(a), setting_interval(b), rng.random((3, 5)) + 0.1)
         for a, b in PAIRS
     ])
+
+
+def mixed_grid_family():
+    """3x5 / 4x4 / 3x8 / 5x5 grids in PAIRS order: pairs 00 and 01 share the
+    setting-0 x axis, while pairs 10 and 11 have setting 1 but different
+    cell counts, and no two pairs share a y axis."""
+    rng = np.random.default_rng(19)
+    shapes = ((3, 5), (4, 4), (3, 8), (5, 5))
+    return ChshFamily(*[
+        GridDensity(setting_interval(a), setting_interval(b), rng.random(shape) + 0.1)
+        for (a, b), shape in zip(PAIRS, shapes)
+    ])
+
+
+def per_pair_cells(family):
+    """Each pair's _Cells built on its own, every axis refined and evaluated
+    for each pair that uses it: the reference the shared axes must match."""
+    out = []
+    for (alpha, beta), rho in zip(PAIRS, family.densities()):
+        f, g = family.observables(alpha, beta)
+        xe, x_cells, x_widths = _refine_axis(rho.x_edges(), rho.x_rect, f.breakpoints())
+        ye, y_cells, y_widths = _refine_axis(rho.y_edges(), rho.y_rect, g.breakpoints())
+        probs = rho.weights[np.ix_(x_cells, y_cells)] * np.outer(x_widths, y_widths)
+        probs = probs / probs.sum()
+        a, b = (rv.column_values(e).astype(np.int64) for rv, e in ((f, xe), (g, ye)))
+        a_values, b_values = np.unique(a), np.unique(b)
+        classes = (a[:, None] == a_values).T @ probs @ (b[:, None] == b_values)
+        out.append(simulate._Cells(xe, ye, probs, a, b, a_values, b_values, classes))
+    return out
 
 
 def per_point(family, log: str) -> ExperimentSummary:
@@ -148,6 +178,28 @@ class TestConfig:
         with pytest.raises(ConfigInvalid, match="at most 1024"):
             ExperimentConfig(family=family, n_trials=10, master_seed=1,
                              n_workers=simulate.MAX_WORKERS + 1)
+
+    def test_probabilities_stored_as_a_tuple_of_floats(self):
+        # a list, a tuple and a 1-d array give one hashable config
+        family = uniform_family()
+        p = (0.125, 0.25, 0.375, 0.25)
+        configs = [ExperimentConfig(family, 1000, 1, setting_probabilities=q)
+                   for q in (p, list(p), np.array(p), [np.float32(v) for v in p])]
+        for config in configs:
+            assert config.setting_probabilities == p
+            assert all(type(v) is float for v in config.setting_probabilities)
+            assert config == configs[0] and hash(config) == hash(configs[0])
+        assert len({ExperimentConfig(family, 1000, 1, setting_probabilities=[0.25] * 4),
+                     ExperimentConfig(family, 1000, 1)}) == 1
+
+    @pytest.mark.parametrize("p", [
+        np.full((2, 2), 0.25), np.array(0.25), np.array([True, False, False, False]),
+        np.array(["0.25"] * 4), np.full(5, 0.2),
+    ], ids=["2-d", "0-d", "bools", "strings", "five"])
+    def test_probability_arrays_not_four_reals(self, p):
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig(family=uniform_family(), n_trials=10, master_seed=1,
+                             setting_probabilities=p)
 
     def test_numpy_integers_accepted(self):
         config = ExperimentConfig(family=uniform_family(), n_trials=np.int64(10),
@@ -353,6 +405,65 @@ class TestOutcomeTables:
         summary, log = logged(config)
         assert Snapping.snapped > 3000
         assert summary == run_experiment(config) == per_point(config.family, log)
+
+
+class TestSharedAxes:
+    FAMILIES = {
+        "grid32": lambda: optimize_family((0.5, -0.25, 1.0, 0.0), (32, 32))[0],
+        "saturating": saturating_family,
+        "unaligned3x5": unaligned_family,
+        "mixed": mixed_grid_family,
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_cells_match_per_pair_reference(self, family):
+        # every field bit for bit, dtype included
+        family = self.FAMILIES[family]()
+        for got, want in zip(simulate._cells(family), per_pair_cells(family), strict=True):
+            for field, g, w in zip(simulate._Cells._fields, got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), field
+
+    @pytest.mark.parametrize("family, axes", [("grid32", 4), ("saturating", 4), ("mixed", 7)])
+    def test_each_axis_refined_once(self, monkeypatch, family, axes):
+        # two settings a side; the mixed family's setting-1 x axes differ in
+        # cell count and its y axes all differ, so it has 3 + 4
+        calls = []
+        monkeypatch.setattr(simulate, "_refine_axis",
+                            lambda *args: calls.append(args) or _refine_axis(*args))
+        simulate._cells(self.FAMILIES[family]())
+        assert len(calls) == axes
+
+    # summaries of 1 000 003 trials, seed 29, at 1, 2 and 3 workers
+    PINNED = {
+        ("mixed", 1): [(249823, -5691, 18579, -32331), (249716, -6302, -14908, -48950),
+                       (250975, 9955, -6903, 50241), (249489, -14817, 25231, 34269)],
+        ("mixed", 2): [(250275, -5475, 18041, -31661), (249946, -6106, -14794, -49146),
+                       (250335, 9449, -6869, 50193), (249447, -14415, 25193, 33887)],
+        ("mixed", 3): [(250248, -5222, 17852, -31822), (250028, -6882, -14248, -49358),
+                       (250085, 9465, -7557, 50259), (249642, -15048, 25720, 33842)],
+        ("grid32", 1): [(99877, 50129, 95, -457), (199696, -49926, -208, -66),
+                        (301054, 301054, -140, -140), (399376, 556, 186, -258)],
+        ("grid32", 2): [(100190, 50408, -212, -82), (199994, -49748, -90, -180),
+                        (300444, 300444, 316, 316), (399375, -19, -435, -521)],
+        ("grid32", 3): [(100173, 50115, -431, -573), (200069, -50381, 327, -399),
+                        (300157, 300157, -53, -53), (399604, 1120, -696, -364)],
+    }
+
+    @pytest.mark.parametrize("family, workers", sorted(PINNED))
+    def test_pinned_summaries(self, family, workers):
+        p = (0.25,) * 4 if family == "mixed" else (0.1, 0.2, 0.3, 0.4)
+        config = ExperimentConfig(self.FAMILIES[family](), 1_000_003, 29, p, workers)
+        summary = run_experiment(config)
+        assert [tuple(vars(c).values()) for c in summary.counts] == self.PINNED[family, workers]
+
+    def test_pinned_event_log(self):
+        # 140 001 trials at 2 workers: each worker logs more than one block
+        config = ExperimentConfig(mixed_grid_family(), 140_001, 19, n_workers=2)
+        assert -(-config.n_trials // 2) > simulate._BLOCK
+        summary, log = logged(config)
+        assert hashlib.sha256(log.encode()).hexdigest() == (
+            "341368c83efbd26057ba1ae9b1635f3ede30bc608c63b742aa29e3cdbe7b643e")
+        assert summary == run_experiment(config)
 
 
 class TestEstimate:
