@@ -19,15 +19,19 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .density import ROUND_OFF, GridDensity, _axis_integrals, _fields, _integrate
+from .density import ROUND_OFF, GridDensity, _axis_integrals, _fields, _integrate, _same_measure
 from .errors import (
-    DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput, _is_int, _is_real, _show,
+    DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput, NonFiniteInput, _finite,
+    _is_int, _is_real, _show,
 )
 from .intervals import Interval
 from .observables import make_observable, setting_interval
 from .steprv import PartialRV, make_step
 
 PAIRS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (alpha, beta) order used throughout
+SIGNS = (1, 1, 1, -1)  # each pair's sign in S, in PAIRS order: the targets that saturate |S| = 4
+# ((a0, a1), (b0, b1)): the family's four observables, by side and then setting, built once
+OBSERVABLES = tuple(tuple(make_observable(float(s), axis) for s in (0, 1)) for axis in "xy")
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ class ChshFamily:
         return tuple(getattr(self, f"rho{alpha}{beta}") for alpha, beta in PAIRS)
 
     def observables(self, alpha: int, beta: int) -> Tuple[PartialRV, PartialRV]:
-        return make_observable(float(alpha), "x"), make_observable(float(beta), "y")
+        return OBSERVABLES[0][alpha], OBSERVABLES[1][beta]
 
     @cached_property
     def _moments(self) -> Tuple[Tuple[float, float, float], ...]:
@@ -133,7 +137,7 @@ def chsh_value(e00: float, e10: float, e01: float, e11: float) -> float:
 
 def _band_signs(n: int) -> np.ndarray:
     """Observable value per grid column for a quarter-aligned n-cell grid."""
-    return make_observable(0.0).column_values(np.arange(n + 1) / n)
+    return OBSERVABLES[0][0].column_values(np.arange(n + 1) / n)
 
 
 def saturating_family() -> ChshFamily:
@@ -143,7 +147,7 @@ def saturating_family() -> ChshFamily:
     the (+,+) and (-,-) cells, for target -1 on the (+,-) and (-,+) cells.
     Every number is an exact binary float.
     """
-    return optimize_family((1.0, 1.0, 1.0, -1.0))[0]
+    return optimize_family(SIGNS)[0]
 
 
 def optimize_family(
@@ -208,13 +212,10 @@ def random_classical_instance(rng: np.random.Generator):
 
 
 def _same_domain(f: PartialRV, g: PartialRV) -> bool:
-    """m(f) = m(g) = m(f ∩ g) within ROUND_OFF."""
+    """m(f) = m(g) = m(f ∩ g), each within _same_measure's slack."""
     f_domain, g_domain = f.domain, g.domain
     common = f_domain.intersect(g_domain).measure()
-    return (
-        abs(f_domain.measure() - common) <= ROUND_OFF
-        and abs(g_domain.measure() - common) <= ROUND_OFF
-    )
+    return _same_measure(f_domain.measure(), common) and _same_measure(g_domain.measure(), common)
 
 
 def classical_bound_check(
@@ -230,13 +231,16 @@ def classical_bound_check(
     cover rho's rectangle.  This is exactly the obstruction that blocks the
     bound for disjoint domains.
     """
-    if not _same_domain(a0, a1):
-        raise DomainMismatch(f"{a0.domain!r} vs {a1.domain!r} on Alice's axis")
-    if not _same_domain(b0, b1):
-        raise DomainMismatch(f"{b0.domain!r} vs {b1.domain!r} on Bob's axis")
+    for f, g, side in ((a0, a1, "Alice's"), (b0, b1, "Bob's")):
+        if not _same_domain(f, g):
+            raise DomainMismatch(f"{f.domain!r} vs {g.domain!r} on {side} axis")
     xe, ye = rho.x_edges(), rho.y_edges()
-    i_aw = [_axis_integrals(rv, xe, rho.x_rect, "x") @ rho.weights for rv in (a0, a1)]
-    i_b = [_axis_integrals(rv, ye, rho.y_rect, "y") for rv in (b0, b1)]
-    # The common-domain assumption is used here: one density and one pair of
-    # domains, so each a[alpha] integral is paired with both b[beta] integrals.
-    return chsh_value(*(float(i_aw[alpha] @ i_b[beta]) for alpha, beta in PAIRS))
+    with np.errstate(over="ignore", invalid="ignore"):
+        i_aw = [_axis_integrals(rv, xe, rho.x_rect, "x") @ rho.weights for rv in (a0, a1)]
+        i_b = [_axis_integrals(rv, ye, rho.y_rect, "y") for rv in (b0, b1)]
+        # The common-domain assumption is used here: one density and one pair of
+        # domains, so each a[alpha] integral is paired with both b[beta] integrals.
+        es = [float(i_aw[alpha] @ i_b[beta]) for alpha, beta in PAIRS]
+    if not _finite(*es):
+        raise NonFiniteInput("correlators of the observables under the density overflow")
+    return chsh_value(*es)

@@ -139,7 +139,7 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_saturate(args) -> int:
-    family, _ = chsh.optimize_family((1, 1, 1, -1), (args.grid, args.grid))
+    family, _ = chsh.optimize_family(chsh.SIGNS, (args.grid, args.grid))
     with open(args.out, "w") as fh:
         json.dump(family.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -203,7 +203,7 @@ def write_figures(out_dir: str) -> None:
     """Emit fig1.csv, fig2.csv, fig3.csv; deterministic, nan outside domains."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    a0 = make_observable(0.0)
+    a0 = chsh.OBSERVABLES[0][0]
     excluded = thresholds(0.0)  # sign-change points: ln = 0, sign undefined
     steps = np.arange(1001) / 1000
     # x labels k/1000 for k <= 2000: fig1 and fig3 use the first 1001, and

@@ -87,22 +87,11 @@ class GridDensity:
     def ny(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def cell_width(self) -> float:
-        return (self.x_rect.hi - self.x_rect.lo) / self.nx
-
-    @property
-    def cell_height(self) -> float:
-        return (self.y_rect.hi - self.y_rect.lo) / self.ny
-
     def x_edges(self) -> np.ndarray:
-        return self.x_rect.lo + self.cell_width * np.arange(self.nx + 1)
+        return self.x_rect.lo + self.x_rect.length / self.nx * np.arange(self.nx + 1)
 
     def y_edges(self) -> np.ndarray:
-        return self.y_rect.lo + self.cell_height * np.arange(self.ny + 1)
-
-    def cell_probabilities(self) -> np.ndarray:
-        return self.weights * (self.cell_width * self.cell_height)
+        return self.y_rect.lo + self.y_rect.length / self.ny * np.arange(self.ny + 1)
 
     def refine(self, x_axis, y_axis) -> np.ndarray:
         """Probabilities of the grid's cells cut along two _refine_axis axes:
@@ -167,23 +156,29 @@ def _fields(d, what: str, keys) -> list:
     return [d[key] for key in keys]
 
 
+def _same_measure(a: float, b: float) -> bool:
+    """a = b within ROUND_OFF of the larger magnitude: the "almost everywhere" slack."""
+    return abs(a - b) <= ROUND_OFF * max(abs(a), abs(b))
+
+
 def _axis_integrals(rv: PartialRV, edges: np.ndarray, rect: Interval, axis: str):
     """rv's integral over each grid cell of one axis; rv must exist a.e. on rect."""
     integrals, covered = rv.cell_integrals(edges)
-    if abs(covered.sum() - rect.length) > ROUND_OFF:
-        raise DomainMismatch(
-            f"{axis}-rectangle {rect!r} not a.e. inside domain {rv.domain!r}"
-        )
+    if not _same_measure(float(covered.sum()), rect.length):
+        raise DomainMismatch(f"{axis}-rectangle {rect!r} not a.e. inside domain {rv.domain!r}")
     return integrals
 
 
 def _integrate(f: PartialRV, g: PartialRV, rho: GridDensity):
-    """Exact (E[fg], E[f], E[g]) under rho from per-cell integrals."""
-    xe, ye = rho.x_edges(), rho.y_edges()
-    i_f = _axis_integrals(f, xe, rho.x_rect, "x")
-    i_g = _axis_integrals(g, ye, rho.y_rect, "y")
-    w = rho.weights
-    return float(i_f @ w @ i_g), float(i_f @ w @ np.diff(ye)), float(np.diff(xe) @ w @ i_g)
+    """Exact (E[fg], E[f], E[g]) under rho from per-cell integrals; NonFiniteInput on overflow."""
+    xe, ye, w = rho.x_edges(), rho.y_edges(), rho.weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        i_fw = _axis_integrals(f, xe, rho.x_rect, "x") @ w
+        i_g = _axis_integrals(g, ye, rho.y_rect, "y")
+        moments = float(i_fw @ i_g), float(i_fw @ np.diff(ye)), float(np.diff(xe) @ w @ i_g)
+    if not _finite(*moments):
+        raise NonFiniteInput(f"moments of {f.domain!r} × {g.domain!r} overflow")
+    return moments
 
 
 def expectation(f: PartialRV, g: PartialRV, rho: GridDensity) -> float:

@@ -73,8 +73,8 @@ class PartialRV:
         return tuple(sorted({x for iv, _ in self.pieces for x in (iv.lo, iv.hi)}))
 
     def _arrays(self) -> np.ndarray:
-        """Rows los, his, values: the pieces as arrays, in piece order."""
-        return np.array([(iv.lo, iv.hi, v) for iv, v in self.pieces]).T
+        """Rows los, his, values: the pieces as float64 arrays, in piece order."""
+        return np.array([(iv.lo, iv.hi, v) for iv, v in self.pieces], dtype=float).T
 
     def eval(self, x: float) -> float:
         """eval_many at the single point x; raises where that leaves x undefined."""
@@ -154,6 +154,7 @@ def combine(f: PartialRV, g: PartialRV, op: str) -> PartialRV:
         raise EmptyDomain(
             f"{f.domain!r} ∩ {g.domain!r} = ∅: the {op} does not exist"
         )
-    values = _OPS[op](f_values[both], g_values[both])
+    with np.errstate(over="ignore"):  # PartialRV refuses a value that overflows
+        values = _OPS[op](f_values[both], g_values[both])
     pieces = zip(los[both].tolist(), his[both].tolist(), values.tolist())
     return PartialRV(tuple((Interval(lo, hi), v) for lo, hi, v in pieces), f.axis_label)

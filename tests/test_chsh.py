@@ -13,9 +13,12 @@ from bellhop.chsh import (
     saturating_family,
 )
 from bellhop.density import ROUND_OFF, GridDensity, expectation
-from bellhop.errors import DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput
+from bellhop.errors import (
+    DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput, NonFiniteInput,
+)
 from bellhop.intervals import Interval
 from bellhop.observables import make_observable
+from bellhop.simulate import ExperimentConfig, run_experiment
 from bellhop.steprv import PartialRV, make_step
 
 
@@ -125,6 +128,34 @@ class TestSaturatingFamily:
             assert np.array_equal(rho.weights, np.where(np.outer(signs, signs) == t, 2.0, 0.0))
 
 
+class TestSharedObservables:
+    def test_one_table(self):
+        # every family hands out the same four objects, each make_observable's
+        one, other = uniform_family(), saturating_family()
+        for alpha, beta in PAIRS:
+            pair = one.observables(alpha, beta)
+            assert all(f is g for f, g in zip(pair, other.observables(alpha, beta)))
+            assert pair == (make_observable(float(alpha), "x"), make_observable(float(beta), "y"))
+        assert chsh.OBSERVABLES == tuple(
+            tuple(make_observable(float(s), axis) for s in (0, 1)) for axis in "xy"
+        )
+
+    def test_no_observable_built_per_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an observable was built")
+
+        monkeypatch.setattr(chsh, "make_observable", refuse)
+        family, achieved = optimize_family(chsh.SIGNS, (8, 8))
+        assert achieved == (1.0, 1.0, 1.0, -1.0)
+        assert uniform_family().expectations() == (0.0, 0.0, 0.0, 0.0)
+        summary = run_experiment(ExperimentConfig(family, 1000, 7, n_workers=2))
+        assert sum(c.trials for c in summary.counts) == 1000
+
+    def test_signs_saturate(self):
+        assert chsh_value(*chsh.SIGNS) == 4
+        assert saturating_family().expectations() == chsh.SIGNS
+
+
 class TestOptimizeFamily:
     def test_matches_saturating_construction(self):
         family, achieved = optimize_family((1, 1, 1, -1), (4, 4))
@@ -185,8 +216,9 @@ class TestOptimizeFamily:
     def test_output_feasibility(self):
         family, _ = optimize_family((0.5, -0.25, 0.75, 0.125), (8, 8))
         for rho in family.densities():
+            width, height = rho.x_rect.length / rho.nx, rho.y_rect.length / rho.ny
             assert np.all(rho.weights >= 0)
-            assert abs(rho.cell_probabilities().sum() - 1.0) <= 1e-15
+            assert abs((rho.weights * (width * height)).sum() - 1.0) <= 1e-15
         assert all(abs(v) <= 1e-15 for v in family.marginals().values())
 
     @given(
@@ -198,8 +230,9 @@ class TestOptimizeFamily:
         family, achieved = optimize_family(targets, (nx, ny))
         assert achieved == family.expectations()
         for rho in family.densities():
+            width, height = rho.x_rect.length / rho.nx, rho.y_rect.length / rho.ny
             assert rho.weights.shape == (nx, ny) and np.all(rho.weights >= 0)
-            assert abs(rho.cell_probabilities().sum() - 1.0) <= 1e-15
+            assert abs((rho.weights * (width * height)).sum() - 1.0) <= 1e-15
         assert all(abs(v) <= 1e-15 for v in family.marginals().values())
         assert all(abs(e - t) <= 1e-15 for e, t in zip(achieved, targets))
 
@@ -260,6 +293,24 @@ class TestClassicalBound:
                 assert abs(classical_bound_check(a0, a1, b0, b1, rho) - want) <= 1e-15
                 outcomes["value"] += 1
         assert min(outcomes.values()) >= 150, outcomes
+
+    def test_thin_disjoint_domains_differ(self):
+        # two domains of measure 1e-13 that do not meet: the slack scales with the measures
+        f = make_step([0.0, 1e-13], [1.0], "x")
+        g = make_step([5.0, 5.0 + 1e-13], [1.0], "x")
+        assert not chsh._same_domain(f, g)
+        b = make_step([0.0, 1.0], [1.0], "y")
+        rho = GridDensity(Interval(0, 1e-13), Interval(0, 1), [[1.0]])
+        with pytest.raises(DomainMismatch, match="Alice's axis"):
+            classical_bound_check(f, g, b, b, rho)
+
+    def test_overflow_refused(self):
+        # finite observables whose correlators overflow: NonFiniteInput, no numpy warning
+        a = make_step([0.0, 1.0], [1e200], "x")
+        b = make_step([0.0, 1.0], [1e200], "y")
+        rho = GridDensity(Interval(0, 1), Interval(0, 1), [[1.0]])
+        with pytest.raises(NonFiniteInput):
+            classical_bound_check(a, a, b, b, rho)
 
     def test_disjoint_domains_rejected(self):
         a0 = make_observable(0.0, "x")

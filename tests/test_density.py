@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -121,7 +122,8 @@ def check_parsed(record, rho):
     assert np.isfinite(rho.weights).all() and (rho.weights >= 0).all()
     w = np.reshape(record["weights"], (nx, ny))
     assert np.allclose(rho.weights / rho.weights.max(), w / w.max(), rtol=1e-12, atol=1e-12)
-    assert abs(rho.cell_probabilities().sum() - 1.0) <= 1e-9
+    width, height = rho.x_rect.length / rho.nx, rho.y_rect.length / rho.ny
+    assert abs((rho.weights * (width * height)).sum() - 1.0) <= 1e-9
 
 
 @st.composite
@@ -323,7 +325,8 @@ class TestConstruction:
         rng = np.random.default_rng(5)
         for _ in range(20):
             rho = GridDensity(*unit_rect(), rng.random((3, 5)))
-            assert abs(rho.cell_probabilities().sum() - 1.0) < 1e-12
+            width, height = rho.x_rect.length / rho.nx, rho.y_rect.length / rho.ny
+            assert abs((rho.weights * (width * height)).sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("key, value", [("nx", 0), ("ny", 0), ("nx", -1), ("nx", True)])
     def test_grid_size_below_one(self, key, value):
@@ -386,6 +389,30 @@ class TestExpectation:
         g = make_observable(0.0, "y")
         assert expectation(f, g, GridDensity(*unit_rect(), [[1.0]])) == 0.0
 
+    def test_thin_rectangle_outside_domain(self):
+        # a rectangle 1e-13 wide that a0 does not reach: the slack scales with its width
+        f, g = make_observable(0.0, "x"), make_observable(0.0, "y")
+        rho = GridDensity(Interval(5.0, 5.0 + 1e-13), Interval(0.0, 1.0), [[1.0]])
+        with pytest.raises(DomainMismatch):
+            expectation(f, g, rho)
+
+    def test_wide_rectangle_covered(self):
+        # the pieces cover (0, hi) exactly, though the grid cells' overlaps
+        # with them sum to hi less 4.8e-7 by round-off
+        bs = [0, 468592683.41603464, 2899405851.7302084, 3800107394.9693756, 4077107345.750567]
+        f = make_step(bs, [1.0, -1.0, 1.0, -1.0], "x")
+        g = make_step([0.0, 1.0], [1.0], "y")
+        rho = GridDensity(Interval(0.0, bs[-1]), Interval(0.0, 1.0), np.ones((5, 1)))
+        widths = np.diff(bs) * [1.0, -1.0, 1.0, -1.0]
+        assert expectation(f, g, rho) == pytest.approx(math.fsum(widths) / bs[-1], abs=1e-12)
+
+    def test_overflow_refused(self):
+        # finite observables whose expectation overflows: NonFiniteInput, no numpy warning
+        f = make_step([0, 1], [1e200], "x")
+        g = make_step([0, 1], [1e200], "y")
+        with pytest.raises(NonFiniteInput, match="overflow"):
+            expectation(f, g, GridDensity(*unit_rect(), [[1.0]]))
+
     def test_offset_pair(self):
         f = make_observable(1.0, "x")
         g = make_observable(0.0, "y")
@@ -411,7 +438,9 @@ class TestExpectation:
         g = make_observable(0.0, "y")
         exact = expectation(f, g, rho)
         n = 1_000_000
-        ix, iy = np.divmod(rng.choice(16, size=n, p=rho.cell_probabilities().reshape(-1)), 4)
+        width, height = rho.x_rect.length / rho.nx, rho.y_rect.length / rho.ny
+        cells = rng.choice(16, size=n, p=(rho.weights * (width * height)).reshape(-1))
+        ix, iy = np.divmod(cells, 4)
         xs, ys = (ix + rng.random(n)) / 4, (iy + rng.random(n)) / 4
         prods = f.eval_many(xs)[0] * g.eval_many(ys)[0]
         se = prods.std() / np.sqrt(n)
@@ -504,7 +533,8 @@ class TestRefine:
         xe, ye, probs = refine(rho, [-1.0, 0.0, 1.0, 2.0], [0.5])
         assert np.array_equal(xe, rho.x_edges())
         assert ye.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
-        assert np.array_equal(probs, rho.cell_probabilities())
+        width, height = rho.x_rect.length / rho.nx, rho.y_rect.length / rho.ny
+        assert np.array_equal(probs, rho.weights * (width * height))
 
 
 class TestSampling:

@@ -195,6 +195,11 @@ class TestEval:
         with pytest.raises(NonFiniteInput):
             make_observable(0.0).eval(x)
 
+    def test_integer_pieces_give_floats(self):
+        # a piece end past int64 must not turn the lookup table into objects
+        values, defined = make_step([0, 10**20], [1], "x").eval_many(np.array([5.0]))
+        assert values.dtype == np.float64 and values.tolist() == [1.0] and defined.tolist() == [True]
+
     def test_huge_integer_point(self):
         with pytest.raises(NonFiniteInput, match="x=a 5001-digit integer") as err:
             make_observable(0.0).eval(10**5000)
@@ -292,6 +297,12 @@ class TestCombine:
         assert h.eval(0.9) == 0.0
         with pytest.raises(UndefinedPoint):
             h.eval(0.75)
+
+    def test_overflowing_product_refused(self):
+        # finite operands whose product overflows: NonFiniteInput, no numpy warning
+        f = make_step([0, 1], [1e200], "x")
+        with pytest.raises(NonFiniteInput):
+            combine(f, f, "product")
 
     def test_disjoint_sum(self):
         with pytest.raises(EmptyDomain):
