@@ -29,6 +29,7 @@ from .observables import make_observable, setting_interval
 from .steprv import PartialRV, make_step
 
 PAIRS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (alpha, beta) order used throughout
+MAX_GRID = 512  # cells a side of optimize_family's grid: 78 MB of RSS, an 11.5 MB family file
 SIGNS = (1, 1, 1, -1)  # each pair's sign in S, in PAIRS order: the targets that saturate |S| = 4
 # ((a0, a1), (b0, b1)): the family's four observables, by side and then setting, built once
 OBSERVABLES = tuple(tuple(make_observable(float(s), axis) for s in (0, 1)) for axis in "xy")
@@ -158,7 +159,8 @@ def optimize_family(
     targets are four real numbers in [-1, 1], one correlator per pair in
     PAIRS order (InputOutOfRange otherwise); grid is two positive multiples
     of 4 (GridMisaligned otherwise), so the quarter-point thresholds fall on
-    cell boundaries.  Returns the family and its exact correlators.
+    cell boundaries, and at most MAX_GRID (InputOutOfRange otherwise, before
+    any allocation).  Returns the family and its exact correlators.
 
     Pair (alpha, beta) with target t gets the density 1 + t*c, where
     c[i, j] is the product of the two observables' signs on cell (i, j).  On
@@ -181,6 +183,8 @@ def optimize_family(
         and all(_is_int(n) and n > 0 and n % 4 == 0 for n in grid)
     ):
         raise GridMisaligned(f"grid {_show(grid)} is not two positive multiples of 4")
+    if max(grid) > MAX_GRID:
+        raise InputOutOfRange(f"grid {_show(grid)} has more than {MAX_GRID} cells a side")
     nx, ny = grid
     c = np.outer(_band_signs(nx), _band_signs(ny))
     family = ChshFamily(*(

@@ -34,7 +34,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-MAX_GRID = 512  # the largest saturate grid measured: 78 MB of RSS, an 11.5 MB file
 MAX_CHECKS = 10**7  # check-classical instances: 0.4 ms each (instance plus check) on a Xeon
 
 
@@ -80,9 +79,9 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("saturate", help="write a family saturating |S| = 4")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--grid", type=_int_flag(1, MAX_GRID, "the largest grid measured"), default=4,
-                    help="build the family on an NxN grid, N a multiple of 4 "
-                         f"up to {MAX_GRID} (default 4)")
+    sp.add_argument("--grid", type=_int_flag(1, chsh.MAX_GRID, "the largest grid measured"),
+                    default=4, help="build the family on an NxN grid, N a multiple of 4 "
+                                    f"up to {chsh.MAX_GRID} (default 4)")
     sp.set_defaults(run=_cmd_saturate)
 
     sp = sub.add_parser("simulate", help="Monte-Carlo run of a family")

@@ -3,10 +3,10 @@
 Both the observables and the densities are piecewise constant, so every
 expectation is a finite sum over the grid cells of per-cell integrals of the
 observables.  There is no quadrature error; excluded breakpoints have
-measure zero and are ignored.  _refine_axis cuts one axis of the grid also
-at given breakpoints, so that an observable is constant on every refined
-cell, and GridDensity.refine gives the cells of two such axes their
-probabilities: those are what the Monte-Carlo engine draws counts over.
+measure zero and are ignored.  With class indicators in place of values, the
+same contraction gives the outcome-class law the Monte-Carlo engine draws.
+_refine_axis cuts one axis of the grid also at given breakpoints, so that an
+observable is constant on every refined cell, for the event log's points.
 """
 
 from __future__ import annotations
@@ -41,9 +41,10 @@ class GridDensity:
     weights[ix, iy] is the density value on the (ix, iy) cell; the row-major
     flattening (ix*ny + iy) matches the JSON wire format.  The constructor
     rescales the given nonnegative weights so the density integrates to 1 and
-    keeps a read-only copy.  A weight, total mass, rectangle endpoint or
-    rescaled weight that is not a finite float raises NonFiniteInput instead
-    of becoming a NaN, infinite or all-zero density.
+    keeps a read-only copy, its mass summed over the cells' float edges.  A
+    weight, total mass, rectangle endpoint or rescaled weight that is not a
+    finite float raises NonFiniteInput instead of becoming a NaN, infinite or
+    all-zero density, and edges that are not strictly increasing MalformedInput.
     """
 
     x_rect: Interval
@@ -64,13 +65,16 @@ class GridDensity:
         if np.any(w < 0):
             raise NegativeWeight("density weights must be nonnegative")
         nx, ny = w.shape
-        # a rectangle with an end that is not finite has no cell area, and an
-        # overflow gives inf: either way the total is rejected
-        with np.errstate(over="ignore"):
-            total = (float(np.sum(w)) * ((x_rect.length / nx) * (y_rect.length / ny))
-                     if _finite(x_rect.lo, x_rect.hi, y_rect.lo, y_rect.hi) else np.inf)
+        total = np.inf  # an end that is not finite gives no cell area
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN
+            if _finite(x_rect.lo, x_rect.hi, y_rect.lo, y_rect.hi, float(w.sum())):
+                dx, dy = (e[1:] - e[:-1] for e in (_edges(x_rect, nx), _edges(y_rect, ny)))
+                total = float((w * (dx[:, None] * dy)).sum())
             if not _finite(total):
                 raise NonFiniteInput(f"weights or rectangle {x_rect!r} × {y_rect!r} not finite")
+            if min(dx.min(), dy.min()) <= 0.0:
+                raise MalformedInput(f"{nx}x{ny} cells on {x_rect!r} × {y_rect!r} are too "
+                                     "narrow for floats: some edges coincide")
             if total <= 0.0:
                 raise ZeroTotalMass("density weights sum to zero")
             w /= total
@@ -88,19 +92,10 @@ class GridDensity:
         return self.weights.shape[1]
 
     def x_edges(self) -> np.ndarray:
-        return self.x_rect.lo + self.x_rect.length / self.nx * np.arange(self.nx + 1)
+        return _edges(self.x_rect, self.nx)
 
     def y_edges(self) -> np.ndarray:
-        return self.y_rect.lo + self.y_rect.length / self.ny * np.arange(self.ny + 1)
-
-    def refine(self, x_axis, y_axis) -> np.ndarray:
-        """Probabilities of the grid's cells cut along two _refine_axis axes:
-        probs[i, j] is refined cell (i, j)'s grid weight times its area,
-        rescaled to sum 1, and 0 for a cell too thin for any float to lie
-        strictly inside it (a cut one ulp from a line)."""
-        (_, x_cells, x_widths), (_, y_cells, y_widths) = x_axis, y_axis
-        probs = self.weights[x_cells[:, None], y_cells] * np.outer(x_widths, y_widths)
-        return probs / probs.sum()
+        return _edges(self.y_rect, self.ny)
 
     def to_dict(self) -> dict:
         return {
@@ -123,6 +118,13 @@ class GridDensity:
         y_lo, y_hi = _reals(y_rect, 2, "y_rect").tolist()
         w = _reals(weights, nx * ny, "weights").reshape(nx, ny)
         return GridDensity(Interval(x_lo, x_hi), Interval(y_lo, y_hi), w)
+
+
+def _edges(rect: Interval, n: int) -> np.ndarray:
+    """The edges of n equal cells on rect: lo + k·(length / n), the last one hi."""
+    edges = rect.lo + rect.length / n * np.arange(n + 1)
+    edges[-1] = rect.hi
+    return edges
 
 
 def _refine_axis(grid: np.ndarray, rect: Interval, cuts):

@@ -63,9 +63,9 @@ class DomainMismatch(BellhopError):
 
 
 class InputOutOfRange(BellhopError):
-    """A correlator is not a real number of magnitude at most 1, or a setting
-    is not a real number or too large (or not finite) for its quarter bands
-    to be distinct floats."""
+    """A correlator is not a real number of magnitude at most 1, a setting is
+    not a real number or too large (or not finite) for its quarter bands to be
+    distinct floats, or an optimize_family grid is wider than chsh.MAX_GRID."""
 
 
 class GridMisaligned(BellhopError):

@@ -4,31 +4,25 @@ Every trial: draw a setting pair (free choice), draw a hidden-variable pair
 (x, y) from that pair's density, read off both ±1 outcomes, so there is no
 detection loophole by construction.
 
-A summary needs only each pair's trials, Σab, Σa and Σb, so the engine draws
-class counts, split into cells only for the log.  A pair's cells are its
-density's grid refined by both observables' breakpoints, each distinct axis
-once per call (_refine_axis; GridDensity.refine per pair), so both outcomes are
-constant on each cell (PartialRV.column_values), and the counts of its at most
-2×2 outcome classes (a, b) are Multinomial with the classes' summed cell
-probabilities.  Each worker draws once: the pairs get Multinomial(size, setting
-probabilities) trials, each pair's classes Multinomial counts of those; the
-class counts, summed over the workers, are contracted once with the outcome
-values, exactly, in int64.  (numpy's binomial keeps every low bit of a count up
-to about 2**54 trials per pair; above that counts share their low bits, an
-error of about 2**-21 standard deviations.)  Worker i draws its share from
-child i of SeedSequence(master_seed).spawn(n_workers), so substreams are
-independent across workers and seeds and a summary is bit-identical for a fixed
-(seed, workers).  Workers run one after another.
+A summary needs only each pair's trials, Σab, Σa and Σb, so each worker draws
+once: the pairs get Multinomial(size, setting probabilities) trials, and each
+pair's at most 2×2 outcome classes (a, b) Multinomial counts of those, from
+their exact law (_class_law).  The class counts, summed over the workers, are
+contracted once with the outcome values, exactly, in int64.  (numpy's binomial
+keeps every low bit of a count up to about 2**54 trials per pair; above that
+counts share their low bits, an error of about 2**-21 standard deviations.)
+Worker i draws from child i of SeedSequence(master_seed).spawn(n_workers), so
+substreams are independent across workers and seeds and a summary is
+bit-identical for a fixed (seed, workers).  Workers run one after another.
 
 The event log continues each worker's generator after its counts, so a
-summary is the same with and without it.  Each block of _BLOCK rows takes
-its (pair, class) composition from the worker's remaining counts
-(multivariate hypergeometric), splits each class over its cells (Multinomial
-on their probabilities given the class), shuffles the rows and places a
-uniform point strictly inside each cell: exactly the law of i.i.d. trials.
-Those draws need a total below _LOG_LIMIT = 1e9, so a logged worker takes
-fewer trials than that, and more workers split a larger run.  Memory is
-bounded by the block size and the cell count, not by n_trials.
+summary is the same with and without it.  Only the log refines each pair's
+grid by both observables' breakpoints (_log_table), so both outcomes are
+constant on each cell, and draws each block of _BLOCK rows from the remaining
+class counts (sample_many): exactly the law of i.i.d. trials.  Those draws
+need a total below _LOG_LIMIT = 1e9, so a logged worker takes fewer trials
+than that, and more workers split a larger run.  Memory is bounded by the
+block size and the cell count, not by n_trials.
 """
 
 from __future__ import annotations
@@ -36,6 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, NamedTuple, Optional, TextIO, Tuple
 
 import numpy as np
@@ -77,6 +72,11 @@ class ExperimentConfig:
             raise ConfigInvalid("setting probabilities must sum to 1")
         object.__setattr__(self, "setting_probabilities", tuple(map(float, p)))
 
+    @cached_property
+    def _table(self) -> "_LogTable":
+        """The family's event-log table, built once per config (_check_log_limit)."""
+        return _log_table(self.family, _class_law(self.family))
+
 
 @dataclass(frozen=True)
 class PairCounts:
@@ -110,57 +110,32 @@ class EstimateReport:
     s_se: float
 
 
-class _Cells(NamedTuple):
-    """One pair's refined cells, their outcomes and the outcome classes' law."""
-
-    x_edges: np.ndarray
-    y_edges: np.ndarray
-    probs: np.ndarray  # (len(a), len(b)), sums to 1
-    a: np.ndarray  # Alice's ±1 outcome per x-cell, int64
-    b: np.ndarray  # Bob's ±1 outcome per y-cell, int64
-    a_values: np.ndarray  # the distinct values of a, sorted
-    b_values: np.ndarray  # the distinct values of b, sorted
-    classes: np.ndarray  # (len(a_values), len(b_values)): probs summed per (a, b)
-
-
-def _cells(family: ChshFamily) -> List[_Cells]:
-    """Each pair's _Cells, in PAIRS order; each distinct axis (side, setting,
-    rectangle and cell count, so grid and observable) is refined and evaluated once."""
-    axes = {}
-
-    def axis(rv, setting, rect, grid):
-        key = (rv.axis_label, setting, rect, len(grid))
-        if key not in axes:
-            refined = _refine_axis(grid, rect, rv.breakpoints())
-            values = rv.column_values(refined[0]).astype(np.int64)
-            distinct = np.unique(values)
-            axes[key] = refined, values, distinct, values[:, None] == distinct
-        return axes[key]
-
-    out = []
+def _class_law(family: ChshFamily) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each pair's (a_values, b_values, classes), in PAIRS order: both sides'
+    sorted distinct outcomes, as int64, and P(a = a_values[i], b = b_values[j])
+    = Aᵀ·W·B normalized, A[g, i] the length of grid column g where a = a_values[i]."""
+    law = []
     for (alpha, beta), rho in zip(PAIRS, family.densities()):
         f, g = family.observables(alpha, beta)
-        x, a, a_values, in_a = axis(f, alpha, rho.x_rect, rho.x_edges())
-        y, b, b_values, in_b = axis(g, beta, rho.y_rect, rho.y_edges())
-        probs = rho.refine(x, y)
-        out.append(_Cells(x[0], y[0], probs, a, b, a_values, b_values, in_a.T @ probs @ in_b))
-    return out
+        a_values, a_lengths = f.value_lengths(rho.x_edges())
+        b_values, b_lengths = g.value_lengths(rho.y_edges())
+        classes = a_lengths.T @ rho.weights @ b_lengths
+        law.append((a_values.astype(np.int64), b_values.astype(np.int64), classes / classes.sum()))
+    return law
 
 
-def _counts(rng: np.random.Generator, cells, p: np.ndarray, size: int) -> List[np.ndarray]:
+def _counts(rng: np.random.Generator, law, p: np.ndarray, size: int) -> List[np.ndarray]:
     """size trials' outcome-class counts, one array per pair, shaped as its classes."""
     settings = rng.multinomial(size, p).tolist()
-    return [
-        rng.multinomial(n, c.classes.reshape(-1)).reshape(c.classes.shape)
-        for n, c in zip(settings, cells)
-    ]
+    return [rng.multinomial(n, classes.reshape(-1)).reshape(classes.shape)
+            for n, (_, _, classes) in zip(settings, law)]
 
 
-def _sums(cells, counts) -> np.ndarray:
+def _sums(law, counts) -> np.ndarray:
     """(trials, sum_ab, sum_a, sum_b) per pair from its class counts k."""
     return np.array([
         (k.sum(), a @ k @ b, a @ k.sum(axis=1), k.sum(axis=0) @ b)
-        for (a, b), k in zip(((c.a_values, c.b_values) for c in cells), counts)
+        for (a, b, _), k in zip(law, counts)
     ], dtype=np.int64)
 
 
@@ -173,17 +148,27 @@ class _LogTable(NamedTuple):
     split: list  # per (pair, class), as the counts: its cells' probabilities given it, or 0s
 
 
-def _log_table(cells) -> _LogTable:
+def _log_table(family: ChshFamily, law) -> _LogTable:
+    """A cell's probability given its class is its grid weight × area over the class's sum;
+    ConfigInvalid if a class has mass but only cells too thin for a float strictly inside."""
     lo, hi, templates, split = [], [], [], []
-    for (alpha, beta), c in zip(PAIRS, cells):
-        corners = np.stack(np.meshgrid(c.x_edges, c.y_edges, indexing="ij"), axis=-1)
-        for i, a in enumerate(c.a_values.tolist()):
-            for j, b in enumerate(c.b_values.tolist()):
-                cell = np.ix_(c.a == a, c.b == b)
-                lo.append(corners[:-1, :-1][cell].reshape(-1, 2))
-                hi.append(corners[1:, 1:][cell].reshape(-1, 2))
-                templates += [f"%d,{alpha},{beta},%.17g,%.17g,{a:+d},{b:+d}\n"] * len(lo[-1])
-                split.append(c.probs[cell].reshape(-1) / (c.classes[i, j] or 1.0))
+    for (alpha, beta), rho, (a_values, b_values, classes) in zip(PAIRS, family.densities(), law):
+        f, g = family.observables(alpha, beta)
+        x_edges, x_cells, x_widths = _refine_axis(rho.x_edges(), rho.x_rect, f.breakpoints())
+        y_edges, y_cells, y_widths = _refine_axis(rho.y_edges(), rho.y_rect, g.breakpoints())
+        probs = rho.weights[np.ix_(x_cells, y_cells)] * np.outer(x_widths, y_widths)
+        a, b = f.column_values(x_edges), g.column_values(y_edges)
+        for i, u in enumerate(a_values.tolist()):
+            for j, v in enumerate(b_values.tolist()):
+                ix, iy = np.nonzero(np.outer(a == u, b == v))  # the class's cells, row-major
+                p = probs[ix, iy]
+                if classes[i, j] > 0 and not p.any():
+                    raise ConfigInvalid(f"pair ({alpha},{beta}) class (a, b) = ({u:+d}, {v:+d}) "
+                                        "lies on cells too thin for the event log's points")
+                lo.append(np.stack([x_edges[ix], y_edges[iy]], axis=-1))
+                hi.append(np.stack([x_edges[ix + 1], y_edges[iy + 1]], axis=-1))
+                templates += [f"%d,{alpha},{beta},%.17g,%.17g,{u:+d},{v:+d}\n"] * len(p)
+                split.append(p / (p.sum() or 1.0))
     return _LogTable(np.concatenate(lo), np.concatenate(hi), templates, split)
 
 
@@ -215,11 +200,13 @@ def _format_block(table: _LogTable, first: int, rows, points) -> str:
     return "".join([table.templates[r] for r in rows.tolist()]) % tuple(fields)
 
 
-def _check_log_limit(config: ExperimentConfig) -> None:
-    """ConfigInvalid if a logged run of config gives a worker _LOG_LIMIT trials or more."""
+def _check_log_limit(config: ExperimentConfig) -> _LogTable:
+    """config's event-log table, built before bellhop simulate opens the file; ConfigInvalid if
+    _log_table cannot place a class or a worker of a logged run gets _LOG_LIMIT trials or more."""
     if -(-config.n_trials // config.n_workers) >= _LOG_LIMIT:
         raise ConfigInvalid("an event log needs fewer than 1e9 trials per worker: "
                             "use more workers")
+    return config._table
 
 
 def run_experiment(
@@ -227,18 +214,17 @@ def run_experiment(
 ) -> ExperimentSummary:
     """Run all trials; optionally stream a per-trial CSV audit log."""
     base, extra = divmod(config.n_trials, config.n_workers)
-    cells = _cells(config.family)
+    law = _class_law(config.family)
     p = np.divide(config.setting_probabilities, math.fsum(config.setting_probabilities))
     seeds = np.random.SeedSequence(config.master_seed).spawn(config.n_workers)
     if event_log is not None:
-        _check_log_limit(config)
-        table = _log_table(cells)
+        table = _check_log_limit(config)
         event_log.write("trial,alpha,beta,x,y,a,b\n")
     totals, trial = [0] * len(PAIRS), 0
     for worker, seed in enumerate(seeds):
         size = base + (worker < extra)
         rng = np.random.default_rng(seed)
-        counts = _counts(rng, cells, p, size)
+        counts = _counts(rng, law, p, size)
         totals = [t + k for t, k in zip(totals, counts)]
         if event_log is None:
             continue
@@ -248,9 +234,8 @@ def run_experiment(
             rows, points = sample_many(table, rng, n, left)
             event_log.write(_format_block(table, trial, rows, points))
             trial += n
-    return ExperimentSummary(
-        config.n_trials, tuple(PairCounts(*row) for row in _sums(cells, totals).tolist())
-    )
+    counts = tuple(PairCounts(*row) for row in _sums(law, totals).tolist())
+    return ExperimentSummary(config.n_trials, counts)
 
 
 def estimate(summary: ExperimentSummary) -> EstimateReport:

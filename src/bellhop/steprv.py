@@ -101,15 +101,25 @@ class PartialRV:
         defined = (xs > los[idx]) & (xs < his[idx])
         return np.where(defined, values[idx], 0.0), defined
 
+    def _overlap(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(overlap, values): overlap[i, j] is the length of cell
+        (edges[i], edges[i+1]) ∩ piece j, values the pieces' values."""
+        los, his, values = self._arrays()
+        lo, hi = np.maximum(edges[:-1, None], los), np.minimum(edges[1:, None], his)
+        return np.maximum(hi - lo, 0.0), values
+
     def cell_integrals(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per cell (edges[i], edges[i+1]): the integral of self over the cell
         and the measure of the domain inside it."""
-        los, his, values = self._arrays()
-        # overlap[i, j]: length of cell i ∩ piece j
-        overlap = np.maximum(
-            np.minimum(edges[1:, None], his) - np.maximum(edges[:-1, None], los), 0.0
-        )
+        overlap, values = self._overlap(edges)
         return overlap @ values, overlap.sum(axis=1)
+
+    def value_lengths(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(distinct, lengths): the sorted values self takes on the cells
+        (edges[i], edges[i+1]), and lengths[i, k] the length of cell i where self = distinct[k]."""
+        overlap, values = self._overlap(edges)
+        distinct = np.unique(values[overlap.any(axis=0)])
+        return distinct, overlap @ (values[:, None] == distinct)
 
     def column_values(self, edges: np.ndarray) -> np.ndarray:
         """Per cell (edges[i], edges[i+1]): the value of the piece that holds
@@ -146,7 +156,7 @@ def combine(f: PartialRV, g: PartialRV, op: str) -> PartialRV:
         raise AxisMismatch(f"{_show(f.axis_label)} vs {_show(g.axis_label)}")
     cuts = np.array(sorted({*f.breakpoints(), *g.breakpoints()}))
     los, his = cuts[:-1], cuts[1:]
-    mids = 0.5 * (los + his)
+    mids = 0.5 * los + 0.5 * his  # cannot overflow, and strictly inside when a float fits
     f_values, f_defined = f.eval_many(mids)
     g_values, g_defined = g.eval_many(mids)
     both = f_defined & g_defined

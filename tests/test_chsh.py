@@ -213,6 +213,15 @@ class TestOptimizeFamily:
             optimize_family((0, 0, 0, 0), (4, 10**5000 + 1))
         assert str(err.value) == "grid (4, a 5001-digit integer) is not two positive multiples of 4"
 
+    def test_grid_at_the_cap(self):
+        assert optimize_family(chsh.SIGNS, (4, chsh.MAX_GRID))[0].rho00.ny == chsh.MAX_GRID
+
+    @pytest.mark.parametrize("grid", [(4, chsh.MAX_GRID + 4), (chsh.MAX_GRID + 4, 4)])
+    def test_grid_past_the_cap(self, grid):
+        # refused before the weights are built
+        with pytest.raises(InputOutOfRange, match=f"more than {chsh.MAX_GRID} cells a side"):
+            optimize_family(chsh.SIGNS, grid)
+
     def test_output_feasibility(self):
         family, _ = optimize_family((0.5, -0.25, 0.75, 0.125), (8, 8))
         for rho in family.densities():

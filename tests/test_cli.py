@@ -10,7 +10,8 @@ import pytest
 
 import bellhop
 from bellhop import chsh, simulate
-from bellhop.cli import MAX_CHECKS, MAX_GRID, _build_parser, _runs, main, write_figures
+from bellhop.chsh import MAX_GRID
+from bellhop.cli import MAX_CHECKS, _build_parser, _runs, main, write_figures
 from bellhop.steprv import make_step
 
 

@@ -11,8 +11,8 @@ import json
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
-from bellhop.chsh import saturating_family
-from bellhop.cli import MAX_GRID, main
+from bellhop.chsh import MAX_GRID, saturating_family
+from bellhop.cli import main
 from bellhop.simulate import MAX_TRIALS, MAX_WORKERS
 
 # Paths are relative to the working directory, tmp_path.  Inputs come from

@@ -1,5 +1,6 @@
 import io
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -30,10 +31,39 @@ def unit_rect():
 
 def refine(rho, x_cuts, y_cuts):
     """(x_edges, y_edges, probs) of rho's grid cut also at the cuts inside its
-    rectangle: each axis by _refine_axis, the cells' probabilities by refine."""
-    x = _refine_axis(rho.x_edges(), rho.x_rect, x_cuts)
-    y = _refine_axis(rho.y_edges(), rho.y_rect, y_cuts)
-    return x[0], y[0], rho.refine(x, y)
+    rectangle by _refine_axis: each cell's probability is its grid weight
+    times its area, rescaled to sum 1, as the event log weighs its cells."""
+    x_edges, x_cells, x_widths = _refine_axis(rho.x_edges(), rho.x_rect, x_cuts)
+    y_edges, y_cells, y_widths = _refine_axis(rho.y_edges(), rho.y_rect, y_cuts)
+    probs = rho.weights[np.ix_(x_cells, y_cells)] * np.outer(x_widths, y_widths)
+    return x_edges, y_edges, probs / probs.sum()
+
+
+class Cells(NamedTuple):
+    """One pair's refined cells, their outcomes and the outcome classes' law."""
+
+    x_edges: np.ndarray
+    y_edges: np.ndarray
+    probs: np.ndarray  # (len(a), len(b)), sums to 1
+    a: np.ndarray  # Alice's ±1 outcome per x-cell, int64
+    b: np.ndarray  # Bob's ±1 outcome per y-cell, int64
+    a_values: np.ndarray  # the distinct values of a, sorted
+    b_values: np.ndarray  # the distinct values of b, sorted
+    classes: np.ndarray  # (len(a_values), len(b_values)): probs summed per (a, b)
+
+
+def per_pair_cells(family):
+    """Each pair's Cells, in PAIRS order, by breakpoint refinement: the oracle
+    of the exact class law and of the event log's cells."""
+    out = []
+    for (alpha, beta), rho in zip(PAIRS, family.densities()):
+        f, g = family.observables(alpha, beta)
+        xe, ye, probs = refine(rho, f.breakpoints(), g.breakpoints())
+        a, b = (rv.column_values(e).astype(np.int64) for rv, e in ((f, xe), (g, ye)))
+        a_values, b_values = np.unique(a), np.unique(b)
+        classes = (a[:, None] == a_values).T @ probs @ (b[:, None] == b_values)
+        out.append(Cells(xe, ye, probs, a, b, a_values, b_values, classes))
+    return out
 
 
 def middle_band_density():
@@ -72,6 +102,17 @@ def grid_densities(draw, max_side=6):
     weights = draw(st.lists(weight, min_size=nx * ny, max_size=nx * ny))
     assume(sum(weights) > 0)
     return GridDensity(*unit_rect(), np.reshape(weights, (nx, ny)))
+
+
+@st.composite
+def rectangles(draw):
+    """Rectangle sides from 1e-6 to 1e6 wide at offsets up to 1e17, where a
+    few cells can be narrower than the floats between their edges."""
+    lo = draw(st.one_of(st.sampled_from([0.0, -3.0, 1e16, -1e16, 2.0**53]),
+                        st.floats(-1e17, 1e17)))
+    width = draw(st.one_of(st.integers(1, 64).map(float), st.floats(1e-6, 1e6)))
+    assume(lo + width > lo)
+    return Interval(lo, lo + width)
 
 
 # Arbitrary JSON-shaped values, as json.loads could return them.
@@ -171,19 +212,19 @@ ALIGNED_OR_NOT = st.one_of(st.sampled_from([4, 8, 16, 32]), st.integers(1, 7))
 def pair_counts(family, n, seed, pair=0):
     """One pair's outcome-class counts, as the Monte-Carlo engine draws them
     for n trials of family, and the pair's refined cells."""
-    cells = simulate._cells(family)
-    counts = simulate._counts(np.random.default_rng(seed), cells, np.full(4, 0.25), n)
-    return counts[pair], cells[pair]
+    law = simulate._class_law(family)
+    counts = simulate._counts(np.random.default_rng(seed), law, np.full(4, 0.25), n)
+    return counts[pair], per_pair_cells(family)[pair]
 
 
 def pair_cell_counts(family, n, seed, pair=0):
     """One pair's refined-cell counts, as the event log's class split draws
     them block by block for n trials of family, and the pair's refined cells."""
-    cells = simulate._cells(family)
-    table = simulate._log_table(cells)
+    law, cells = simulate._class_law(family), per_pair_cells(family)
+    table = simulate._log_table(family, law)
     rng = np.random.default_rng(seed)
     left = np.concatenate([
-        k.reshape(-1) for k in simulate._counts(rng, cells, np.full(4, 0.25), n)])
+        k.reshape(-1) for k in simulate._counts(rng, law, np.full(4, 0.25), n)])
     hits = np.zeros(len(table.lo), dtype=np.int64)
     for start in range(0, n, simulate._BLOCK):
         rows, _ = simulate.sample_many(table, rng, min(simulate._BLOCK, n - start), left)
@@ -327,6 +368,26 @@ class TestConstruction:
             rho = GridDensity(*unit_rect(), rng.random((3, 5)))
             width, height = rho.x_rect.length / rho.nx, rho.y_rect.length / rho.ny
             assert abs((rho.weights * (width * height)).sum() - 1.0) < 1e-12
+
+    def test_cells_narrower_than_floats(self):
+        # ulp(1e16) = 2: eight cells of width 0.5 would have the edges
+        # 1e16 + (0, 0, 0, 2, 2, 2, 4, 4, 4), and cell 0 alone no mass
+        with pytest.raises(MalformedInput, match="too narrow"):
+            GridDensity(Interval(1e16, 1e16 + 4), Interval(0.0, 1.0), np.eye(8, 1))
+
+    @settings(max_examples=200)
+    @given(rectangles(), rectangles(), st.integers(1, 12), st.integers(1, 12), st.data())
+    def test_unit_mass(self, x_rect, y_rect, nx, ny, data):
+        # E[1] = 1 for every density the constructor accepts, cells of
+        # unequal float widths among them
+        weight = st.one_of(st.just(0.0), st.floats(1e-3, 1))
+        w = data.draw(st.lists(weight, min_size=nx * ny, max_size=nx * ny))
+        try:
+            rho = GridDensity(x_rect, y_rect, np.reshape(w, (nx, ny)))
+        except (MalformedInput, ZeroTotalMass):
+            return
+        f, g = PartialRV(((x_rect, 1.0),), "x"), PartialRV(((y_rect, 1.0),), "y")
+        assert abs(expectation(f, g, rho) - 1.0) <= ROUND_OFF
 
     @pytest.mark.parametrize("key, value", [("nx", 0), ("ny", 0), ("nx", -1), ("nx", True)])
     def test_grid_size_below_one(self, key, value):
@@ -537,6 +598,25 @@ class TestRefine:
         assert np.array_equal(probs, rho.weights * (width * height))
 
 
+class TestClassLaw:
+    """The exact outcome-class law that the Monte-Carlo summary draws from."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(families(ALIGNED_OR_NOT))
+    def test_exact_and_refinement_oracles(self, family):
+        summary, cells = family.summary(), per_pair_cells(family)
+        for (alpha, beta), (a, b, classes), want in zip(
+                PAIRS, simulate._class_law(family), cells, strict=True):
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, want.a_values) and np.array_equal(b, want.b_values)
+            assert abs(a @ classes @ b - summary[f"e{alpha}{beta}"]) <= ROUND_OFF
+            assert abs(a @ classes.sum(axis=1)
+                       - summary["marginals"][f"a{alpha}|{alpha}{beta}"]) <= ROUND_OFF
+            assert abs(classes.sum(axis=0) @ b
+                       - summary["marginals"][f"b{beta}|{alpha}{beta}"]) <= ROUND_OFF
+            assert np.abs(classes - want.classes).max() <= ROUND_OFF
+
+
 class TestSampling:
     """Draws from the densities' refined cells: the Monte-Carlo engine's class
     counts, the cells its event log splits them into, and the points it places
@@ -566,7 +646,7 @@ class TestSampling:
         # strictly inside a cell of positive probability: never on a grid
         # line or breakpoint
         _, alpha, beta, x, y, _, _ = log_rows(family, 2000, seed).T
-        for (p_alpha, p_beta), cells in zip(PAIRS, simulate._cells(family)):
+        for (p_alpha, p_beta), cells in zip(PAIRS, per_pair_cells(family)):
             sel = (alpha == p_alpha) & (beta == p_beta)
             ix = np.searchsorted(cells.x_edges, x[sel]) - 1
             iy = np.searchsorted(cells.y_edges, y[sel]) - 1
@@ -612,9 +692,9 @@ class TestSampling:
     def test_count_draw_does_not_grow_with_the_cells(self, side):
         # at most 2x2 counts per pair, whatever the pair's cell count
         family = optimize_family((0.5, -0.25, 1.0, 0.0), (side, side))[0]
-        cells = simulate._cells(family)
-        assert all(c.probs.shape == (side, side) for c in cells)
-        counts = simulate._counts(np.random.default_rng(side), cells, np.full(4, 0.25), 10**7)
+        assert all(rho.weights.shape == (side, side) for rho in family.densities())
+        law = simulate._class_law(family)
+        counts = simulate._counts(np.random.default_rng(side), law, np.full(4, 0.25), 10**7)
         assert [k.shape for k in counts] == [(2, 2)] * len(PAIRS)
         assert sum(int(k.sum()) for k in counts) == 10**7
 

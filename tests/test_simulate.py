@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import time
 import tracemalloc
 
@@ -8,10 +9,11 @@ import pytest
 
 from bellhop import simulate
 from bellhop.chsh import PAIRS, ChshFamily, optimize_family, saturating_family
-from bellhop.density import GridDensity, _refine_axis
+from bellhop.density import ROUND_OFF, GridDensity
 from bellhop.errors import ConfigInvalid, InsufficientTrials
 from bellhop.intervals import Interval
 from bellhop.observables import make_observable, setting_interval
+from bellhop.cli import main
 from bellhop.simulate import (
     ExperimentConfig,
     ExperimentSummary,
@@ -19,6 +21,7 @@ from bellhop.simulate import (
     estimate,
     run_experiment,
 )
+from test_density import per_pair_cells
 
 
 def uniform_family():
@@ -49,21 +52,16 @@ def mixed_grid_family():
     ])
 
 
-def per_pair_cells(family):
-    """Each pair's _Cells built on its own, every axis refined and evaluated
-    for each pair that uses it: the reference the shared axes must match."""
-    out = []
-    for (alpha, beta), rho in zip(PAIRS, family.densities()):
-        f, g = family.observables(alpha, beta)
-        xe, x_cells, x_widths = _refine_axis(rho.x_edges(), rho.x_rect, f.breakpoints())
-        ye, y_cells, y_widths = _refine_axis(rho.y_edges(), rho.y_rect, g.breakpoints())
-        probs = rho.weights[np.ix_(x_cells, y_cells)] * np.outer(x_widths, y_widths)
-        probs = probs / probs.sum()
-        a, b = (rv.column_values(e).astype(np.int64) for rv, e in ((f, xe), (g, ye)))
-        a_values, b_values = np.unique(a), np.unique(b)
-        classes = (a[:, None] == a_values).T @ probs @ (b[:, None] == b_values)
-        out.append(simulate._Cells(xe, ye, probs, a, b, a_values, b_values, classes))
-    return out
+def sliver_family():
+    """Pair 00 on a 196x1 grid with weight on columns 49-146 only, the other
+    pairs uniform.  Column 49 starts one ulp below the threshold 0.25, so the
+    class a = -1 has an exact probability of about 6e-17 on a sliver with no
+    float strictly inside it."""
+    w = np.zeros((196, 1))
+    w[49:147] = 1.0
+    return ChshFamily(GridDensity(setting_interval(0), setting_interval(0), w), *[
+        GridDensity(setting_interval(a), setting_interval(b), [[1.0]]) for a, b in PAIRS[1:]
+    ])
 
 
 def per_point(family, log: str) -> ExperimentSummary:
@@ -417,21 +415,24 @@ class TestSharedAxes:
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_cells_match_per_pair_reference(self, family):
-        # every field bit for bit, dtype included
+        # the event log's rows: each class's cells in order, their corners bit
+        # for bit and their probabilities given the class
         family = self.FAMILIES[family]()
-        for got, want in zip(simulate._cells(family), per_pair_cells(family), strict=True):
-            for field, g, w in zip(simulate._Cells._fields, got, want):
-                assert g.dtype == w.dtype and np.array_equal(g, w), field
-
-    @pytest.mark.parametrize("family, axes", [("grid32", 4), ("saturating", 4), ("mixed", 7)])
-    def test_each_axis_refined_once(self, monkeypatch, family, axes):
-        # two settings a side; the mixed family's setting-1 x axes differ in
-        # cell count and its y axes all differ, so it has 3 + 4
-        calls = []
-        monkeypatch.setattr(simulate, "_refine_axis",
-                            lambda *args: calls.append(args) or _refine_axis(*args))
-        simulate._cells(self.FAMILIES[family]())
-        assert len(calls) == axes
+        table = simulate._log_table(family, simulate._class_law(family))
+        row, split = 0, iter(table.split)
+        for c in per_pair_cells(family):
+            for u in c.a_values:
+                for v in c.b_values:
+                    in_a, in_b = c.a == u, c.b == v
+                    p = c.probs[np.ix_(in_a, in_b)].reshape(-1)
+                    rows = slice(row, row + len(p))
+                    for corners, xe, ye in ((table.lo, c.x_edges[:-1], c.y_edges[:-1]),
+                                            (table.hi, c.x_edges[1:], c.y_edges[1:])):
+                        want = np.meshgrid(xe[in_a], ye[in_b], indexing="ij")
+                        assert np.array_equal(corners[rows], np.stack(want, -1).reshape(-1, 2))
+                    assert np.abs(next(split) - p / (p.sum() or 1.0)).max() <= ROUND_OFF
+                    row += len(p)
+        assert row == len(table.lo) == len(table.templates) and next(split, None) is None
 
     # summaries of 1 000 003 trials, seed 29, at 1, 2 and 3 workers
     PINNED = {
@@ -464,6 +465,32 @@ class TestSharedAxes:
         assert hashlib.sha256(log.encode()).hexdigest() == (
             "341368c83efbd26057ba1ae9b1635f3ede30bc608c63b742aa29e3cdbe7b643e")
         assert summary == run_experiment(config)
+
+
+class TestUnplaceableClass:
+    def test_exact_law_has_the_sliver(self):
+        a, _, classes = simulate._class_law(sliver_family())[0]
+        assert 0 < classes[a == -1].sum() < 1e-16
+        assert (per_pair_cells(sliver_family())[0].classes[0] == 0).all()
+
+    def test_summary_runs(self):
+        summary = run_experiment(ExperimentConfig(sliver_family(), 10**6, 1))
+        assert sum(c.trials for c in summary.counts) == 10**6
+
+    def test_log_refused(self):
+        sink = io.StringIO()
+        with pytest.raises(ConfigInvalid, match=r"pair \(0,0\) class \(a, b\) = \(-1, -1\)"):
+            run_experiment(ExperimentConfig(sliver_family(), 1000, 1), event_log=sink)
+        assert sink.getvalue() == ""
+
+    def test_cli_refuses_log(self, tmp_path, capsys):
+        family, log = tmp_path / "sliver.json", tmp_path / "events.csv"
+        family.write_text(json.dumps(sliver_family().to_dict()))
+        argv = ["simulate", "--family", str(family), "--trials", "1000", "--seed", "1"]
+        assert main([*argv, "--log", str(log)]) == 2
+        assert not log.exists()
+        assert "too thin for the event log's points" in capsys.readouterr().err
+        assert main(argv) == 0
 
 
 class TestEstimate:

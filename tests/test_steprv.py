@@ -304,6 +304,14 @@ class TestCombine:
         with pytest.raises(NonFiniteInput):
             combine(f, f, "product")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lo, hi", [(1e308, 1.5e308), (-1.7e308, 1.7e308), (5e-324, 1.5e-323)])
+    def test_midpoints_stay_inside(self, lo, hi):
+        # near the float maximum the midpoint does not overflow, and a piece
+        # with a single float inside keeps it
+        f = make_step([lo, hi], [1.0], "x")
+        assert combine(f, f, "sum").pieces == ((Interval(lo, hi), 2.0),)
+
     def test_disjoint_sum(self):
         with pytest.raises(EmptyDomain):
             combine(make_observable(0.0), make_observable(1.0), "sum")
