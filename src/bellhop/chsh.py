@@ -68,6 +68,24 @@ class ChshFamily:
             for (alpha, beta), rho in zip(PAIRS, self.densities())
         )
 
+    @cached_property
+    def _class_law(self) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Each pair's (a_values, b_values, classes), in PAIRS order: both sides'
+        sorted distinct outcomes, as int64, and P(a = a_values[i], b = b_values[j])
+        = Aᵀ·W·B normalized, A[g, i] the length of grid column g where a = a_values[i];
+        computed once, like _moments, as read-only arrays."""
+        law = []
+        for (alpha, beta), rho in zip(PAIRS, self.densities()):
+            f, g = self.observables(alpha, beta)
+            a_values, a_lengths = f.value_lengths(rho.x_edges())
+            b_values, b_lengths = g.value_lengths(rho.y_edges())
+            classes = a_lengths.T @ rho.weights @ b_lengths
+            pair = (a_values.astype(np.int64), b_values.astype(np.int64), classes / classes.sum())
+            for array in pair:
+                array.setflags(write=False)
+            law.append(pair)
+        return tuple(law)
+
     def summary(self) -> dict:
         """The expectations block of a family record, as a fresh dict."""
         es = self.expectations()

@@ -138,7 +138,10 @@ def _refine_axis(grid: np.ndarray, rect: Interval, cuts):
 
 def _reals(value, n: int, key: str) -> np.ndarray:
     """A density field that must be a list of n numbers that floats hold exactly."""
-    if not (isinstance(value, (list, tuple)) and len(value) == n and all(map(_is_real, value))):
+    shaped = isinstance(value, (list, tuple)) and len(value) == n
+    if shaped and set(map(type, value)) == {float}:
+        return np.array(value, dtype=float)  # every rule below holds; NaN, ±inf are GridDensity's
+    if not (shaped and all(map(_is_real, value))):
         raise MalformedInput(f"density {key} must be a list of {_show(n)} numbers")
     # only a non-float can lack a float; a NaN or ±inf is left to GridDensity
     if not _finite(*value) and not _finite(*(v for v in value if not isinstance(v, float))):

@@ -7,7 +7,8 @@ detection loophole by construction.
 A summary needs only each pair's trials, Σab, Σa and Σb, so each worker draws
 once: the pairs get Multinomial(size, setting probabilities) trials, and each
 pair's at most 2×2 outcome classes (a, b) Multinomial counts of those, from
-their exact law (_class_law).  The class counts, summed over the workers, are
+their exact law (ChshFamily._class_law: computed once per family object, like
+_moments, as read-only arrays).  The class counts, summed over the workers, are
 contracted once with the outcome values, exactly, in int64.  (numpy's binomial
 keeps every low bit of a count up to about 2**54 trials per pair; above that
 counts share their low bits, an error of about 2**-21 standard deviations.)
@@ -75,7 +76,7 @@ class ExperimentConfig:
     @cached_property
     def _table(self) -> "_LogTable":
         """The family's event-log table, built once per config (_check_log_limit)."""
-        return _log_table(self.family, _class_law(self.family))
+        return _log_table(self.family, self.family._class_law)
 
 
 @dataclass(frozen=True)
@@ -108,20 +109,6 @@ class EstimateReport:
     pairs: Tuple[PairEstimate, PairEstimate, PairEstimate, PairEstimate]
     s_value: float
     s_se: float
-
-
-def _class_law(family: ChshFamily) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each pair's (a_values, b_values, classes), in PAIRS order: both sides'
-    sorted distinct outcomes, as int64, and P(a = a_values[i], b = b_values[j])
-    = Aᵀ·W·B normalized, A[g, i] the length of grid column g where a = a_values[i]."""
-    law = []
-    for (alpha, beta), rho in zip(PAIRS, family.densities()):
-        f, g = family.observables(alpha, beta)
-        a_values, a_lengths = f.value_lengths(rho.x_edges())
-        b_values, b_lengths = g.value_lengths(rho.y_edges())
-        classes = a_lengths.T @ rho.weights @ b_lengths
-        law.append((a_values.astype(np.int64), b_values.astype(np.int64), classes / classes.sum()))
-    return law
 
 
 def _counts(rng: np.random.Generator, law, p: np.ndarray, size: int) -> List[np.ndarray]:
@@ -214,7 +201,7 @@ def run_experiment(
 ) -> ExperimentSummary:
     """Run all trials; optionally stream a per-trial CSV audit log."""
     base, extra = divmod(config.n_trials, config.n_workers)
-    law = _class_law(config.family)
+    law = config.family._class_law
     p = np.divide(config.setting_probabilities, math.fsum(config.setting_probabilities))
     seeds = np.random.SeedSequence(config.master_seed).spawn(config.n_workers)
     if event_log is not None:

@@ -212,7 +212,7 @@ ALIGNED_OR_NOT = st.one_of(st.sampled_from([4, 8, 16, 32]), st.integers(1, 7))
 def pair_counts(family, n, seed, pair=0):
     """One pair's outcome-class counts, as the Monte-Carlo engine draws them
     for n trials of family, and the pair's refined cells."""
-    law = simulate._class_law(family)
+    law = family._class_law
     counts = simulate._counts(np.random.default_rng(seed), law, np.full(4, 0.25), n)
     return counts[pair], per_pair_cells(family)[pair]
 
@@ -220,7 +220,7 @@ def pair_counts(family, n, seed, pair=0):
 def pair_cell_counts(family, n, seed, pair=0):
     """One pair's refined-cell counts, as the event log's class split draws
     them block by block for n trials of family, and the pair's refined cells."""
-    law, cells = simulate._class_law(family), per_pair_cells(family)
+    law, cells = family._class_law, per_pair_cells(family)
     table = simulate._log_table(family, law)
     rng = np.random.default_rng(seed)
     left = np.concatenate([
@@ -333,6 +333,22 @@ class TestConstruction:
         d[key] = value
         with pytest.raises(MalformedInput):
             GridDensity.from_dict(d)
+
+    @pytest.mark.parametrize("value", [True, "0.5", None], ids=["bool", "text", "none"])
+    def test_one_non_float_among_floats_refused(self, value):
+        # a list of floats alone skips the per-value checks
+        d = middle_band_density().to_dict()
+        assert all(type(w) is float for w in d["weights"])
+        d["weights"][7] = value
+        with pytest.raises(MalformedInput, match="must be a list of 16 numbers"):
+            GridDensity.from_dict(d)
+
+    def test_floats_and_exact_integers_parse_alike(self):
+        d = middle_band_density().to_dict()
+        mixed = {**d, "weights": [int(w) if w == int(w) else w for w in d["weights"]]}
+        assert any(type(w) is int for w in mixed["weights"])
+        want, got = GridDensity.from_dict(d), GridDensity.from_dict(mixed)
+        assert want.weights.tobytes() == got.weights.tobytes()
 
     @pytest.mark.parametrize("key, index", [("x_rect", 0), ("y_rect", 0), ("weights", 5)])
     def test_integer_no_float_equals_refused(self, key, index):
@@ -606,7 +622,7 @@ class TestClassLaw:
     def test_exact_and_refinement_oracles(self, family):
         summary, cells = family.summary(), per_pair_cells(family)
         for (alpha, beta), (a, b, classes), want in zip(
-                PAIRS, simulate._class_law(family), cells, strict=True):
+                PAIRS, family._class_law, cells, strict=True):
             assert a.dtype == b.dtype == np.int64
             assert np.array_equal(a, want.a_values) and np.array_equal(b, want.b_values)
             assert abs(a @ classes @ b - summary[f"e{alpha}{beta}"]) <= ROUND_OFF
@@ -693,7 +709,7 @@ class TestSampling:
         # at most 2x2 counts per pair, whatever the pair's cell count
         family = optimize_family((0.5, -0.25, 1.0, 0.0), (side, side))[0]
         assert all(rho.weights.shape == (side, side) for rho in family.densities())
-        law = simulate._class_law(family)
+        law = family._class_law
         counts = simulate._counts(np.random.default_rng(side), law, np.full(4, 0.25), 10**7)
         assert [k.shape for k in counts] == [(2, 2)] * len(PAIRS)
         assert sum(int(k.sum()) for k in counts) == 10**7

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ from bellhop.errors import ConfigInvalid, InsufficientTrials
 from bellhop.intervals import Interval
 from bellhop.observables import make_observable, setting_interval
 from bellhop.cli import main
+from bellhop.steprv import PartialRV
 from bellhop.simulate import (
     ExperimentConfig,
     ExperimentSummary,
@@ -418,7 +420,7 @@ class TestSharedAxes:
         # the event log's rows: each class's cells in order, their corners bit
         # for bit and their probabilities given the class
         family = self.FAMILIES[family]()
-        table = simulate._log_table(family, simulate._class_law(family))
+        table = simulate._log_table(family, family._class_law)
         row, split = 0, iter(table.split)
         for c in per_pair_cells(family):
             for u in c.a_values:
@@ -467,9 +469,76 @@ class TestSharedAxes:
         assert summary == run_experiment(config)
 
 
+def uncached_law(family):
+    """Each pair's (a_values, b_values, Aᵀ·W·B normalized), computed afresh."""
+    law = []
+    for (alpha, beta), rho in zip(PAIRS, family.densities()):
+        f, g = family.observables(alpha, beta)
+        a_values, a_lengths = f.value_lengths(rho.x_edges())
+        b_values, b_lengths = g.value_lengths(rho.y_edges())
+        classes = a_lengths.T @ rho.weights @ b_lengths
+        law.append((a_values.astype(np.int64), b_values.astype(np.int64), classes / classes.sum()))
+    return law
+
+
+class TestClassLawCache:
+    """The class law, computed once per family object and shared by every run of it."""
+
+    FAMILIES = {**TestSharedAxes.FAMILIES, "sliver": sliver_family}
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_read_only_tuple(self, family):
+        family = self.FAMILIES[family]()
+        law = family._class_law
+        assert type(law) is tuple and all(type(pair) is tuple for pair in law)
+        assert family._class_law is law
+        for array in (array for pair in law for array in pair):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_bit_equal_to_uncached(self, family):
+        family = self.FAMILIES[family]()
+        for got, want in zip(family._class_law, uncached_law(family), strict=True):
+            for g, w in zip(got, want, strict=True):
+                assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+    def test_replaced_family_gets_its_own_law(self):
+        family = self.FAMILIES["grid32"]()
+        law = family._class_law
+        uniform = GridDensity(setting_interval(0), setting_interval(0), [[1.0]])
+        other = dataclasses.replace(family, rho00=uniform)
+        assert other._class_law is not law and family._class_law is law
+        assert other._class_law[0][2].tolist() == [[0.25, 0.25], [0.25, 0.25]]
+        assert law[0][2].tolist() != other._class_law[0][2].tolist()
+        for got, want in zip(other._class_law[1:], law[1:]):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_law_computed_once_per_family(self, monkeypatch):
+        # two observables a pair, four pairs: 8 calls, all for the first summary
+        calls = []
+        value_lengths = PartialRV.value_lengths
+
+        def counted(rv, edges):
+            calls.append(rv)
+            return value_lengths(rv, edges)
+
+        monkeypatch.setattr(PartialRV, "value_lengths", counted)
+        family = unaligned_family()
+        run_experiment(ExperimentConfig(family, 10_000, 1))
+        assert len(calls) == 8
+        run_experiment(ExperimentConfig(family, 10_000, 2, n_workers=2))
+        logged_config = ExperimentConfig(family, 10_000, 3)
+        simulate._check_log_limit(logged_config)
+        logged(logged_config)
+        assert len(calls) == 8
+
+
 class TestUnplaceableClass:
     def test_exact_law_has_the_sliver(self):
-        a, _, classes = simulate._class_law(sliver_family())[0]
+        a, _, classes = sliver_family()._class_law[0]
         assert 0 < classes[a == -1].sum() < 1e-16
         assert (per_pair_cells(sliver_family())[0].classes[0] == 0).all()
 
