@@ -19,10 +19,9 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .density import ROUND_OFF, GridDensity, _axis_integrals, _fields, _integrate, _same_measure
+from .density import ROUND_OFF, GridDensity, _correlators, _fields, _integrate, _same_measure
 from .errors import (
-    DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput, NonFiniteInput, _finite,
-    _is_int, _is_real, _show,
+    DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput, _is_int, _is_real, _show,
 )
 from .intervals import Interval
 from .observables import make_observable, setting_interval
@@ -52,6 +51,10 @@ class ChshFamily:
                     f"rho{alpha}{beta} rectangle {rho.x_rect!r}×{rho.y_rect!r} "
                     f"does not match {want_x!r}×{want_y!r}"
                 )
+
+    def __reduce__(self):
+        """Copy or pickle through the constructor, so a copy computes its own caches."""
+        return ChshFamily, self.densities()
 
     def densities(self) -> Tuple[GridDensity, ...]:
         return tuple(getattr(self, f"rho{alpha}{beta}") for alpha, beta in PAIRS)
@@ -256,13 +259,7 @@ def classical_bound_check(
     for f, g, side in ((a0, a1, "Alice's"), (b0, b1, "Bob's")):
         if not _same_domain(f, g):
             raise DomainMismatch(f"{f.domain!r} vs {g.domain!r} on {side} axis")
-    xe, ye = rho.x_edges(), rho.y_edges()
-    with np.errstate(over="ignore", invalid="ignore"):
-        i_aw = [_axis_integrals(rv, xe, rho.x_rect, "x") @ rho.weights for rv in (a0, a1)]
-        i_b = [_axis_integrals(rv, ye, rho.y_rect, "y") for rv in (b0, b1)]
-        # The common-domain assumption is used here: one density and one pair of
-        # domains, so each a[alpha] integral is paired with both b[beta] integrals.
-        es = [float(i_aw[alpha] @ i_b[beta]) for alpha, beta in PAIRS]
-    if not _finite(*es):
-        raise NonFiniteInput("correlators of the observables under the density overflow")
-    return chsh_value(*es)
+    # The common-domain assumption is used here: one density and one pair of
+    # domains, so each a[alpha] integral is paired with both b[beta] integrals.
+    es = _correlators((a0, a1), (b0, b1), rho)
+    return chsh_value(*(es[alpha][beta] for alpha, beta in PAIRS))

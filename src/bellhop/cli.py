@@ -154,7 +154,7 @@ def _cmd_simulate(args) -> int:
         n_workers=args.workers,
     )
     if args.log is not None:
-        simulate._check_log_limit(config)  # before open: a refused run writes no file
+        config._table  # before open: a refused run writes no file
         with open(args.log, "w") as fh:
             summary = simulate.run_experiment(config, event_log=fh)
     else:

@@ -3,10 +3,12 @@
 Both the observables and the densities are piecewise constant, so every
 expectation is a finite sum over the grid cells of per-cell integrals of the
 observables.  There is no quadrature error; excluded breakpoints have
-measure zero and are ignored.  With class indicators in place of values, the
-same contraction gives the outcome-class law the Monte-Carlo engine draws.
-_refine_axis cuts one axis of the grid also at given breakpoints, so that an
-observable is constant on every refined cell, for the event log's points.
+measure zero and are ignored; _correlators alone contracts them with the
+weights.  The outcome-class law (ChshFamily._class_law) is its own Aᵀ·W·B, as
+the pinned summaries and logs were drawn from that product's rounding, not a
+row-by-row chain's, and class lengths cannot overflow.  _refine_axis cuts one
+axis of the grid also at given breakpoints, so that an observable is constant
+on every refined cell, for the event log's points.
 """
 
 from __future__ import annotations
@@ -42,9 +44,12 @@ class GridDensity:
     flattening (ix*ny + iy) matches the JSON wire format.  The constructor
     rescales the given nonnegative weights so the density integrates to 1 and
     keeps a read-only copy, its mass summed over the cells' float edges.  A
-    weight, total mass, rectangle endpoint or rescaled weight that is not a
-    finite float raises NonFiniteInput instead of becoming a NaN, infinite or
-    all-zero density, and edges that are not strictly increasing MalformedInput.
+    weight or rectangle end that is no number (errors._is_real: text and bools
+    are not) raises MalformedInput; a weight, total mass, rectangle endpoint or
+    rescaled weight that is not a finite float raises NonFiniteInput instead of
+    becoming a NaN, infinite or all-zero density, and edges that are not
+    strictly increasing MalformedInput.  A deep copy is the density itself,
+    and unpickling restores the weights' bits without renormalizing them.
     """
 
     x_rect: Interval
@@ -53,13 +58,19 @@ class GridDensity:
 
     def __post_init__(self):
         x_rect, y_rect = self.x_rect, self.y_rect
+        if not all(map(_is_real, (x_rect.lo, x_rect.hi, y_rect.lo, y_rect.hi))):
+            raise MalformedInput(f"rectangle {x_rect!r} × {y_rect!r} has an end that is no number")
         if x_rect.is_empty() or y_rect.is_empty():
             raise EmptyRect(f"{x_rect!r} × {y_rect!r}")
-        w = np.array(self.weights)
-        # numpy keeps numbers it has no type for, such as 10**400, as objects
-        if w.dtype == object and not _finite(*filter(_is_real, w.flat)):
-            raise NonFiniteInput(f"weights on {x_rect!r} × {y_rect!r} not finite")
-        w = w.astype(float, copy=False)
+        w = self.weights
+        if not (isinstance(w, np.ndarray) and w.dtype.kind in "fiu"):
+            # value by value, as numpy would read "1.5" or True as a float
+            w = np.array(w, dtype=object)
+            if not all(map(_is_real, w.flat)):
+                raise MalformedInput(f"weights on {x_rect!r} × {y_rect!r} must be numbers")
+            if not _finite(*(v for v in w.flat if not isinstance(v, float))):  # 10**400
+                raise NonFiniteInput(f"weights on {x_rect!r} × {y_rect!r} not finite")
+        w = np.array(w, dtype=float)
         if w.ndim != 2 or w.size == 0:
             raise MalformedInput(f"weights must be a 2-d array with cells, got shape {w.shape}")
         if np.any(w < 0):
@@ -82,6 +93,15 @@ class GridDensity:
             raise NonFiniteInput(f"density on {x_rect!r} × {y_rect!r} overflows")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    def __deepcopy__(self, memo) -> "GridDensity":
+        return self  # immutable: its weights are read-only
+
+    def __setstate__(self, state: dict) -> None:
+        """Unpickle without the constructor, whose renormalization could change the weights'
+        bits, and make the weights read-only again."""
+        state["weights"].setflags(write=False)
+        self.__dict__.update(state)
 
     @property
     def nx(self) -> int:
@@ -174,16 +194,23 @@ def _axis_integrals(rv: PartialRV, edges: np.ndarray, rect: Interval, axis: str)
     return integrals
 
 
-def _integrate(f: PartialRV, g: PartialRV, rho: GridDensity):
-    """Exact (E[fg], E[f], E[g]) under rho from per-cell integrals; NonFiniteInput on overflow."""
+def _correlators(fs, gs, rho: GridDensity) -> list:
+    """[[E[f·g] for g in gs] for f in fs] under rho, f on x and g on y, None the constant 1,
+    each as (i_f @ W) @ i_g: the one contraction with the weights; NonFiniteInput on overflow."""
     xe, ye, w = rho.x_edges(), rho.y_edges(), rho.weights
     with np.errstate(over="ignore", invalid="ignore"):
-        i_fw = _axis_integrals(f, xe, rho.x_rect, "x") @ w
-        i_g = _axis_integrals(g, ye, rho.y_rect, "y")
-        moments = float(i_fw @ i_g), float(i_fw @ np.diff(ye)), float(np.diff(xe) @ w @ i_g)
-    if not _finite(*moments):
-        raise NonFiniteInput(f"moments of {f.domain!r} × {g.domain!r} overflow")
-    return moments
+        i_f = [np.diff(xe) if f is None else _axis_integrals(f, xe, rho.x_rect, "x") for f in fs]
+        i_g = [np.diff(ye) if g is None else _axis_integrals(g, ye, rho.y_rect, "y") for g in gs]
+        es = [[float(fw @ ig) for ig in i_g] for fw in (i @ w for i in i_f)]
+    if not _finite(*(e for row in es for e in row)):
+        raise NonFiniteInput(f"correlators on {rho.x_rect!r} × {rho.y_rect!r} overflow")
+    return es
+
+
+def _integrate(f: PartialRV, g: PartialRV, rho: GridDensity):
+    """Exact (E[fg], E[f], E[g]) under rho from per-cell integrals; NonFiniteInput on overflow."""
+    (fg, f1), (g1, _) = _correlators((f, None), (g, None), rho)
+    return fg, f1, g1
 
 
 def expectation(f: PartialRV, g: PartialRV, rho: GridDensity) -> float:

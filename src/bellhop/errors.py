@@ -50,8 +50,8 @@ class MalformedInput(BellhopError):
     """A family or density record is not a JSON object, lacks a required key,
     or has a field of the wrong type or shape; a family record's stored
     expectations differ from its weights' values; density weights are not a
-    2-d array with cells; or a step function's end, value or point, or an
-    argument of log_curve, is no number."""
+    2-d array of numbers with cells; or a density's rectangle end, a step
+    function's end, value or point, or an argument of log_curve, is no number."""
 
 
 class EmptyRect(BellhopError):

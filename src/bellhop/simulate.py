@@ -21,9 +21,9 @@ summary is the same with and without it.  Only the log refines each pair's
 grid by both observables' breakpoints (_log_table), so both outcomes are
 constant on each cell, and draws each block of _BLOCK rows from the remaining
 class counts (sample_many): exactly the law of i.i.d. trials.  Those draws
-need a total below _LOG_LIMIT = 1e9, so a logged worker takes fewer trials
-than that, and more workers split a larger run.  Memory is bounded by the
-block size and the cell count, not by n_trials.
+need a total below _LOG_LIMIT = 1e9, so ExperimentConfig._table, the log's one
+set-up, refuses a worker that many trials (more workers split such a run).
+Memory is bounded by the block size and the cell count, not by n_trials.
 """
 
 from __future__ import annotations
@@ -75,7 +75,12 @@ class ExperimentConfig:
 
     @cached_property
     def _table(self) -> "_LogTable":
-        """The family's event-log table, built once per config (_check_log_limit)."""
+        """A logged run's one set-up, done once per config and read by bellhop simulate before
+        it opens the file: ConfigInvalid if a worker gets _LOG_LIMIT trials or more or
+        _log_table cannot place a class, else the family's event-log table."""
+        if -(-self.n_trials // self.n_workers) >= _LOG_LIMIT:
+            raise ConfigInvalid("an event log needs fewer than 1e9 trials per worker: "
+                                "use more workers")
         return _log_table(self.family, self.family._class_law)
 
 
@@ -187,15 +192,6 @@ def _format_block(table: _LogTable, first: int, rows, points) -> str:
     return "".join([table.templates[r] for r in rows.tolist()]) % tuple(fields)
 
 
-def _check_log_limit(config: ExperimentConfig) -> _LogTable:
-    """config's event-log table, built before bellhop simulate opens the file; ConfigInvalid if
-    _log_table cannot place a class or a worker of a logged run gets _LOG_LIMIT trials or more."""
-    if -(-config.n_trials // config.n_workers) >= _LOG_LIMIT:
-        raise ConfigInvalid("an event log needs fewer than 1e9 trials per worker: "
-                            "use more workers")
-    return config._table
-
-
 def run_experiment(
     config: ExperimentConfig, event_log: Optional[TextIO] = None
 ) -> ExperimentSummary:
@@ -205,7 +201,7 @@ def run_experiment(
     p = np.divide(config.setting_probabilities, math.fsum(config.setting_probabilities))
     seeds = np.random.SeedSequence(config.master_seed).spawn(config.n_workers)
     if event_log is not None:
-        table = _check_log_limit(config)
+        table = config._table
         event_log.write("trial,alpha,beta,x,y,a,b\n")
     totals, trial = [0] * len(PAIRS), 0
     for worker, seed in enumerate(seeds):

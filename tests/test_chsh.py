@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +15,7 @@ from bellhop.chsh import (
     random_classical_instance,
     saturating_family,
 )
-from bellhop.density import ROUND_OFF, GridDensity, expectation
+from bellhop.density import ROUND_OFF, GridDensity, _correlators, _integrate, expectation
 from bellhop.errors import (
     DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput, NonFiniteInput,
 )
@@ -20,6 +23,7 @@ from bellhop.intervals import Interval
 from bellhop.observables import make_observable
 from bellhop.simulate import ExperimentConfig, run_experiment
 from bellhop.steprv import PartialRV, make_step
+from test_simulate import mixed_grid_family
 
 
 def uniform_family():
@@ -318,7 +322,7 @@ class TestClassicalBound:
         a = make_step([0.0, 1.0], [1e200], "x")
         b = make_step([0.0, 1.0], [1e200], "y")
         rho = GridDensity(Interval(0, 1), Interval(0, 1), [[1.0]])
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(NonFiniteInput, match=r"correlators on \(0,1\) × \(0,1\) overflow"):
             classical_bound_check(a, a, b, b, rho)
 
     def test_disjoint_domains_rejected(self):
@@ -411,3 +415,79 @@ class TestFamilySerialization:
         rho = GridDensity(Interval(0, 1), Interval(0, 1), [[1.0]])
         with pytest.raises(DomainMismatch):
             ChshFamily(rho, rho, rho, rho)
+
+
+def former_moments(f, g, rho):
+    """(E[fg], E[f], E[g]) by the former _integrate's chain of products."""
+    xe, ye, w = rho.x_edges(), rho.y_edges(), rho.weights
+    i_fw = f.cell_integrals(xe)[0] @ w
+    i_g = g.cell_integrals(ye)[0]
+    return float(i_fw @ i_g), float(i_fw @ np.diff(ye)), float(np.diff(xe) @ w @ i_g)
+
+
+def former_correlators(a0, a1, b0, b1, rho):
+    """The four correlators in PAIRS order by the former classical_bound_check."""
+    i_aw = [rv.cell_integrals(rho.x_edges())[0] @ rho.weights for rv in (a0, a1)]
+    i_b = [rv.cell_integrals(rho.y_edges())[0] for rv in (b0, b1)]
+    return [float(i_aw[alpha] @ i_b[beta]) for alpha, beta in PAIRS]
+
+
+def bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestOneContraction:
+    """_correlators is the one contraction of per-cell integrals with the weights, and it
+    rounds as the two it replaced did: every value bit for bit."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(1)
+        got, want = [], []
+        for _ in range(2000):
+            a0, a1, b0, b1, rho = random_classical_instance(rng)
+            es = former_correlators(a0, a1, b0, b1, rho)
+            got.append(classical_bound_check(a0, a1, b0, b1, rho))
+            want.append(chsh_value(*es))
+            rows = _correlators((a0, a1), (b0, b1), rho)
+            got += [rows[alpha][beta] for alpha, beta in PAIRS]
+            want += es
+            for (alpha, beta), e in zip(PAIRS, es):
+                f, g = (a0, a1)[alpha], (b0, b1)[beta]
+                got += [*_integrate(f, g, rho), expectation(f, g, rho)]
+                want += [*former_moments(f, g, rho), e]
+        assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("family", [
+        pytest.param(lambda: optimize_family((0.7, 0.7, 0.7, -0.7), (32, 32))[0], id="grid32"),
+        pytest.param(mixed_grid_family, id="mixed"),
+    ])
+    def test_families(self, family):
+        family = family()
+        want = [former_moments(*family.observables(alpha, beta), rho)
+                for (alpha, beta), rho in zip(PAIRS, family.densities())]
+        assert bits(family._moments) == bits(want)
+
+
+class TestCopies:
+    """A deep copy or an unpickled family is rebuilt from its densities: read-only weights,
+    its own caches, and the same runs."""
+
+    @pytest.mark.parametrize("how", [copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+                             ids=["deepcopy", "pickle"])
+    def test_copy_is_read_only(self, how):
+        family = saturating_family()
+        law = family._class_law
+        again = how(family)
+        assert "_class_law" not in vars(again) and "_moments" not in vars(again)
+        assert again._class_law is not law
+        for rho in again.densities():
+            with pytest.raises(ValueError, match="read-only"):
+                rho.weights[0, 0] = 99.0
+        for array in (array for pair in again._class_law for array in pair):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        assert all(got.weights.tobytes() == want.weights.tobytes()
+                   for got, want in zip(again.densities(), family.densities()))
+        assert again.summary() == family.summary()
+        runs = (run_experiment(ExperimentConfig(f, 10**6, 5)) for f in (again, family))
+        assert next(runs) == next(runs)

@@ -1,5 +1,7 @@
+import copy
 import io
 import math
+import pickle
 from typing import NamedTuple
 
 import numpy as np
@@ -301,6 +303,35 @@ class TestConstruction:
         with pytest.raises(NonFiniteInput):
             GridDensity(Interval(0.0, abs(value)), Interval(-abs(value), 1.0), [[1.0]])
 
+    @pytest.mark.parametrize("weights", [
+        pytest.param([["1.5", 1.0]], id="numeric-text"),
+        pytest.param([[True, 1.0]], id="bool"),
+        pytest.param([[1.0, "x"]], id="text"),
+        pytest.param([[None, 1.0]], id="none"),
+        pytest.param(np.array([[True, False]]), id="bool-array"),
+    ])
+    def test_non_number_weight(self, weights):
+        # each value must be a number, by the rule from_dict applies: numpy would read
+        # "1.5" as 1.5, True as 1.0 and None as NaN
+        with pytest.raises(MalformedInput, match="must be numbers"):
+            GridDensity(*unit_rect(), weights)
+
+    @pytest.mark.parametrize("end", ["0", False, None])
+    def test_non_number_rectangle_end(self, end):
+        with pytest.raises(MalformedInput, match="has an end that is no number"):
+            GridDensity(Interval(end, 1.0), Interval(0.0, 1.0), [[1.0]])
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copy_is_read_only_and_bit_equal(self, how):
+        # renormalizing these weights again would change some of their bits
+        rho = GridDensity(*unit_rect(), np.random.default_rng(1).random((7, 5)))
+        assert GridDensity(*unit_rect(), rho.weights).weights.tobytes() != rho.weights.tobytes()
+        again = copy.deepcopy(rho) if how == "deepcopy" else pickle.loads(pickle.dumps(rho))
+        assert again.weights.tobytes() == rho.weights.tobytes()
+        assert (again.x_rect, again.y_rect) == (rho.x_rect, rho.y_rect)
+        with pytest.raises(ValueError, match="read-only"):
+            again.weights[0, 0] = 99.0
+
     @pytest.mark.parametrize(
         "key, index, value, error",
         [
@@ -487,7 +518,7 @@ class TestExpectation:
         # finite observables whose expectation overflows: NonFiniteInput, no numpy warning
         f = make_step([0, 1], [1e200], "x")
         g = make_step([0, 1], [1e200], "y")
-        with pytest.raises(NonFiniteInput, match="overflow"):
+        with pytest.raises(NonFiniteInput, match=r"correlators on \(0,1\) × \(0,1\) overflow"):
             expectation(f, g, GridDensity(*unit_rect(), [[1.0]]))
 
     def test_offset_pair(self):

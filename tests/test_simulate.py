@@ -324,6 +324,17 @@ class TestRunExperiment:
             run_experiment(config, event_log=sink)
         assert sink.getvalue() == ""
 
+    def test_table_checks_the_log(self):
+        # the one set-up of a logged run: the per-worker limit, then the table, built once
+        too_many = ExperimentConfig(family=saturating_family(), n_trials=10**9, master_seed=1)
+        with pytest.raises(ConfigInvalid, match="fewer than 1e9 trials per worker"):
+            too_many._table
+        with pytest.raises(ConfigInvalid, match="too thin for the event log's points"):
+            ExperimentConfig(sliver_family(), 1000, 1)._table
+        config = ExperimentConfig(family=saturating_family(), n_trials=2 * 10**9 - 2,
+                                  master_seed=1, n_workers=2)
+        assert config._table is config._table
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_logged_and_unlogged_summaries_agree(self, workers):
         # every worker logs more than one block
@@ -531,7 +542,7 @@ class TestClassLawCache:
         assert len(calls) == 8
         run_experiment(ExperimentConfig(family, 10_000, 2, n_workers=2))
         logged_config = ExperimentConfig(family, 10_000, 3)
-        simulate._check_log_limit(logged_config)
+        logged_config._table
         logged(logged_config)
         assert len(calls) == 8
 
