@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
@@ -36,7 +35,14 @@ OBSERVABLES = tuple(tuple(make_observable(float(s), axis) for s in (0, 1)) for a
 
 @dataclass(frozen=True)
 class ChshFamily:
-    """One density per setting pair, each on its pair's unit rectangle."""
+    """One density per setting pair, on a rectangle its pair's observables cover a.e.
+
+    The constructor integrates each pair once (DomainMismatch naming the pair where
+    that rule fails): _moments holds (E[ab], E[a], E[b]) per pair in PAIRS order and
+    _class_law each pair's (a_values, b_values, classes), both sides' sorted distinct
+    outcomes as int64 and P(a = a_values[i], b = b_values[j]) = Aᵀ·W·B normalized,
+    A[g, i] the length of grid column g where a = a_values[i], as read-only arrays.
+    """
 
     rho00: GridDensity
     rho10: GridDensity
@@ -44,42 +50,16 @@ class ChshFamily:
     rho11: GridDensity
 
     def __post_init__(self):
+        moments, law = [], []
         for (alpha, beta), rho in zip(PAIRS, self.densities()):
-            want_x, want_y = setting_interval(alpha), setting_interval(beta)
-            if rho.x_rect != want_x or rho.y_rect != want_y:
-                raise DomainMismatch(
-                    f"rho{alpha}{beta} rectangle {rho.x_rect!r}×{rho.y_rect!r} "
-                    f"does not match {want_x!r}×{want_y!r}"
-                )
-
-    def __reduce__(self):
-        """Copy or pickle through the constructor, so a copy computes its own caches."""
-        return ChshFamily, self.densities()
-
-    def densities(self) -> Tuple[GridDensity, ...]:
-        return tuple(getattr(self, f"rho{alpha}{beta}") for alpha, beta in PAIRS)
-
-    def observables(self, alpha: int, beta: int) -> Tuple[PartialRV, PartialRV]:
-        return OBSERVABLES[0][alpha], OBSERVABLES[1][beta]
-
-    @cached_property
-    def _moments(self) -> Tuple[Tuple[float, float, float], ...]:
-        """(E[ab], E[a], E[b]) per pair in PAIRS order, each under its own
-        density; integrated once, as the fields and weights cannot change."""
-        return tuple(
-            _integrate(*self.observables(alpha, beta), rho)
-            for (alpha, beta), rho in zip(PAIRS, self.densities())
-        )
-
-    @cached_property
-    def _class_law(self) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Each pair's (a_values, b_values, classes), in PAIRS order: both sides'
-        sorted distinct outcomes, as int64, and P(a = a_values[i], b = b_values[j])
-        = Aᵀ·W·B normalized, A[g, i] the length of grid column g where a = a_values[i];
-        computed once, like _moments, as read-only arrays."""
-        law = []
-        for (alpha, beta), rho in zip(PAIRS, self.densities()):
+            if not isinstance(rho, GridDensity):
+                raise MalformedInput(f"rho{alpha}{beta} must be a GridDensity, "
+                                     f"got {type(rho).__name__}")
             f, g = self.observables(alpha, beta)
+            try:
+                moments.append(_integrate(f, g, rho))
+            except DomainMismatch as err:
+                raise DomainMismatch(f"rho{alpha}{beta}: {err}") from None
             a_values, a_lengths = f.value_lengths(rho.x_edges())
             b_values, b_lengths = g.value_lengths(rho.y_edges())
             classes = a_lengths.T @ rho.weights @ b_lengths
@@ -87,7 +67,18 @@ class ChshFamily:
             for array in pair:
                 array.setflags(write=False)
             law.append(pair)
-        return tuple(law)
+        object.__setattr__(self, "_moments", tuple(moments))
+        object.__setattr__(self, "_class_law", tuple(law))
+
+    def __reduce__(self):
+        """Copy or pickle through the constructor, so a copy computes its own moments and law."""
+        return ChshFamily, self.densities()
+
+    def densities(self) -> Tuple[GridDensity, ...]:
+        return tuple(getattr(self, f"rho{alpha}{beta}") for alpha, beta in PAIRS)
+
+    def observables(self, alpha: int, beta: int) -> Tuple[PartialRV, PartialRV]:
+        return OBSERVABLES[0][alpha], OBSERVABLES[1][beta]
 
     def summary(self) -> dict:
         """The expectations block of a family record, as a fresh dict."""

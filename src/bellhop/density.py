@@ -44,12 +44,13 @@ class GridDensity:
     flattening (ix*ny + iy) matches the JSON wire format.  The constructor
     rescales the given nonnegative weights so the density integrates to 1 and
     keeps a read-only copy, its mass summed over the cells' float edges.  A
-    weight or rectangle end that is no number (errors._is_real: text and bools
-    are not) raises MalformedInput; a weight, total mass, rectangle endpoint or
-    rescaled weight that is not a finite float raises NonFiniteInput instead of
-    becoming a NaN, infinite or all-zero density, and edges that are not
-    strictly increasing MalformedInput.  A deep copy is the density itself,
-    and unpickling restores the weights' bits without renormalizing them.
+    rectangle that is not an Interval, or a weight or rectangle end that is no
+    number (errors._is_real: text and bools are not), raises MalformedInput; a
+    weight, total mass, rectangle endpoint or rescaled weight that is not a
+    finite float raises NonFiniteInput instead of becoming a NaN, infinite or
+    all-zero density, and edges that are not strictly increasing
+    MalformedInput.  A deep copy is the density itself, and unpickling
+    restores the weights' bits without renormalizing them.
     """
 
     x_rect: Interval
@@ -58,6 +59,9 @@ class GridDensity:
 
     def __post_init__(self):
         x_rect, y_rect = self.x_rect, self.y_rect
+        for key, rect in (("x_rect", x_rect), ("y_rect", y_rect)):
+            if not isinstance(rect, Interval):
+                raise MalformedInput(f"{key} must be an Interval, got {type(rect).__name__}")
         if not all(map(_is_real, (x_rect.lo, x_rect.hi, y_rect.lo, y_rect.hi))):
             raise MalformedInput(f"rectangle {x_rect!r} × {y_rect!r} has an end that is no number")
         if x_rect.is_empty() or y_rect.is_empty():

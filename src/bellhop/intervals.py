@@ -85,7 +85,7 @@ class DomainSet:
                 c = a.intersect(b)
                 if not c.is_empty():
                     out.append(c)
-        return DomainSet.of(out)
+        return DomainSet(tuple(out))  # sorted and disjoint, as both operands are
 
     def __repr__(self) -> str:
         if not self.intervals:

@@ -7,8 +7,9 @@ detection loophole by construction.
 A summary needs only each pair's trials, Σab, Σa and Σb, so each worker draws
 once: the pairs get Multinomial(size, setting probabilities) trials, and each
 pair's at most 2×2 outcome classes (a, b) Multinomial counts of those, from
-their exact law (ChshFamily._class_law: computed once per family object, like
-_moments, as read-only arrays).  The class counts, summed over the workers, are
+their exact law (ChshFamily._class_law: read-only arrays that the family's
+constructor computes with its moments, on rectangles that each pair's
+observables cover a.e.).  The class counts, summed over the workers, are
 contracted once with the outcome values, exactly, in int64.  (numpy's binomial
 keeps every low bit of a count up to about 2**54 trials per pair; above that
 counts share their low bits, an error of about 2**-21 standard deviations.)
@@ -173,8 +174,7 @@ def sample_many(table: _LogTable, rng: np.random.Generator, n: int, left: np.nda
     in its cell (probability zero), so no point lands on a breakpoint."""
     taken = rng.multivariate_hypergeometric(left, n)
     left -= taken
-    per_cell = np.concatenate([rng.multinomial(k, q) if k else np.zeros(len(q), np.int64)
-                               for k, q in zip(taken.tolist(), table.split)])
+    per_cell = np.concatenate([rng.multinomial(k, q) for k, q in zip(taken.tolist(), table.split)])
     rows = rng.permutation(np.repeat(np.arange(len(per_cell)), per_cell))
     lo, hi = table.lo[rows], table.hi[rows]
     points = lo + rng.random(lo.shape) * (hi - lo)

@@ -118,7 +118,8 @@ class PartialRV:
         """(distinct, lengths): the sorted values self takes on the cells
         (edges[i], edges[i+1]), and lengths[i, k] the length of cell i where self = distinct[k]."""
         overlap, values = self._overlap(edges)
-        distinct = np.unique(values[overlap.any(axis=0)])
+        # not np.unique, whose first call imports numpy.ma: 10-27 ms of a process's set-up
+        distinct = np.array(sorted(set(values[overlap.any(axis=0)].tolist())))
         return distinct, overlap @ (values[:, None] == distinct)
 
     def column_values(self, edges: np.ndarray) -> np.ndarray:

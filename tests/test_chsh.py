@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from bellhop.errors import (
     DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput, NonFiniteInput,
 )
 from bellhop.intervals import Interval
-from bellhop.observables import make_observable
+from bellhop.observables import make_observable, setting_interval
 from bellhop.simulate import ExperimentConfig, run_experiment
 from bellhop.steprv import PartialRV, make_step
 from test_simulate import mixed_grid_family
@@ -416,6 +417,28 @@ class TestFamilySerialization:
         with pytest.raises(DomainMismatch):
             ChshFamily(rho, rho, rho, rho)
 
+    @pytest.mark.parametrize("pair", range(len(PAIRS)))
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_wrong_rectangle_names_its_pair(self, pair, axis):
+        densities = list(saturating_family().densities())
+        alpha, beta = PAIRS[pair]
+        rho = densities[pair]
+        other = setting_interval(1 - (alpha if axis == "x" else beta))
+        rects = (other, rho.y_rect) if axis == "x" else (rho.x_rect, other)
+        densities[pair] = GridDensity(*rects, rho.weights)
+        message = f"rho{alpha}{beta}: {axis}-rectangle {other!r} not a.e. inside domain"
+        with pytest.raises(DomainMismatch, match=f"^{re.escape(message)}"):
+            ChshFamily(*densities)
+
+    @pytest.mark.parametrize("pair", range(len(PAIRS)))
+    @pytest.mark.parametrize("value", [1, None, {"x_rect": [0.0, 1.0]}])
+    def test_field_not_a_density(self, pair, value):
+        densities = list(saturating_family().densities())
+        densities[pair] = value
+        alpha, beta = PAIRS[pair]
+        with pytest.raises(MalformedInput, match=f"^rho{alpha}{beta} must be a GridDensity"):
+            ChshFamily(*densities)
+
 
 def former_moments(f, g, rho):
     """(E[fg], E[f], E[g]) by the former _integrate's chain of products."""
@@ -478,7 +501,7 @@ class TestCopies:
         family = saturating_family()
         law = family._class_law
         again = how(family)
-        assert "_class_law" not in vars(again) and "_moments" not in vars(again)
+        assert again._moments is not family._moments
         assert again._class_law is not law
         for rho in again.densities():
             with pytest.raises(ValueError, match="read-only"):

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import stats
 
 from bellhop import simulate
@@ -163,7 +163,7 @@ def check_parsed(record, rho):
     assert (rho.x_rect.lo, rho.x_rect.hi) == tuple(record["x_rect"])
     assert (rho.y_rect.lo, rho.y_rect.hi) == tuple(record["y_rect"])
     assert np.isfinite(rho.weights).all() and (rho.weights >= 0).all()
-    w = np.reshape(record["weights"], (nx, ny))
+    w = np.array(record["weights"], dtype=float).reshape(nx, ny)
     assert np.allclose(rho.weights / rho.weights.max(), w / w.max(), rtol=1e-12, atol=1e-12)
     width, height = rho.x_rect.length / rho.nx, rho.y_rect.length / rho.ny
     assert abs((rho.weights * (width * height)).sum() - 1.0) <= 1e-9
@@ -454,6 +454,13 @@ class TestConstruction:
             GridDensity.from_dict(d)
         assert len(str(err.value)) < 300
 
+    @pytest.mark.parametrize("key", ["x_rect", "y_rect"])
+    @pytest.mark.parametrize("rect", [(0.0, 1.0), [0.0, 1.0], None])
+    def test_rectangle_not_an_interval(self, key, rect):
+        rects = {"x_rect": Interval(0.0, 1.0), "y_rect": Interval(0.0, 1.0), key: rect}
+        with pytest.raises(MalformedInput, match=f"^{key} must be an Interval"):
+            GridDensity(**rects, weights=[[1.0]])
+
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (4,), (1, 1, 1)])
     def test_weights_without_cells(self, shape):
         with pytest.raises(MalformedInput):
@@ -473,6 +480,9 @@ class TestRecordFuzz:
 
     @settings(max_examples=300)
     @given(density_records())
+    # an integer past int64 that a float equals: the record is valid
+    @example({"x_rect": [0.0, 1.0], "y_rect": [0.0, 1.0], "nx": 1, "ny": 1,
+              "weights": [28_845_841_486_331_248_640]})
     def test_density_from_dict(self, record):
         try:
             rho = GridDensity.from_dict(record)

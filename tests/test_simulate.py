@@ -66,6 +66,14 @@ def sliver_family():
     ])
 
 
+def sub_rectangle_family():
+    """mixed_grid_family with rho00 on (0.25, 0.75) × (0, 1): a rectangle that a0 and b0
+    cover a.e. without spanning a0's domain, on which a0 is +1."""
+    w = np.random.default_rng(24).random((3, 5)) + 0.1
+    rho00 = GridDensity(Interval(0.25, 0.75), setting_interval(0), w)
+    return dataclasses.replace(mixed_grid_family(), rho00=rho00)
+
+
 def per_point(family, log: str) -> ExperimentSummary:
     """The summary a log's rows reduce to, with every logged outcome checked
     against the pair's observables evaluated one point at a time."""
@@ -545,6 +553,28 @@ class TestClassLawCache:
         logged_config._table
         logged(logged_config)
         assert len(calls) == 8
+
+
+class TestSubRectangle:
+    """A density on part of its pair's domains: the exact correlators and the runs agree."""
+
+    def test_monte_carlo_agrees_with_exact(self):
+        family = sub_rectangle_family()
+        assert family._class_law[0][0].tolist() == [1]
+        report = estimate(run_experiment(ExperimentConfig(family, 10**6, 24, n_workers=2)))
+        for pair, e in zip(report.pairs, family.expectations(), strict=True):
+            assert abs(pair.correlator - e) <= 6 * pair.correlator_se
+
+    def test_logged_points_inside_the_rectangle(self):
+        family = sub_rectangle_family()
+        summary, log = logged(ExperimentConfig(family, 20_000, 24, n_workers=2))
+        rows = np.loadtxt(log.splitlines()[1:], delimiter=",", ndmin=2)
+        _, alpha, beta, x, y, _, _ = rows.T
+        pair00 = (alpha == 0) & (beta == 0)
+        assert pair00.sum() > 4000
+        assert ((x[pair00] > 0.25) & (x[pair00] < 0.75)).all()
+        assert ((y[pair00] > 0) & (y[pair00] < 1)).all()
+        assert per_point(family, log) == summary
 
 
 class TestUnplaceableClass:

@@ -287,6 +287,29 @@ class TestColumnValues:
                 assert np.isnan(values[i])
 
 
+def unique_value_lengths(f, edges):
+    """value_lengths with the distinct values taken by np.unique."""
+    overlap, values = f._overlap(edges)
+    distinct = np.unique(values[overlap.any(axis=0)])
+    return distinct, overlap @ (values[:, None] == distinct)
+
+
+class TestValueLengths:
+    @given(
+        gapped_step_rvs(),
+        st.lists(grid_points, min_size=2, max_size=8, unique=True).map(sorted),
+    )
+    def test_matches_np_unique(self, f, edges):
+        # == on the distinct values: where both zeros occur, the sign of the one
+        # kept may differ, as np.unique's choice depends on its sort
+        edges = np.array(edges)
+        (got, got_lengths), (want, want_lengths) = (
+            f.value_lengths(edges), unique_value_lengths(f, edges))
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert got_lengths.shape == want_lengths.shape
+        assert got_lengths.tobytes() == want_lengths.tobytes()
+
+
 class TestCombine:
     def test_partial_overlap(self):
         # pointwise: a0 is +1 on (0.5,0.75) where a_{1/2} is -1, and -1 on
