@@ -215,8 +215,8 @@ def random_classical_instance(rng: np.random.Generator):
 
     def random_rv(axis: str) -> PartialRV:
         k = int(rng.integers(0, 4))
-        cuts = np.unique(rng.random(k))
-        boundaries = [0.0, *cuts.tolist(), 1.0]
+        cuts = sorted(set(rng.random(k).tolist()))  # not np.unique, which imports numpy.ma
+        boundaries = [0.0, *cuts, 1.0]
         values = rng.choice([-1.0, 1.0], size=len(boundaries) - 1)
         return make_step(boundaries, values, axis)
 

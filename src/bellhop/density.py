@@ -154,7 +154,8 @@ def _edges(rect: Interval, n: int) -> np.ndarray:
 def _refine_axis(grid: np.ndarray, rect: Interval, cuts):
     """Edges of grid cut also at the cuts inside rect, with each refined
     cell's grid cell and its width, 0 where no float lies strictly inside."""
-    edges = np.unique(np.concatenate([grid, [c for c in cuts if rect.lo < c < rect.hi]]))
+    # a sorted set: np.unique's first call imports numpy.ma, 10-27 ms of a process's set-up
+    edges = np.array(sorted({*grid.tolist(), *(c for c in cuts if rect.lo < c < rect.hi)}))
     lo, hi = edges[:-1], edges[1:]
     cells = np.minimum(np.searchsorted(grid, lo, side="right") - 1, len(grid) - 2)
     return edges, cells, np.where(np.nextafter(lo, hi) < hi, hi - lo, 0.0)

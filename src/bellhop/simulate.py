@@ -21,7 +21,10 @@ The event log continues each worker's generator after its counts, so a
 summary is the same with and without it.  Only the log refines each pair's
 grid by both observables' breakpoints (_log_table), so both outcomes are
 constant on each cell, and draws each block of _BLOCK rows from the remaining
-class counts (sample_many): exactly the law of i.i.d. trials.  Those draws
+class counts (sample_many): exactly the law of i.i.d. trials.  Its floats are
+exactly Python's "%.17g" text: _g17 computes it by integer arithmetic in
+[1e-4, 2), which holds every point of the observables' rectangles (0, 2) but
+those within 1e-4 of 0, and Python's % writes the rest.  Those draws
 need a total below _LOG_LIMIT = 1e9, so ExperimentConfig._table, the log's one
 set-up, refuses a worker that many trials (more workers split such a run).
 Memory is bounded by the block size and the cell count, not by n_trials.
@@ -29,6 +32,7 @@ Memory is bounded by the block size and the cell count, not by n_trials.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -41,7 +45,8 @@ from .chsh import PAIRS, ChshFamily, chsh_value
 from .density import ROUND_OFF, _refine_axis
 from .errors import ConfigInvalid, InsufficientTrials, _finite, _is_int, _is_real
 
-_BLOCK = 1 << 16  # event-log rows drawn and written at a time
+_BLOCK = 1 << 16  # event-log rows drawn at a time
+_SLICE = 8192  # event-log rows formatted and written at a time: about 1 MB of text and temporaries
 _LOG_LIMIT = 10**9  # logged trials per worker: the hypergeometric draws' total
 MAX_TRIALS = 2**63 - 1  # counts and sums are int64
 MAX_WORKERS = 1024  # about 0.1 s of per-worker set-up
@@ -137,14 +142,15 @@ class _LogTable(NamedTuple):
 
     lo: np.ndarray  # (rows, 2): the cell's lower (x, y) corner
     hi: np.ndarray  # (rows, 2): its upper corner
-    templates: list  # the row's CSV line, its trial and (x, y) left as %d,%.17g,%.17g
+    kinds: np.ndarray  # (rows,): the row's (pair, class), an index into templates and split
+    templates: list  # per (pair, class): its CSV line as bytes, the trial and (x, y) as %d,%s,%s
     split: list  # per (pair, class), as the counts: its cells' probabilities given it, or 0s
 
 
 def _log_table(family: ChshFamily, law) -> _LogTable:
     """A cell's probability given its class is its grid weight × area over the class's sum;
     ConfigInvalid if a class has mass but only cells too thin for a float strictly inside."""
-    lo, hi, templates, split = [], [], [], []
+    cells, templates, split = [], [], []  # cells: per (pair, class), its corners' edges
     for (alpha, beta), rho, (a_values, b_values, classes) in zip(PAIRS, family.densities(), law):
         f, g = family.observables(alpha, beta)
         x_edges, x_cells, x_widths = _refine_axis(rho.x_edges(), rho.x_rect, f.breakpoints())
@@ -152,17 +158,27 @@ def _log_table(family: ChshFamily, law) -> _LogTable:
         probs = rho.weights[np.ix_(x_cells, y_cells)] * np.outer(x_widths, y_widths)
         a, b = f.column_values(x_edges), g.column_values(y_edges)
         for i, u in enumerate(a_values.tolist()):
+            ix = (a == u).nonzero()[0]
+            a_probs = probs[ix]
             for j, v in enumerate(b_values.tolist()):
-                ix, iy = np.nonzero(np.outer(a == u, b == v))  # the class's cells, row-major
-                p = probs[ix, iy]
+                iy = (b == v).nonzero()[0]  # the class's cells are ix × iy, row-major
+                p = a_probs[:, iy].reshape(-1)
                 if classes[i, j] > 0 and not p.any():
                     raise ConfigInvalid(f"pair ({alpha},{beta}) class (a, b) = ({u:+d}, {v:+d}) "
                                         "lies on cells too thin for the event log's points")
-                lo.append(np.stack([x_edges[ix], y_edges[iy]], axis=-1))
-                hi.append(np.stack([x_edges[ix + 1], y_edges[iy + 1]], axis=-1))
-                templates += [f"%d,{alpha},{beta},%.17g,%.17g,{u:+d},{v:+d}\n"] * len(p)
+                cells.append((x_edges[ix], x_edges[ix + 1], y_edges[iy], y_edges[iy + 1]))
+                templates.append(f"%d,{alpha},{beta},%s,%s,{u:+d},{v:+d}\n".encode())
                 split.append(p / (p.sum() or 1.0))
-    return _LogTable(np.concatenate(lo), np.concatenate(hi), templates, split)
+    sizes = [len(p) for p in split]
+    lo, hi = np.empty((sum(sizes), 2)), np.empty((sum(sizes), 2))
+    start = 0
+    for (x_lo, x_hi, y_lo, y_hi), size in zip(cells, sizes):
+        for corners, x, y in ((lo, x_lo, y_lo), (hi, x_hi, y_hi)):
+            grid = corners[start:start + size].reshape(len(x), len(y), 2)
+            grid[..., 0], grid[..., 1] = x[:, None], y
+        start += size
+    kinds = np.repeat(np.arange(len(split), dtype=np.uint8), sizes)  # at most 4 × 2 × 2 kinds
+    return _LogTable(lo, hi, kinds, templates, split)
 
 
 def sample_many(table: _LogTable, rng: np.random.Generator, n: int, left: np.ndarray):
@@ -183,13 +199,108 @@ def sample_many(table: _LogTable, rng: np.random.Generator, n: int, left: np.nda
     return rows, points
 
 
+# "%.17g" % x for x in [_G17_LO, 2), by exact integer arithmetic (_g17).  Such an x is
+# m·2**(e - 53) with m a 53-bit integer; its 17 significant digits are
+# D = m·5**(16 - k) / 2**(37 + k - e) rounded half to even, k = ⌊log10 x⌋ in [-4, 0].  The
+# product m·5**(16 - k) is below 2**102 and is formed from 32-bit limbs in uint64.  Each row
+# of the text is "c.", c = ⌊x⌋, and 22 fraction digits (D shifted by k), trailing zeros cut
+# to NUL, as six 4-byte words: 24 bytes.  Outside that range Python's % writes the float.
+_G17_LO = 1e-4  # from here %.17g writes x as 0.000ddd…, not in exponent form
+_LIMB = np.uint64(0xFFFFFFFF)
+_POW5 = np.array([5**n for n in range(22)], dtype=np.uint64)
+_POW5_LO, _POW5_HI = _POW5 & _LIMB, _POW5 >> np.uint64(32)
+_POW10 = np.array([10**n for n in range(7)], dtype=np.int64)
+_E16, _E17 = 10**16, 10**17
+
+
+@functools.cache
+def _digit_words():
+    """(groups, heads) of uint32 text words, built on first use.  groups[g]: the four digits
+    of g (0 <= g < 10**4), and groups[10**4 + g] the same with trailing zeros cut to NUL.
+    heads[200·z + 100·c + h]: "c." and the two digits of h (0 <= h < 100), cut if z is 1
+    (the "." too if h is 0)."""
+    g = np.arange(10**4)
+    digits = (ord("0") + g[:, None] // 10 ** np.arange(3, -1, -1) % 10).astype(np.uint8)
+    kept = np.maximum.accumulate(digits[:, ::-1] != ord("0"), axis=1)[:, ::-1]
+    cut = digits * kept
+    heads = np.zeros((2, 2, 100, 4), np.uint8)
+    heads[:, 0, :, 0], heads[:, 1, :, 0] = ord("0"), ord("1")
+    heads[0, :, :, 1], heads[1, :, 1:, 1] = ord("."), ord(".")
+    heads[0, :, :, 2:], heads[1, :, :, 2:] = digits[:100, 2:], cut[:100, 2:]
+    groups = np.concatenate([digits, cut]).view(np.uint32).reshape(-1)
+    return groups, heads.view(np.uint32).reshape(-1)
+
+
+def _digits17(m: np.ndarray, e: np.ndarray, k: np.ndarray):
+    """⌊m·2**(e - 53)·10**(16 - k)⌋ as uint64 and whether it rounds up, half to even."""
+    n = 16 - k
+    f0, f1 = _POW5_LO[n], _POW5_HI[n]
+    m0, m1 = m & _LIMB, m >> np.uint64(32)
+    low = m0 * f0
+    mid = m1 * f0 + m0 * f1 + (low >> np.uint64(32))
+    low = (mid << np.uint64(32)) | (low & _LIMB)  # m·5**n = high·2**64 + low
+    high = m1 * f1 + (mid >> np.uint64(32))
+    shift = (37 + k - e).astype(np.uint64)  # 31 to 51
+    q = (high << (np.uint64(64) - shift)) | (low >> shift)
+    rest = low & ((np.uint64(1) << shift) - np.uint64(1))
+    return q, rest + (q & np.uint64(1)) > np.uint64(1) << (shift - np.uint64(1))
+
+
+def _split(a: np.ndarray, d: int):
+    """a // d and a % d, for a >= 0 (np.divmod takes a slower path)."""
+    q = a // d
+    return q, a - q * d
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """"%.17g" % v for each v of x, which must lie in [_G17_LO, 2), as an S24 array."""
+    groups, heads = _digit_words()
+    fraction, e = np.frexp(x)
+    m, e = (fraction * 2.0**53).astype(np.uint64), e.astype(np.int64)
+    k = np.floor(np.log10(x)).astype(np.int64)  # or one off near a power of ten
+    q, up = _digits17(m, e, k)
+    off = np.flatnonzero((q < _E16) | (q >= _E17))
+    if off.size:
+        k[off] += np.where(q[off] < _E16, -1, 1)
+        q[off], up[off] = _digits17(m[off], e[off], k[off])
+    # no float in [1e-4, 2) lies within 5e-18 of a power of ten below it, so D < 10**17
+    d = (q + up).astype(np.int64)
+    one = k == 0  # x in [1, 2)
+    d -= one * _E16
+    # the fraction's 22 digits d·10**(6 + k): 2 + 8 in high, 12 in low, 4 to a word
+    p = _POW10[6 + k]
+    high, low = _split(d, 10**12)
+    carry, low = _split(low * p, 10**12)
+    h, high = _split(high * p + carry, 10**8)
+    g3, low = _split(low, 10**8)
+    g4, g5 = _split(low, 10**4)
+    g1, g2 = _split(high, 10**4)
+    words = np.empty((len(x), 6), np.uint32)
+    zero = np.ones(len(x), np.int64)  # 1 while every digit after the word is 0: cut its zeros
+    for j, g in ((5, g5), (4, g4), (3, g3), (2, g2), (1, g1)):
+        words[:, j] = groups.take(g + zero * 10**4)
+        zero &= g == 0
+    words[:, 0] = heads.take(h + one * 100 + zero * 200)
+    return words.view("S24").reshape(-1)
+
+
+def _text(x: np.ndarray) -> list:
+    """"%.17g" % v for each v of x, as bytes: by _g17 in [_G17_LO, 2), by Python elsewhere."""
+    fast = (x >= _G17_LO) & (x < 2.0)
+    text = _g17(np.where(fast, x, 1.0)).tolist()
+    for i in np.flatnonzero(~fast).tolist():
+        text[i] = b"%.17g" % x[i]
+    return text
+
+
 def _format_block(table: _LogTable, first: int, rows, points) -> str:
-    """The block's CSV rows, numbered from first, as one string."""
+    """The rows' CSV lines, numbered from first, as one string."""
     n = len(rows)
     fields = [None] * (3 * n)
     fields[0::3] = range(first, first + n)
-    fields[1::3], fields[2::3] = points.T.tolist()
-    return "".join([table.templates[r] for r in rows.tolist()]) % tuple(fields)
+    fields[1::3], fields[2::3] = _text(points[:, 0]), _text(points[:, 1])
+    lines = b"".join([table.templates[kind] for kind in table.kinds[rows].tolist()])
+    return (lines % tuple(fields)).decode()
 
 
 def run_experiment(
@@ -215,7 +326,9 @@ def run_experiment(
         for start in range(0, size, _BLOCK):
             n = min(_BLOCK, size - start)
             rows, points = sample_many(table, rng, n, left)
-            event_log.write(_format_block(table, trial, rows, points))
+            for at in range(0, n, _SLICE):
+                event_log.write(_format_block(table, trial + at, rows[at:at + _SLICE],
+                                              points[at:at + _SLICE]))
             trial += n
     counts = tuple(PairCounts(*row) for row in _sums(law, totals).tolist())
     return ExperimentSummary(config.n_trials, counts)

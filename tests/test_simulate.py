@@ -4,9 +4,11 @@ import io
 import json
 import time
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellhop import simulate
 from bellhop.chsh import PAIRS, ChshFamily, optimize_family, saturating_family
@@ -72,6 +74,13 @@ def sub_rectangle_family():
     w = np.random.default_rng(24).random((3, 5)) + 0.1
     rho00 = GridDensity(Interval(0.25, 0.75), setting_interval(0), w)
     return dataclasses.replace(mixed_grid_family(), rho00=rho00)
+
+
+def tiny_x_family():
+    """The saturating family with rho00 on (0, 1e-6) × (0, 1): pair 00's x lies below 1e-4,
+    where the event log's floats are Python's "%.17g" and not the kernel's."""
+    rho00 = GridDensity(Interval(0.0, 1e-6), setting_interval(0), [[1.0]])
+    return dataclasses.replace(saturating_family(), rho00=rho00)
 
 
 def per_point(family, log: str) -> ExperimentSummary:
@@ -437,11 +446,11 @@ class TestSharedAxes:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_cells_match_per_pair_reference(self, family):
         # the event log's rows: each class's cells in order, their corners bit
-        # for bit and their probabilities given the class
+        # for bit, their probabilities given the class and the class's one template
         family = self.FAMILIES[family]()
         table = simulate._log_table(family, family._class_law)
-        row, split = 0, iter(table.split)
-        for c in per_pair_cells(family):
+        row, kind, split = 0, 0, iter(table.split)
+        for (alpha, beta), c in zip(PAIRS, per_pair_cells(family)):
             for u in c.a_values:
                 for v in c.b_values:
                     in_a, in_b = c.a == u, c.b == v
@@ -452,8 +461,12 @@ class TestSharedAxes:
                         want = np.meshgrid(xe[in_a], ye[in_b], indexing="ij")
                         assert np.array_equal(corners[rows], np.stack(want, -1).reshape(-1, 2))
                     assert np.abs(next(split) - p / (p.sum() or 1.0)).max() <= ROUND_OFF
-                    row += len(p)
-        assert row == len(table.lo) == len(table.templates) and next(split, None) is None
+                    assert (table.kinds[rows] == kind).all()
+                    assert table.templates[kind] == b"%%d,%d,%d,%%s,%%s,%+d,%+d\n" % (
+                        alpha, beta, u, v)
+                    row, kind = row + len(p), kind + 1
+        assert row == len(table.lo) == len(table.kinds) and next(split, None) is None
+        assert kind == len(table.templates)
 
     # summaries of 1 000 003 trials, seed 29, at 1, 2 and 3 workers
     PINNED = {
@@ -601,6 +614,61 @@ class TestUnplaceableClass:
         assert not log.exists()
         assert "too thin for the event log's points" in capsys.readouterr().err
         assert main(argv) == 0
+
+
+def g17(values) -> list:
+    """The event log's text of each value, as str."""
+    return [text.decode() for text in simulate._text(np.array(values, dtype=float))]
+
+
+class TestFloatText:
+    """The event log writes each float as "%.17g" % v: an integer kernel in [1e-4, 2),
+    Python's % elsewhere."""
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(1e-4, 2.0, exclude_max=True), min_size=1, max_size=40))
+    def test_kernel_matches_percent(self, values):
+        text = simulate._g17(np.array(values)).tolist()
+        assert [t.decode() for t in text] == ["%.17g" % v for v in values]
+
+    def test_fixed_cases(self):
+        powers = [10.0**k for k in range(-4, 1)]
+        values = [
+            np.nextafter(1e-4, 0), 1e-4,  # Python's %, then the kernel
+            *(np.nextafter(p, to) for p in powers for to in (0.0, 2.0)), *powers,
+            1.0, np.nextafter(2.0, 0), 2.0, 0.0, 5e-324, 0.5, 0.999999999999999,
+        ]
+        assert g17(values) == ["%.17g" % v for v in values]
+
+    def test_ties_round_half_to_even(self):
+        # j / 2**(17 - k), j odd, between 10**k and 10**(k + 1) has 18 significant digits,
+        # the last a 5: %.17g rounds it half to even
+        rng = np.random.default_rng(25)
+        values = []
+        for k in range(-4, 1):
+            scale = 2 ** (17 - k)
+            lo = -(-scale * 10**4 // 10 ** (4 - k))
+            hi = min(scale * 10**5 // 10 ** (4 - k), 2 * scale)
+            j = rng.integers(lo, hi, 2000) | 1
+            values += (j[j < hi] / scale).tolist()
+        for v in values:
+            digits = Decimal(v).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        assert g17(values) == ["%.17g" % v for v in values]
+
+    def test_logged_run_below_kernel_range(self):
+        # pair 00's x is Python's %, every other float the kernel's: the same text
+        summary, log = logged(ExperimentConfig(tiny_x_family(), 20_000, 25, n_workers=2))
+        lines = log.splitlines()[1:]
+        assert len(lines) == 20_000
+        small = 0
+        for line in lines:
+            trial, alpha, beta, x, y, a, b = line.split(",")
+            fields = (int(trial), int(alpha), int(beta), float(x), float(y), int(a), int(b))
+            assert line == "%d,%d,%d,%.17g,%.17g,%+d,%+d" % fields
+            small += float(x) < 1e-4
+        assert 4000 < small < 6000
+        assert per_point(tiny_x_family(), log) == summary
 
 
 class TestEstimate:
