@@ -150,7 +150,7 @@ def chsh_value(e00: float, e10: float, e01: float, e11: float) -> float:
 
 def _band_signs(n: int) -> np.ndarray:
     """Observable value per grid column for a quarter-aligned n-cell grid."""
-    return OBSERVABLES[0][0].column_values(np.arange(n + 1) / n)
+    return np.sign(OBSERVABLES[0][0].cell_integrals(np.arange(n + 1) / n)[0])
 
 
 def saturating_family() -> ChshFamily:

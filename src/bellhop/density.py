@@ -6,9 +6,7 @@ observables.  There is no quadrature error; excluded breakpoints have
 measure zero and are ignored; _correlators alone contracts them with the
 weights.  The outcome-class law (ChshFamily._class_law) is its own Aᵀ·W·B, as
 the pinned summaries and logs were drawn from that product's rounding, not a
-row-by-row chain's, and class lengths cannot overflow.  _refine_axis cuts one
-axis of the grid also at given breakpoints, so that an observable is constant
-on every refined cell, for the event log's points.
+row-by-row chain's, and class lengths cannot overflow.
 """
 
 from __future__ import annotations
@@ -149,16 +147,6 @@ def _edges(rect: Interval, n: int) -> np.ndarray:
     edges = rect.lo + rect.length / n * np.arange(n + 1)
     edges[-1] = rect.hi
     return edges
-
-
-def _refine_axis(grid: np.ndarray, rect: Interval, cuts):
-    """Edges of grid cut also at the cuts inside rect, with each refined
-    cell's grid cell and its width, 0 where no float lies strictly inside."""
-    # a sorted set: np.unique's first call imports numpy.ma, 10-27 ms of a process's set-up
-    edges = np.array(sorted({*grid.tolist(), *(c for c in cuts if rect.lo < c < rect.hi)}))
-    lo, hi = edges[:-1], edges[1:]
-    cells = np.minimum(np.searchsorted(grid, lo, side="right") - 1, len(grid) - 2)
-    return edges, cells, np.where(np.nextafter(lo, hi) < hi, hi - lo, 0.0)
 
 
 def _reals(value, n: int, key: str) -> np.ndarray:

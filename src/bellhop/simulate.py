@@ -18,8 +18,9 @@ substreams are independent across workers and seeds and a summary is
 bit-identical for a fixed (seed, workers).  Workers run one after another.
 
 The event log continues each worker's generator after its counts, so a
-summary is the same with and without it.  Only the log refines each pair's
-grid by both observables' breakpoints (_log_table), so both outcomes are
+summary is the same with and without it.  Only the log splits each pair's
+grid into cells, each the nonempty overlap of a grid column (row) and a piece
+of Alice's (Bob's) observable (PartialRV._overlap_cells), so both outcomes are
 constant on each cell, and draws each block of _BLOCK rows from the remaining
 class counts (sample_many): exactly the law of i.i.d. trials.  Its floats are
 exactly Python's "%.17g" text: _g17 computes it by integer arithmetic in
@@ -42,7 +43,7 @@ from typing import List, NamedTuple, Optional, TextIO, Tuple
 import numpy as np
 
 from .chsh import PAIRS, ChshFamily, chsh_value
-from .density import ROUND_OFF, _refine_axis
+from .density import ROUND_OFF
 from .errors import ConfigInvalid, InsufficientTrials, _finite, _is_int, _is_real
 
 _BLOCK = 1 << 16  # event-log rows drawn at a time
@@ -153,10 +154,9 @@ def _log_table(family: ChshFamily, law) -> _LogTable:
     cells, templates, split = [], [], []  # cells: per (pair, class), its corners' edges
     for (alpha, beta), rho, (a_values, b_values, classes) in zip(PAIRS, family.densities(), law):
         f, g = family.observables(alpha, beta)
-        x_edges, x_cells, x_widths = _refine_axis(rho.x_edges(), rho.x_rect, f.breakpoints())
-        y_edges, y_cells, y_widths = _refine_axis(rho.y_edges(), rho.y_rect, g.breakpoints())
+        x_lo, x_hi, x_cells, x_widths, a = f._overlap_cells(rho.x_edges())
+        y_lo, y_hi, y_cells, y_widths, b = g._overlap_cells(rho.y_edges())
         probs = rho.weights[np.ix_(x_cells, y_cells)] * np.outer(x_widths, y_widths)
-        a, b = f.column_values(x_edges), g.column_values(y_edges)
         for i, u in enumerate(a_values.tolist()):
             ix = (a == u).nonzero()[0]
             a_probs = probs[ix]
@@ -166,7 +166,7 @@ def _log_table(family: ChshFamily, law) -> _LogTable:
                 if classes[i, j] > 0 and not p.any():
                     raise ConfigInvalid(f"pair ({alpha},{beta}) class (a, b) = ({u:+d}, {v:+d}) "
                                         "lies on cells too thin for the event log's points")
-                cells.append((x_edges[ix], x_edges[ix + 1], y_edges[iy], y_edges[iy + 1]))
+                cells.append((x_lo[ix], x_hi[ix], y_lo[iy], y_hi[iy]))
                 templates.append(f"%d,{alpha},{beta},%s,%s,{u:+d},{v:+d}\n".encode())
                 split.append(p / (p.sum() or 1.0))
     sizes = [len(p) for p in split]

@@ -101,36 +101,35 @@ class PartialRV:
         defined = (xs > los[idx]) & (xs < his[idx])
         return np.where(defined, values[idx], 0.0), defined
 
-    def _overlap(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(overlap, values): overlap[i, j] is the length of cell
-        (edges[i], edges[i+1]) ∩ piece j, values the pieces' values."""
+    def _overlap(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lo, hi, values): cell (edges[i], edges[i+1]) ∩ piece j is (lo[i, j], hi[i, j]),
+        empty unless lo[i, j] < hi[i, j], and values the pieces' values."""
         los, his, values = self._arrays()
-        lo, hi = np.maximum(edges[:-1, None], los), np.minimum(edges[1:, None], his)
-        return np.maximum(hi - lo, 0.0), values
+        return np.maximum(edges[:-1, None], los), np.minimum(edges[1:, None], his), values
+
+    def _overlap_cells(self, edges: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(lo, hi, column, width, value) per nonempty cell ∩ piece of _overlap, in axis
+        order: its ends, its cell i, its length (0 where no float lies strictly inside) and
+        the piece's value."""
+        lo, hi, values = self._overlap(edges)
+        column, piece = (lo < hi).nonzero()
+        lo, hi = lo[column, piece], hi[column, piece]
+        return lo, hi, column, np.where(np.nextafter(lo, hi) < hi, hi - lo, 0.0), values[piece]
 
     def cell_integrals(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per cell (edges[i], edges[i+1]): the integral of self over the cell
         and the measure of the domain inside it."""
-        overlap, values = self._overlap(edges)
-        return overlap @ values, overlap.sum(axis=1)
+        lo, hi, values = self._overlap(edges)
+        lengths = np.maximum(hi - lo, 0.0)
+        return lengths @ values, lengths.sum(axis=1)
 
     def value_lengths(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(distinct, lengths): the sorted values self takes on the cells
         (edges[i], edges[i+1]), and lengths[i, k] the length of cell i where self = distinct[k]."""
-        overlap, values = self._overlap(edges)
+        lo, hi, values = self._overlap(edges)
         # not np.unique, whose first call imports numpy.ma: 10-27 ms of a process's set-up
-        distinct = np.array(sorted(set(values[overlap.any(axis=0)].tolist())))
-        return distinct, overlap @ (values[:, None] == distinct)
-
-    def column_values(self, edges: np.ndarray) -> np.ndarray:
-        """Per cell (edges[i], edges[i+1]): the value of the piece that holds
-        the whole open cell, or NaN where no piece does (a breakpoint cuts
-        the cell or part of it lies outside the domain)."""
-        los, his, values = self._arrays()
-        # holds[i, j]: piece j holds cell i; pieces are disjoint, so at most one
-        # holds a nonempty cell
-        holds = (edges[:-1, None] >= los) & (edges[1:, None] <= his)
-        return np.where(holds.any(axis=1), values[holds.argmax(axis=1)], np.nan)
+        distinct = np.array(sorted(set(values[(lo < hi).any(axis=0)].tolist())))
+        return distinct, np.maximum(hi - lo, 0.0) @ (values[:, None] == distinct)
 
 
 def make_step(boundaries: Sequence[float], values: Sequence[float], axis_label: str) -> PartialRV:

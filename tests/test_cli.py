@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from bellhop import chsh, simulate
 from bellhop.chsh import MAX_GRID
 from bellhop.cli import MAX_CHECKS, _build_parser, _runs, main, write_figures
 from bellhop.steprv import make_step
+from test_simulate import sub_rectangle_family
 
 
 # SHA-256 of the reference figure data; perfbench/checks.py pins the same digests
@@ -85,6 +87,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def fresh_python(*argv):
+    """python argv in a fresh interpreter that imports this checkout's bellhop."""
+    src = str(Path(bellhop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 class TestEval:
@@ -342,17 +352,27 @@ class TestFamilyPipeline:
         payload = json.loads(path.read_text())
         payload["rho00"]["weights"] = [1e308] * len(payload["rho00"]["weights"])
         path.write_text(json.dumps(payload))
-        src = str(Path(bellhop.__file__).resolve().parents[1])
-        path_dirs = [src, os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_dirs)}
-        proc = subprocess.run(
-            [sys.executable, "-c", "from bellhop.cli import entry; entry()",
-             "expect", "--family", str(path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = fresh_python("-c", "from bellhop.cli import entry; entry()",
+                            "expect", "--family", str(path))
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_simulate_and_check_classical_skip_numpy_ma(self, tmp_path):
+        # np.unique's first call imports numpy.ma, 10-27 ms of a process's set-up: runs with
+        # and without --log on a family with a sub-rectangle, and check-classical, must not
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps(sub_rectangle_family().to_dict()))
+        proc = fresh_python("-c", textwrap.dedent("""
+            import sys
+            from bellhop import cli
+            run = ["simulate", "--family", sys.argv[1], "--trials", "200000", "--seed", "1"]
+            assert cli.main(run) == 0
+            assert cli.main([*run, "--log", sys.argv[2]]) == 0
+            assert cli.main(["check-classical", "--trials", "10"]) == 0
+            assert "numpy.ma" not in sys.modules, "numpy.ma imported"
+            """), str(path), str(tmp_path / "sub.csv"))
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("corrupt, named", [
         (lambda p: {k: v for k, v in p.items() if k != "rho00"}, "rho00"),

@@ -11,9 +11,10 @@ from scipy import stats
 
 from bellhop import simulate
 from bellhop.chsh import PAIRS, ChshFamily, optimize_family, saturating_family
-from bellhop.density import ROUND_OFF, GridDensity, _integrate, _refine_axis, expectation
+from bellhop.density import ROUND_OFF, GridDensity, _integrate, expectation
 from bellhop.errors import (
     BellhopError,
+    ConfigInvalid,
     DomainMismatch,
     EmptyRect,
     MalformedInput,
@@ -25,6 +26,7 @@ from bellhop.intervals import Interval
 from bellhop.observables import make_observable, setting_interval, thresholds
 from bellhop.simulate import ExperimentConfig, estimate, run_experiment
 from bellhop.steprv import PartialRV, make_step
+from test_steprv import gapped_step_rvs, grid_points, step_rvs
 
 
 def unit_rect():
@@ -33,10 +35,10 @@ def unit_rect():
 
 def refine(rho, x_cuts, y_cuts):
     """(x_edges, y_edges, probs) of rho's grid cut also at the cuts inside its
-    rectangle by _refine_axis: each cell's probability is its grid weight
+    rectangle by refine_axis: each cell's probability is its grid weight
     times its area, rescaled to sum 1, as the event log weighs its cells."""
-    x_edges, x_cells, x_widths = _refine_axis(rho.x_edges(), rho.x_rect, x_cuts)
-    y_edges, y_cells, y_widths = _refine_axis(rho.y_edges(), rho.y_rect, y_cuts)
+    x_edges, x_cells, x_widths = refine_axis(rho.x_edges(), rho.x_rect, x_cuts)
+    y_edges, y_cells, y_widths = refine_axis(rho.y_edges(), rho.y_rect, y_cuts)
     probs = rho.weights[np.ix_(x_cells, y_cells)] * np.outer(x_widths, y_widths)
     return x_edges, y_edges, probs / probs.sum()
 
@@ -61,7 +63,7 @@ def per_pair_cells(family):
     for (alpha, beta), rho in zip(PAIRS, family.densities()):
         f, g = family.observables(alpha, beta)
         xe, ye, probs = refine(rho, f.breakpoints(), g.breakpoints())
-        a, b = (rv.column_values(e).astype(np.int64) for rv, e in ((f, xe), (g, ye)))
+        a, b = (column_values(rv, e).astype(np.int64) for rv, e in ((f, xe), (g, ye)))
         a_values, b_values = np.unique(a), np.unique(b)
         classes = (a[:, None] == a_values).T @ probs @ (b[:, None] == b_values)
         out.append(Cells(xe, ye, probs, a, b, a_values, b_values, classes))
@@ -614,6 +616,122 @@ class TestMarginals:
         assert expectation(f, g, rho) == pytest.approx(mf * mg, abs=1e-12)
 
 
+# The event log's cells by breakpoint refinement, an algorithm apart from
+# PartialRV._overlap_cells: the reference for simulate._log_table and for the oracles above.
+
+def refine_axis(grid: np.ndarray, rect: Interval, cuts):
+    """Edges of grid cut also at the cuts inside rect, with each refined
+    cell's grid cell and its width, 0 where no float lies strictly inside."""
+    edges = np.array(sorted({*grid.tolist(), *(c for c in cuts if rect.lo < c < rect.hi)}))
+    lo, hi = edges[:-1], edges[1:]
+    cells = np.minimum(np.searchsorted(grid, lo, side="right") - 1, len(grid) - 2)
+    return edges, cells, np.where(np.nextafter(lo, hi) < hi, hi - lo, 0.0)
+
+
+def column_values(f: PartialRV, edges: np.ndarray) -> np.ndarray:
+    """Per cell (edges[i], edges[i+1]): the value of the piece of f that holds
+    the whole open cell, or NaN where no piece does (a breakpoint cuts
+    the cell or part of it lies outside the domain)."""
+    los, his, values = f._arrays()
+    # holds[i, j]: piece j holds cell i; pieces are disjoint, so at most one
+    # holds a nonempty cell
+    holds = (edges[:-1, None] >= los) & (edges[1:, None] <= his)
+    return np.where(holds.any(axis=1), values[holds.argmax(axis=1)], np.nan)
+
+
+def reference_log_table(family, law) -> simulate._LogTable:
+    """simulate._log_table from the refined grids: one row per (pair, class, cell), each
+    class's cells row-major; ConfigInvalid if a class has mass but only cells too thin
+    for a float strictly inside."""
+    lo, hi, templates, split = [], [], [], []
+    for (alpha, beta), rho, (a_values, b_values, classes) in zip(PAIRS, family.densities(), law):
+        f, g = family.observables(alpha, beta)
+        xe, x_cells, x_widths = refine_axis(rho.x_edges(), rho.x_rect, f.breakpoints())
+        ye, y_cells, y_widths = refine_axis(rho.y_edges(), rho.y_rect, g.breakpoints())
+        probs = rho.weights[np.ix_(x_cells, y_cells)] * np.outer(x_widths, y_widths)
+        a, b = column_values(f, xe), column_values(g, ye)
+        for i, u in enumerate(a_values.tolist()):
+            for j, v in enumerate(b_values.tolist()):
+                ix, iy = (a == u).nonzero()[0], (b == v).nonzero()[0]
+                p = probs[np.ix_(ix, iy)].reshape(-1)
+                if classes[i, j] > 0 and not p.any():
+                    raise ConfigInvalid(f"pair ({alpha},{beta}) class (a, b) = ({u:+d}, {v:+d}) "
+                                        "lies on cells too thin for the event log's points")
+                for corners, x, y in ((lo, xe[ix], ye[iy]), (hi, xe[ix + 1], ye[iy + 1])):
+                    corners.append(np.stack(np.meshgrid(x, y, indexing="ij"), -1).reshape(-1, 2))
+                templates.append(f"%d,{alpha},{beta},%s,%s,{u:+d},{v:+d}\n".encode())
+                split.append(p / (p.sum() or 1.0))
+    kinds = np.repeat(np.arange(len(split), dtype=np.uint8), [len(p) for p in split])
+    return simulate._LogTable(np.concatenate(lo), np.concatenate(hi), kinds, templates, split)
+
+
+@st.composite
+def rect_ends(draw, alpha):
+    """A rectangle end on setting_interval(alpha): one of its ends or thresholds or a point
+    between, half the time one ulp off it, either way."""
+    end = draw(st.sampled_from([alpha, *thresholds(alpha), alpha + 1.0])
+               | st.floats(alpha, alpha + 1.0))
+    return draw(st.sampled_from([end, end, np.nextafter(end, -np.inf), np.nextafter(end, np.inf)]))
+
+
+@st.composite
+def sub_rectangle_families(draw):
+    """Families of random weights on 1..8-cell grids over rectangles whose ends lie on or
+    one ulp off the setting intervals' ends and thresholds: sub-rectangles, rectangles
+    one ulp past a domain (inside its a.e. slack) and cells with no float inside."""
+    densities = []
+    for alpha, beta in PAIRS:
+        x_rect, y_rect = (Interval(*sorted((draw(rect_ends(s)), draw(rect_ends(s)))))
+                          for s in (alpha, beta))
+        nx, ny = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        weight = st.one_of(st.just(0.0), st.floats(1e-3, 1))
+        w = draw(st.lists(weight, min_size=nx * ny, max_size=nx * ny))
+        densities.append((x_rect, y_rect, np.reshape(w, (nx, ny))))
+    try:
+        return ChshFamily(*(GridDensity(*density) for density in densities))
+    except BellhopError:  # an empty or too narrow rectangle, no mass, or off a domain
+        assume(False)
+
+
+class TestColumnValues:
+    def test_quarter_grid(self):
+        assert column_values(make_observable(0.0), np.arange(5) / 4).tolist() == [
+            -1.0, 1.0, 1.0, -1.0
+        ]
+
+    def test_cut_and_outside_columns_are_nan(self):
+        # (0, 1/3) and (2/3, 1) are cut at 1/4 and 3/4; (-1/3, 0) and (1, 4/3)
+        # lie outside the domain (0, 1)
+        values = column_values(make_observable(0.0), np.arange(-1, 5) / 3)
+        assert np.isnan(values[[0, 1, 3, 4]]).all()
+        assert values[2] == 1.0
+
+    @given(
+        st.one_of(
+            gapped_step_rvs(),
+            step_rvs().map(lambda f: PartialRV(f.pieces[::2], f.axis_label)),
+        ),
+        st.lists(grid_points, min_size=2, max_size=8, unique=True).map(sorted),
+        st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True), min_size=1, max_size=5),
+    )
+    def test_interior_points_oracle(self, f, edges, fractions):
+        edges = np.array(edges)
+        values = column_values(f, edges)
+        assert values.shape == (len(edges) - 1,)
+        cuts = np.array(f.breakpoints())
+        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            xs = np.array([lo + t * (hi - lo) for t in fractions])
+            xs = xs[(xs > lo) & (xs < hi)]
+            got, defined = f.eval_many(np.append(xs, 0.5 * (lo + hi)))
+            # one piece holds the open cell iff its midpoint is defined and no
+            # breakpoint lies strictly inside it
+            held = defined[-1] and not ((cuts > lo) & (cuts < hi)).any()
+            if held:
+                assert defined.all() and (got == values[i]).all()
+            else:
+                assert np.isnan(values[i])
+
+
 class TestRefine:
     @given(partial_steps("x"), partial_steps("y"), grid_densities())
     def test_refinement_oracle(self, f, g, rho):
@@ -628,7 +746,7 @@ class TestRefine:
             assert np.array_equal(edges, np.unique([*grid, *inner]))
         want = refined_moments(f, g, rho)
         if want is not None:
-            a, b = f.column_values(xe), g.column_values(ye)
+            a, b = column_values(f, xe), column_values(g, ye)
             # NaN outcomes only on cells of no mass: outside the domain, or
             # one of the excluded points' slivers
             a0, b0 = np.nan_to_num(a), np.nan_to_num(b)
@@ -653,6 +771,29 @@ class TestRefine:
         assert ye.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
         width, height = rho.x_rect.length / rho.nx, rho.y_rect.length / rho.ny
         assert np.array_equal(probs, rho.weights * (width * height))
+
+
+class TestLogTable:
+    """simulate._log_table, built from PartialRV._overlap_cells, against the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(families(ALIGNED_OR_NOT), sub_rectangle_families()))
+    def test_bit_equal_to_the_reference(self, family):
+        law = family._class_law
+        try:
+            want = reference_log_table(family, law)
+        except ConfigInvalid as refused:
+            with pytest.raises(ConfigInvalid) as got:
+                simulate._log_table(family, law)
+            assert str(got.value) == str(refused)
+            return
+        got = simulate._log_table(family, law)
+        for name in ("lo", "hi", "kinds"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
+        assert got.templates == want.templates
+        assert [(p.dtype, p.tobytes()) for p in got.split] == [
+            (p.dtype, p.tobytes()) for p in want.split]
 
 
 class TestClassLaw:

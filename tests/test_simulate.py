@@ -491,13 +491,19 @@ class TestSharedAxes:
         summary = run_experiment(config)
         assert [tuple(vars(c).values()) for c in summary.counts] == self.PINNED[family, workers]
 
-    def test_pinned_event_log(self):
+    @pytest.mark.parametrize("family, seed, digest", [
+        (mixed_grid_family, 19,
+         "341368c83efbd26057ba1ae9b1635f3ede30bc608c63b742aa29e3cdbe7b643e"),
+        # pair 00's cells clipped at its rectangle's ends, inside a0's domain
+        (sub_rectangle_family, 24,
+         "d277194dda74cae5770313239095138ec2086b34616ed356480c01b788407473"),
+    ], ids=["mixed", "sub_rectangle"])
+    def test_pinned_event_log(self, family, seed, digest):
         # 140 001 trials at 2 workers: each worker logs more than one block
-        config = ExperimentConfig(mixed_grid_family(), 140_001, 19, n_workers=2)
+        config = ExperimentConfig(family(), 140_001, seed, n_workers=2)
         assert -(-config.n_trials // 2) > simulate._BLOCK
         summary, log = logged(config)
-        assert hashlib.sha256(log.encode()).hexdigest() == (
-            "341368c83efbd26057ba1ae9b1635f3ede30bc608c63b742aa29e3cdbe7b643e")
+        assert hashlib.sha256(log.encode()).hexdigest() == digest
         assert summary == run_experiment(config)
 
 

@@ -248,50 +248,11 @@ class TestEval:
                     f.eval(x)
 
 
-class TestColumnValues:
-    def test_quarter_grid(self):
-        assert make_observable(0.0).column_values(np.arange(5) / 4).tolist() == [
-            -1.0, 1.0, 1.0, -1.0
-        ]
-
-    def test_cut_and_outside_columns_are_nan(self):
-        # (0, 1/3) and (2/3, 1) are cut at 1/4 and 3/4; (-1/3, 0) and (1, 4/3)
-        # lie outside the domain (0, 1)
-        values = make_observable(0.0).column_values(np.arange(-1, 5) / 3)
-        assert np.isnan(values[[0, 1, 3, 4]]).all()
-        assert values[2] == 1.0
-
-    @given(
-        st.one_of(
-            gapped_step_rvs(),
-            step_rvs().map(lambda f: PartialRV(f.pieces[::2], f.axis_label)),
-        ),
-        st.lists(grid_points, min_size=2, max_size=8, unique=True).map(sorted),
-        st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True), min_size=1, max_size=5),
-    )
-    def test_interior_points_oracle(self, f, edges, fractions):
-        edges = np.array(edges)
-        values = f.column_values(edges)
-        assert values.shape == (len(edges) - 1,)
-        cuts = np.array(f.breakpoints())
-        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-            xs = np.array([lo + t * (hi - lo) for t in fractions])
-            xs = xs[(xs > lo) & (xs < hi)]
-            got, defined = f.eval_many(np.append(xs, 0.5 * (lo + hi)))
-            # one piece holds the open cell iff its midpoint is defined and no
-            # breakpoint lies strictly inside it
-            held = defined[-1] and not ((cuts > lo) & (cuts < hi)).any()
-            if held:
-                assert defined.all() and (got == values[i]).all()
-            else:
-                assert np.isnan(values[i])
-
-
 def unique_value_lengths(f, edges):
     """value_lengths with the distinct values taken by np.unique."""
-    overlap, values = f._overlap(edges)
-    distinct = np.unique(values[overlap.any(axis=0)])
-    return distinct, overlap @ (values[:, None] == distinct)
+    lo, hi, values = f._overlap(edges)
+    distinct = np.unique(values[(lo < hi).any(axis=0)])
+    return distinct, np.maximum(hi - lo, 0.0) @ (values[:, None] == distinct)
 
 
 class TestValueLengths:
