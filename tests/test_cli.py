@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -89,12 +88,39 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def fresh_python(*argv):
-    """python argv in a fresh interpreter that imports this checkout's bellhop."""
+def fresh_python(*argv, cwd=None):
+    """python argv in a fresh interpreter, in cwd, that imports this checkout's bellhop."""
     src = str(Path(bellhop.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
-                          timeout=120)
+                          cwd=cwd, timeout=120)
+
+
+SIMULATE = ["simulate", "--family", "sub.json", "--trials", "200000", "--seed", "1",
+            "--workers", "2"]
+
+
+@pytest.mark.parametrize("argv, skips_numpy_ma", [
+    pytest.param(["--help"], False, id="help"),
+    pytest.param(["eval", "--alpha", "0", "--x", "0.5"], False, id="eval"),
+    pytest.param(["domain", "--expr", "a0*b0"], False, id="domain"),
+    pytest.param(["saturate", "--out", "family.json"], False, id="saturate"),
+    pytest.param(["expect", "--family", "sub.json"], False, id="expect"),
+    pytest.param(SIMULATE, True, id="simulate"),
+    pytest.param([*SIMULATE, "--log", "events.csv"], True, id="simulate-log"),
+    pytest.param(["check-classical", "--trials", "1000"], True, id="check-classical"),
+    pytest.param(["figures", "--out", "figures"], False, id="figures"),
+])
+def test_quiet_in_a_fresh_interpreter(tmp_path, argv, skips_numpy_ma):
+    # exit 0 and an empty stderr where no earlier test imported a module or filtered a
+    # warning: no leaked warning or traceback.  np.unique's first call imports numpy.ma,
+    # 10-27 ms of a process's set-up, which runs and check-classical must not pay
+    (tmp_path / "sub.json").write_text(json.dumps(sub_rectangle_family().to_dict()))
+    check = 'assert "numpy.ma" not in sys.modules, "numpy.ma imported"' if skips_numpy_ma else ""
+    proc = fresh_python("-c", "import sys\nfrom bellhop import cli\n"
+                        f"code = cli.main(sys.argv[1:])\n{check}\nsys.exit(code)", *argv,
+                        cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestEval:
@@ -184,7 +210,9 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
         assert exc_info.value.code == 1
-        assert capsys.readouterr().err.splitlines()[-1] == f"error: argument {message}"
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == f"error: argument {message}"
+        assert len(err.encode()) < 300  # usage and one line: long values are not echoed
 
     @pytest.mark.parametrize("command", [[], ["eval"], ["domain"], ["expect"], ["saturate"],
                                          ["simulate"], ["check-classical"], ["figures"]],
@@ -279,17 +307,19 @@ class TestUsage:
 
 class TestFamilyPipeline:
     def test_saturate_then_expect(self, capsys, tmp_path):
-        path = tmp_path / "sat.json"
-        code, _, _ = run(capsys, "saturate", "--out", str(path))
-        assert code == 0
-        payload = json.loads(path.read_text())
-        assert payload["expectations"]["S"] == 4.0
-        code, out, _ = run(capsys, "expect", "--family", str(path))
-        assert code == 0
-        assert "S = 4" in out
-        for line in out.splitlines():
-            if line.startswith("<"):
-                assert line.endswith("= 0")
+        # the closed-form construction saturates exactly, with zero marginals
+        for grid in ("4", "8"):
+            path = tmp_path / f"sat{grid}.json"
+            code, _, _ = run(capsys, "saturate", "--out", str(path), "--grid", grid)
+            assert code == 0
+            payload = json.loads(path.read_text())
+            assert payload["expectations"]["S"] == 4.0
+            code, out, _ = run(capsys, "expect", "--family", str(path))
+            assert code == 0
+            assert out.splitlines()[-1] == "S = 4"
+            for line in out.splitlines():
+                if line.startswith("<"):
+                    assert line.endswith("= 0")
 
     def test_saturate_optimized(self, capsys, tmp_path):
         path = tmp_path / "opt.json"
@@ -302,6 +332,9 @@ class TestFamilyPipeline:
         run(capsys, "saturate", "--out", str(tmp_path / "default.json"))
         run(capsys, "saturate", "--out", str(tmp_path / "grid4.json"), "--grid", "4")
         assert (tmp_path / "default.json").read_bytes() == (tmp_path / "grid4.json").read_bytes()
+        # saturating_family() and the command both take their targets from chsh.SIGNS
+        library = json.dumps(chsh.saturating_family().to_dict(), indent=2, sort_keys=True)
+        assert (tmp_path / "default.json").read_text() == library + "\n"
 
     def test_saturate_and_expect_integrate_each_pair_once(self, capsys, tmp_path, monkeypatch):
         calls = []
@@ -358,28 +391,14 @@ class TestFamilyPipeline:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
-    def test_simulate_and_check_classical_skip_numpy_ma(self, tmp_path):
-        # np.unique's first call imports numpy.ma, 10-27 ms of a process's set-up: runs with
-        # and without --log on a family with a sub-rectangle, and check-classical, must not
-        path = tmp_path / "sub.json"
-        path.write_text(json.dumps(sub_rectangle_family().to_dict()))
-        proc = fresh_python("-c", textwrap.dedent("""
-            import sys
-            from bellhop import cli
-            run = ["simulate", "--family", sys.argv[1], "--trials", "200000", "--seed", "1"]
-            assert cli.main(run) == 0
-            assert cli.main([*run, "--log", sys.argv[2]]) == 0
-            assert cli.main(["check-classical", "--trials", "10"]) == 0
-            assert "numpy.ma" not in sys.modules, "numpy.ma imported"
-            """), str(path), str(tmp_path / "sub.csv"))
-        assert proc.returncode == 0, proc.stderr
-
     @pytest.mark.parametrize("corrupt, named", [
         (lambda p: {k: v for k, v in p.items() if k != "rho00"}, "rho00"),
         (lambda p: list(p), "list"),
         (lambda p: {**p, "rho11": {k: v for k, v in p["rho11"].items() if k != "nx"}},
          "nx"),
-    ], ids=["no-rho00", "list", "density-no-nx"])
+        # a rectangle off its pair's domains
+        (lambda p: {**p, "rho10": {**p["rho10"], "x_rect": [0.0, 1.0]}}, "rho10"),
+    ], ids=["no-rho00", "list", "density-no-nx", "rho10"])
     def test_malformed_family_exit_2(self, capsys, tmp_path, corrupt, named):
         path = tmp_path / "bad.json"
         run(capsys, "saturate", "--out", str(path))

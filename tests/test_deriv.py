@@ -167,6 +167,7 @@ class TestFormatReport:
         ("a0*b0 + a1*b0", "(a0 * b0 + a1 * b0)"),
         ("a0*a1", "a0 * a1"),  # a product is not
         ("(a0*b0)*(a1*b1)", "a0 * b0 * (a1 * b1)"),  # both axes empty here: x is named
+        ("(a0+a1)*b0", "(a0 + a1)"),
     ])
     def test_culprit_text(self, text, culprit):
         assert format_report(analyze(parse(text))) == (

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellhop import simulate
-from bellhop.chsh import PAIRS, ChshFamily, optimize_family, saturating_family
+from bellhop.chsh import (
+    MAX_GRID, PAIRS, SIGNS, ChshFamily, optimize_family, saturating_family,
+)
 from bellhop.density import ROUND_OFF, GridDensity
 from bellhop.errors import ConfigInvalid, InsufficientTrials
 from bellhop.intervals import Interval
@@ -354,11 +356,29 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_logged_and_unlogged_summaries_agree(self, workers):
-        # every worker logs more than one block
-        config = ExperimentConfig(family=optimize_family((0.5,) * 4, (8, 8))[0],
-                                  n_trials=3 * simulate._BLOCK + 5, master_seed=8,
-                                  n_workers=workers)
-        assert logged(config)[0] == run_experiment(config)
+        # every worker logs more than one block; the mixed grids share some axes, not all
+        for family in (optimize_family((0.5,) * 4, (8, 8))[0], mixed_grid_family()):
+            config = ExperimentConfig(family=family, n_trials=3 * simulate._BLOCK + 5,
+                                      master_seed=8, n_workers=workers)
+            assert logged(config)[0] == run_experiment(config)
+
+    def test_grid_cap(self):
+        # 262 144 cells a pair: the count draw does not grow with them, and the event log,
+        # the only path that refines them, writes every row in order as Python's % would
+        family = optimize_family(SIGNS, (MAX_GRID, MAX_GRID))[0]
+        start = time.perf_counter()
+        summary = run_experiment(ExperimentConfig(family, 10**9, 1, n_workers=2))
+        assert time.perf_counter() - start < 60
+        assert sum(c.trials for c in summary.counts) == 10**9
+        config = ExperimentConfig(family, 100_000, 1, n_workers=2)
+        summary, log = logged(config)
+        assert summary == run_experiment(config)
+        lines = log.splitlines()
+        assert len(lines) == 100_001
+        for k, line in enumerate(lines[1:]):
+            _, alpha, beta, x, y, a, b = line.split(",")
+            fields = (k, int(alpha), int(beta), float(x), float(y), int(a), int(b))
+            assert line == "%d,%d,%d,%.17g,%.17g,%+d,%+d" % fields
 
     def test_event_log_matches_summary_and_draws(self):
         config = ExperimentConfig(family=uniform_family(), n_trials=simulate._BLOCK + 9,
