@@ -4,7 +4,8 @@ A DomainSet is where a partial random variable exists.  It is the algebra
 of the two questions "where do both exist" that are asked about domains
 alone: deriv's existence analysis and the common-domain check of
 chsh.classical_bound_check.  steprv.combine, which needs values as well,
-answers the same question on the operands' breakpoints instead.
+asks it of each cell between the operands' breakpoints by the same rule: two
+open intervals overlap iff max(lo) < min(hi).
 
 All endpoint comparisons are exact binary-float comparisons: the
 breakpoints that occur here (quarters, integers) are exactly representable,
@@ -44,9 +45,10 @@ class Interval:
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def __repr__(self) -> str:
-        # :g overflows on an integer past the float range: it and a non-number go to _show
-        lo, hi = (_show(x) if not _is_real(x) or _is_int(x) and not _finite(x) else f"{x:g}"
-                  for x in (self.lo, self.hi))
+        # each real end as its shortest text that reads back as the same float; a non-number
+        # and an integer past the float range go to _show
+        lo, hi = (_show(x) if not _is_real(x) or _is_int(x) and not _finite(x)
+                  else repr(float(x)).removesuffix(".0") for x in (self.lo, self.hi))
         return f"({lo},{hi})"
 
 

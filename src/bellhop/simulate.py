@@ -23,11 +23,12 @@ grid into cells, each the nonempty overlap of a grid column (row) and a piece
 of Alice's (Bob's) observable (PartialRV._overlap_cells), so both outcomes are
 constant on each cell, and draws each block of _BLOCK rows from the remaining
 class counts (sample_many): exactly the law of i.i.d. trials.  Its floats are
-exactly Python's "%.17g" text: _g17 computes it by integer arithmetic in
-[1e-4, 2), which holds every point of the observables' rectangles (0, 2) but
-those within 1e-4 of 0, and Python's % writes the rest.  Those draws
-need a total below _LOG_LIMIT = 1e9, so ExperimentConfig._table, the log's one
-set-up, refuses a worker that many trials (more workers split such a run).
+exactly Python's "%.17g" text, all from _g17: in [1e-4, 2), which holds every
+point of the observables' rectangles (0, 2) but those within 1e-4 of 0, it
+rounds Dekker's exact float64 product x·5**n (exact as each operation rounds to
+nearest, as in IEEE 754 and numpy's ufuncs), and Python's % writes the rest.
+Those draws need a total below _LOG_LIMIT = 1e9, so ExperimentConfig._table,
+the log's one set-up, refuses a worker that many trials (more workers split it).
 Memory is bounded by the block size and the cell count, not by n_trials.
 """
 
@@ -199,18 +200,17 @@ def sample_many(table: _LogTable, rng: np.random.Generator, n: int, left: np.nda
     return rows, points
 
 
-# "%.17g" % x for x in [_G17_LO, 2), by exact integer arithmetic (_g17).  Such an x is
-# m·2**(e - 53) with m a 53-bit integer; its 17 significant digits are
-# D = m·5**(16 - k) / 2**(37 + k - e) rounded half to even, k = ⌊log10 x⌋ in [-4, 0].  The
-# product m·5**(16 - k) is below 2**102 and is formed from 32-bit limbs in uint64.  Each row
-# of the text is "c.", c = ⌊x⌋, and 22 fraction digits (D shifted by k), trailing zeros cut
-# to NUL, as six 4-byte words: 24 bytes.  Outside that range Python's % writes the float.
+# "%.17g" % x for x in [_G17_LO, 2), exactly (_g17).  Its 17 digits are D = x·10**n rounded
+# half to even, n = 16 - k, k = ⌊log10 x⌋ in [-4, 0], counted by four comparisons: 1e-3, 1e-2,
+# 0.1 and 1.0 are each at or just above their power of ten.  Dekker's product of Veltkamp's
+# 26-bit halves gives x·5**n = p + err exactly, as each float64 operation rounds to nearest
+# (IEEE 754, as numpy's ufuncs do).  p·2**n >= 10**16 > 2**53 is an even integer, so D =
+# p·2**n + rint(err·2**n), ties to even.  A row of text is "c.", c = ⌊x⌋, and 22 fraction
+# digits (D shifted by k), trailing zeros cut to NUL, as six 4-byte words: 24 bytes.
 _G17_LO = 1e-4  # from here %.17g writes x as 0.000ddd…, not in exponent form
-_LIMB = np.uint64(0xFFFFFFFF)
-_POW5 = np.array([5**n for n in range(22)], dtype=np.uint64)
-_POW5_LO, _POW5_HI = _POW5 & _LIMB, _POW5 >> np.uint64(32)
+_POW5 = np.array([5**n for n in range(21)], dtype=float)  # exact: 5**20 < 2**53
 _POW10 = np.array([10**n for n in range(7)], dtype=np.int64)
-_E16, _E17 = 10**16, 10**17
+_E16 = 10**16
 
 
 @functools.cache
@@ -231,47 +231,39 @@ def _digit_words():
     return groups, heads.view(np.uint32).reshape(-1)
 
 
-def _digits17(m: np.ndarray, e: np.ndarray, k: np.ndarray):
-    """⌊m·2**(e - 53)·10**(16 - k)⌋ as uint64 and whether it rounds up, half to even."""
-    n = 16 - k
-    f0, f1 = _POW5_LO[n], _POW5_HI[n]
-    m0, m1 = m & _LIMB, m >> np.uint64(32)
-    low = m0 * f0
-    mid = m1 * f0 + m0 * f1 + (low >> np.uint64(32))
-    low = (mid << np.uint64(32)) | (low & _LIMB)  # m·5**n = high·2**64 + low
-    high = m1 * f1 + (mid >> np.uint64(32))
-    shift = (37 + k - e).astype(np.uint64)  # 31 to 51
-    q = (high << (np.uint64(64) - shift)) | (low >> shift)
-    rest = low & ((np.uint64(1) << shift) - np.uint64(1))
-    return q, rest + (q & np.uint64(1)) > np.uint64(1) << (shift - np.uint64(1))
-
-
 def _split(a: np.ndarray, d: int):
     """a // d and a % d, for a >= 0 (np.divmod takes a slower path)."""
     q = a // d
     return q, a - q * d
 
 
+def _halves(a: np.ndarray):
+    """Veltkamp's split: a = high + low, each of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
 def _g17(x: np.ndarray) -> np.ndarray:
-    """"%.17g" % v for each v of x, which must lie in [_G17_LO, 2), as an S24 array."""
+    """"%.17g" % v for each v of x, as an S24 array; Python's % writes v outside [_G17_LO, 2)."""
     groups, heads = _digit_words()
-    fraction, e = np.frexp(x)
-    m, e = (fraction * 2.0**53).astype(np.uint64), e.astype(np.int64)
-    k = np.floor(np.log10(x)).astype(np.int64)  # or one off near a power of ten
-    q, up = _digits17(m, e, k)
-    off = np.flatnonzero((q < _E16) | (q >= _E17))
-    if off.size:
-        k[off] += np.where(q[off] < _E16, -1, 1)
-        q[off], up[off] = _digits17(m[off], e[off], k[off])
+    fast = (x >= _G17_LO) & (x < 2.0)
+    v = np.where(fast, x, 1.0)
+    k = (v >= 1e-3).astype(np.int32) + (v >= 1e-2) + (v >= 0.1) + (v >= 1.0) - 4
+    n = 16 - k
+    five = _POW5.take(n)
+    p = v * five
+    (vh, vl), (fh, fl) = _halves(v), _halves(five)
+    err = ((vh * fh - p) + vh * fl + vl * fh) + vl * fl  # v·five = p + err
     # no float in [1e-4, 2) lies within 5e-18 of a power of ten below it, so D < 10**17
-    d = (q + up).astype(np.int64)
-    one = k == 0  # x in [1, 2)
+    d = np.ldexp(p, n).astype(np.int64) + np.rint(np.ldexp(err, n)).astype(np.int64)
+    one = k == 0  # v in [1, 2)
     d -= one * _E16
     # the fraction's 22 digits d·10**(6 + k): 2 + 8 in high, 12 in low, 4 to a word
-    p = _POW10[6 + k]
+    scale = _POW10.take(6 + k)
     high, low = _split(d, 10**12)
-    carry, low = _split(low * p, 10**12)
-    h, high = _split(high * p + carry, 10**8)
+    carry, low = _split(low * scale, 10**12)
+    h, high = _split(high * scale + carry, 10**8)
     g3, low = _split(low, 10**8)
     g4, g5 = _split(low, 10**4)
     g1, g2 = _split(high, 10**4)
@@ -281,13 +273,7 @@ def _g17(x: np.ndarray) -> np.ndarray:
         words[:, j] = groups.take(g + zero * 10**4)
         zero &= g == 0
     words[:, 0] = heads.take(h + one * 100 + zero * 200)
-    return words.view("S24").reshape(-1)
-
-
-def _text(x: np.ndarray) -> list:
-    """"%.17g" % v for each v of x, as bytes: by _g17 in [_G17_LO, 2), by Python elsewhere."""
-    fast = (x >= _G17_LO) & (x < 2.0)
-    text = _g17(np.where(fast, x, 1.0)).tolist()
+    text = words.view("S24").reshape(-1)
     for i in np.flatnonzero(~fast).tolist():
         text[i] = b"%.17g" % x[i]
     return text
@@ -298,7 +284,7 @@ def _format_block(table: _LogTable, first: int, rows, points) -> str:
     n = len(rows)
     fields = [None] * (3 * n)
     fields[0::3] = range(first, first + n)
-    fields[1::3], fields[2::3] = _text(points[:, 0]), _text(points[:, 1])
+    fields[1::3], fields[2::3] = _g17(points[:, 0]).tolist(), _g17(points[:, 1]).tolist()
     lines = b"".join([table.templates[kind] for kind in table.kinds[rows].tolist()])
     return (lines % tuple(fields)).decode()
 

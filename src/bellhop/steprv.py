@@ -142,12 +142,21 @@ def make_step(boundaries: Sequence[float], values: Sequence[float], axis_label: 
     return PartialRV(pieces, axis_label)
 
 
+def _cell_values(h: PartialRV, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, defined) per cell (cuts[i], cuts[i+1]): the value of the piece of h that
+    overlaps it, and whether one does."""
+    lo, hi, values = h._overlap(cuts)
+    overlaps = lo < hi
+    return values[overlaps.argmax(axis=1)], overlaps.any(axis=1)
+
+
 def combine(f: PartialRV, g: PartialRV, op: str) -> PartialRV:
     """Pointwise op where both operands exist.
 
     The cells between consecutive breakpoints of either operand are the
-    candidate pieces: on each, each operand is defined throughout or
-    nowhere.  The result keeps the cells where both are, so its domain
+    candidate pieces: each lies in at most one piece of each operand.  The
+    result keeps each cell that a piece of both overlaps (lo < hi in _overlap,
+    the rule of DomainSet.intersect), with those pieces' values, so its domain
     excludes every breakpoint of either operand.
     """
     if op not in _OPS:
@@ -156,9 +165,7 @@ def combine(f: PartialRV, g: PartialRV, op: str) -> PartialRV:
         raise AxisMismatch(f"{_show(f.axis_label)} vs {_show(g.axis_label)}")
     cuts = np.array(sorted({*f.breakpoints(), *g.breakpoints()}))
     los, his = cuts[:-1], cuts[1:]
-    mids = 0.5 * los + 0.5 * his  # cannot overflow, and strictly inside when a float fits
-    f_values, f_defined = f.eval_many(mids)
-    g_values, g_defined = g.eval_many(mids)
+    (f_values, f_defined), (g_values, g_defined) = (_cell_values(h, cuts) for h in (f, g))
     both = f_defined & g_defined
     if not both.any():
         raise EmptyDomain(

@@ -321,13 +321,6 @@ class TestFamilyPipeline:
                 if line.startswith("<"):
                     assert line.endswith("= 0")
 
-    def test_saturate_optimized(self, capsys, tmp_path):
-        path = tmp_path / "opt.json"
-        code, _, _ = run(capsys, "saturate", "--out", str(path), "--grid", "8")
-        assert code == 0
-        payload = json.loads(path.read_text())
-        assert payload["expectations"]["S"] == 4.0
-
     def test_saturate_default_grid_is_4(self, capsys, tmp_path):
         run(capsys, "saturate", "--out", str(tmp_path / "default.json"))
         run(capsys, "saturate", "--out", str(tmp_path / "grid4.json"), "--grid", "4")

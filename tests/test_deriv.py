@@ -153,15 +153,6 @@ class TestFormatReport:
     def test_exists(self):
         assert format_report(analyze(parse("a0*b0"))) == "EXISTS on x:(0,1) × y:(0,1)"
 
-    def test_empty_sum(self):
-        text = format_report(analyze(parse("(a0+a1)*b0")))
-        assert "(a0 + a1)" in text
-        assert "∅" in text
-
-    def test_ghz(self):
-        text = format_report(analyze(parse("a0*a1")))
-        assert "a0 * a1" in text
-
     @pytest.mark.parametrize("text, culprit", [
         ("(a0 - a1)*b0", "(a0 - a1)"),  # a sum or difference is parenthesized
         ("a0*b0 + a1*b0", "(a0 * b0 + a1 * b0)"),
@@ -178,10 +169,14 @@ class TestFormatReport:
 class TestCrossModuleCoherence:
     def test_verdict_matches_combine(self):
         rng = np.random.default_rng(31)
+        cases = []
         for _ in range(200):
             alpha = float(rng.integers(0, 1_500_001)) / 1e6
             beta = float(rng.integers(0, 1_500_001)) / 1e6
-            text = f"a[{alpha:.6f}] + a[{beta:.6f}]"
+            cases.append((f"a[{alpha:.6f}] + a[{beta:.6f}]", alpha, beta))
+        # a one-ulp overlap: (0.9999999999999999, 1) has positive length but no float inside
+        cases.append(("a[0]+a[0.9999999999999999]", 0.0, 0.9999999999999999))
+        for text, alpha, beta in cases:
             verdict = analyze(parse(text)).verdict
             try:
                 combine(make_observable(alpha), make_observable(beta), "sum")

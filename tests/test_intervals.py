@@ -1,9 +1,13 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bellhop.errors import _show
+from bellhop.density import GridDensity
+from bellhop.deriv import analyze, format_report, parse
+from bellhop.errors import MalformedInput, _show
 from bellhop.intervals import DomainSet, Interval
 
 
@@ -131,3 +135,15 @@ class TestShow:
         assert repr(Interval(0.25, 1)) == "(0.25,1)"
         assert repr(Interval(-10**5000, 10**400)) == "(a 5001-digit integer,a 401-digit integer)"
         assert repr(Interval("0", 1)) == "('0',1)"
+        # distinct ends print apart: each is its shortest round-trip text
+        assert format_report(analyze(parse("a[0]+a[0.9999999999999999]"))) == (
+            "EXISTS on x:(0.9999999999999999,1)")
+        with pytest.raises(MalformedInput, match=re.escape(
+                "8x1 cells on (1e+16,1.0000000000000004e+16) × (0,1) are too narrow")):
+            GridDensity(Interval(1e16, 1e16 + 4), Interval(0, 1), np.eye(8, 1))
+        # every float end reads back as itself: random bit patterns, subnormals and infinities
+        ends = np.frombuffer(np.random.default_rng(28).bytes(8 * 2000))
+        ends = [*ends[np.isfinite(ends)].tolist(), 5e-324, -0.0, math.inf, 0.1, 1 / 3, 1e300]
+        for lo, hi in zip(ends[0::2], ends[1::2]):
+            lo_text, hi_text = repr(Interval(lo, hi))[1:-1].split(",")
+            assert (float(lo_text), float(hi_text)) == (lo, hi)

@@ -17,7 +17,7 @@ from bellhop.chsh import (
 from bellhop.density import ROUND_OFF, GridDensity
 from bellhop.errors import ConfigInvalid, InsufficientTrials
 from bellhop.intervals import Interval
-from bellhop.observables import make_observable, setting_interval
+from bellhop.observables import setting_interval
 from bellhop.cli import main
 from bellhop.steprv import PartialRV
 from bellhop.simulate import (
@@ -262,8 +262,7 @@ class TestRunExperiment:
                               master_seed=11, n_workers=1)
         c2 = ExperimentConfig(family=uniform_family(), n_trials=5000,
                               master_seed=11, n_workers=2)
-        assert run_experiment(c2) == run_experiment(c2)
-        assert run_experiment(c1) == run_experiment(c1)
+        assert run_experiment(c1) != run_experiment(c2)
 
     def test_event_log_format(self):
         config = ExperimentConfig(family=uniform_family(), n_trials=50,
@@ -398,13 +397,6 @@ class TestRunExperiment:
         repeats = sum(p == q for p, q in zip(pairs, pairs[1:]))
         n = len(pairs) - 1
         assert abs(repeats / n - 0.25) < 6 * np.sqrt(0.25 * 0.75 / n)
-
-    def test_locality(self):
-        # Alice's outcome depends on (alpha, x) only: changing Bob's setting
-        # cannot change it for the same x
-        a0 = make_observable(0.0, "x")
-        for x in (0.1, 0.5, 0.9):
-            assert a0.eval(x) == a0.eval(x)
 
     def test_error_scaling(self):
         # |ê - exact| shrinks like 1/sqrt(n): log-log slope within -0.5 ± 0.2
@@ -644,12 +636,12 @@ class TestUnplaceableClass:
 
 def g17(values) -> list:
     """The event log's text of each value, as str."""
-    return [text.decode() for text in simulate._text(np.array(values, dtype=float))]
+    return [text.decode() for text in simulate._g17(np.array(values, dtype=float)).tolist()]
 
 
 class TestFloatText:
-    """The event log writes each float as "%.17g" % v: an integer kernel in [1e-4, 2),
-    Python's % elsewhere."""
+    """The event log writes each float as "%.17g" % v, all by _g17: Dekker's exact product
+    in [1e-4, 2), Python's % elsewhere."""
 
     @settings(max_examples=300)
     @given(st.lists(st.floats(1e-4, 2.0, exclude_max=True), min_size=1, max_size=40))
@@ -664,6 +656,12 @@ class TestFloatText:
             *(np.nextafter(p, to) for p in powers for to in (0.0, 2.0)), *powers,
             1.0, np.nextafter(2.0, 0), 2.0, 0.0, 5e-324, 0.5, 0.999999999999999,
         ]
+        # every float within 5000 ulps of each end of the kernel's range and each power of ten
+        # in it: Dekker's product is exact only if each float64 operation rounds to nearest
+        steps = np.arange(-5000, 5001)
+        for edge in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 2.0):
+            bits = np.array([edge]).view(np.int64) + steps
+            values += bits.view(float).tolist()
         assert g17(values) == ["%.17g" % v for v in values]
 
     def test_ties_round_half_to_even(self):
