@@ -3,7 +3,7 @@
 The checker decides existence, not values: each symbol a[α] or b[β] is a
 function of one axis with domain setting_interval(index), sums/products intersect
 domains on shared axes, and the verdict is empty as soon as any axis's
-domain set becomes empty.  The culprit is the deepest (leftmost on ties)
+domain becomes empty.  The culprit is the deepest (leftmost on ties)
 node at which that first happens, which is the step where a Bell-type
 derivation gets stuck.
 """
@@ -17,7 +17,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from .errors import ExprSyntaxError, UnknownSymbol, _finite, _show
-from .intervals import DomainSet
+from .intervals import Interval
 from .observables import setting_interval
 
 
@@ -192,14 +192,14 @@ def format_expr(e: Expr) -> str:
 class Culprit:
     node: Expr
     axis: str
-    left_domain: DomainSet
-    right_domain: DomainSet
+    left_domain: Interval
+    right_domain: Interval
 
 
 @dataclass(frozen=True)
 class DomainReport:
     verdict: str  # "exists" | "empty"
-    axes: Dict[str, DomainSet]
+    axes: Dict[str, Interval]
     culprit: Optional[Culprit]
 
 
@@ -207,7 +207,7 @@ def _analyze(e: Expr):
     if isinstance(e, Symbol):
         if e.name not in _AXES:
             raise UnknownSymbol(f"symbol {_show(e.name)} not declared")
-        return {_AXES[e.name]: DomainSet.of([setting_interval(e.index)])}, None
+        return {_AXES[e.name]: setting_interval(e.index)}, None
     if isinstance(e, Neg):
         return _analyze(e.child)
     la, lc = _analyze(e.left)

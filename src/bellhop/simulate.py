@@ -89,7 +89,7 @@ class ExperimentConfig:
         if -(-self.n_trials // self.n_workers) >= _LOG_LIMIT:
             raise ConfigInvalid("an event log needs fewer than 1e9 trials per worker: "
                                 "use more workers")
-        return _log_table(self.family, self.family._class_law)
+        return _log_table(self.family)
 
 
 @dataclass(frozen=True)
@@ -149,10 +149,11 @@ class _LogTable(NamedTuple):
     split: list  # per (pair, class), as the counts: its cells' probabilities given it, or 0s
 
 
-def _log_table(family: ChshFamily, law) -> _LogTable:
+def _log_table(family: ChshFamily) -> _LogTable:
     """A cell's probability given its class is its grid weight × area over the class's sum;
     ConfigInvalid if a class has mass but only cells too thin for a float strictly inside."""
     cells, templates, split = [], [], []  # cells: per (pair, class), its corners' edges
+    law = family._class_law
     for (alpha, beta), rho, (a_values, b_values, classes) in zip(PAIRS, family.densities(), law):
         f, g = family.observables(alpha, beta)
         x_lo, x_hi, x_cells, x_widths, a = f._overlap_cells(rho.x_edges())

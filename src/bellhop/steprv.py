@@ -43,7 +43,7 @@ class PartialRV:
     pieces exactly partition the domain; every breakpoint between pieces is
     excluded (the function is undefined there).  Piece ends and values must be
     real numbers (MalformedInput) and finite floats (NonFiniteInput), and pieces
-    nonempty, sorted and disjoint, touching allowed (NonMonotoneBoundaries).
+    nonempty, sorted and disjoint as floats, touching allowed (NonMonotoneBoundaries).
     With no pieces at all there is no function, and EmptyDomain is raised.
     """
 
@@ -58,12 +58,12 @@ class PartialRV:
             raise (NonFiniteInput if real else MalformedInput)(
                 f"pieces {_show(self.pieces)} on axis {_show(self.axis_label)} not finite floats")
         prev_hi = -math.inf
-        for iv, _ in self.pieces:
-            if not prev_hi <= iv.lo < iv.hi:
+        for iv, _ in self.pieces:  # compared as the floats that _arrays makes
+            if not prev_hi <= (lo := float(iv.lo)) < (hi := float(iv.hi)):
                 raise NonMonotoneBoundaries(
                     f"piece {iv!r} is empty or starts before the previous one ends"
                 )
-            prev_hi = iv.hi
+            prev_hi = hi
 
     @property
     def domain(self) -> DomainSet:
@@ -156,7 +156,7 @@ def combine(f: PartialRV, g: PartialRV, op: str) -> PartialRV:
     The cells between consecutive breakpoints of either operand are the
     candidate pieces: each lies in at most one piece of each operand.  The
     result keeps each cell that a piece of both overlaps (lo < hi in _overlap,
-    the rule of DomainSet.intersect), with those pieces' values, so its domain
+    the rule of Interval.intersect), with those pieces' values, so its domain
     excludes every breakpoint of either operand.
     """
     if op not in _OPS:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +90,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def readme_example(prefix):
+    """The README line that starts with prefix, as `command  # stdout  (exit N)`: the
+    command's argv, its whole stdout and its exit code (0 when the line names none)."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    line = next(x for x in readme.read_text().splitlines() if x.startswith(prefix))
+    command, comment = line.split("#", 1)
+    out, code = re.fullmatch(r"\s*(.*?)(?:\s+\(exit (\d+)\))?", comment).groups()
+    return shlex.split(command)[1:], out + "\n", int(code or 0)
+
+
 def fresh_python(*argv, cwd=None):
     """python argv in a fresh interpreter, in cwd, that imports this checkout's bellhop."""
     src = str(Path(bellhop.__file__).resolve().parents[1])
@@ -125,9 +137,9 @@ def test_quiet_in_a_fresh_interpreter(tmp_path, argv, skips_numpy_ma):
 
 class TestEval:
     def test_plus_one(self, capsys):
-        code, out, _ = run(capsys, "eval", "--alpha", "0", "--x", "0.5")
-        assert code == 0
-        assert out.strip() == "+1"
+        argv, out, code = readme_example("bellhop eval ")
+        assert argv == ["eval", "--alpha", "0", "--x", "0.5"]
+        assert run(capsys, *argv)[:2] == (code, out) == (0, "+1\n")
 
     def test_out_of_domain(self, capsys):
         code, out, _ = run(capsys, "eval", "--alpha", "0", "--x", "1.5")
@@ -161,15 +173,16 @@ class TestEval:
 
 
 class TestDomain:
+    # the README's examples are the checker's exact text
     def test_empty_verdict_exit_3(self, capsys):
-        code, out, _ = run(capsys, "domain", "--expr", "(a0+a1)*b0")
-        assert code == 3
-        assert "(a0 + a1)" in out
+        argv, out, code = readme_example('bellhop domain --expr "(a0+a1)*b0"')
+        assert run(capsys, *argv)[:2] == (code, out)
+        assert code == 3 and "(a0 + a1)" in out
 
     def test_exists_exit_0(self, capsys):
-        code, out, _ = run(capsys, "domain", "--expr", "a0*b0")
-        assert code == 0
-        assert out.startswith("EXISTS")
+        argv, out, code = readme_example('bellhop domain --expr "a0*b0"')
+        assert run(capsys, *argv)[:2] == (code, out)
+        assert code == 0 and out.startswith("EXISTS")
 
     def test_syntax_error_exit_2(self, capsys):
         code, _, err = run(capsys, "domain", "--expr", "a0**b0")

@@ -225,7 +225,7 @@ def pair_cell_counts(family, n, seed, pair=0):
     """One pair's refined-cell counts, as the event log's class split draws
     them block by block for n trials of family, and the pair's refined cells."""
     law, cells = family._class_law, per_pair_cells(family)
-    table = simulate._log_table(family, law)
+    table = simulate._log_table(family)
     rng = np.random.default_rng(seed)
     left = np.concatenate([
         k.reshape(-1) for k in simulate._counts(rng, law, np.full(4, 0.25), n)])
@@ -784,10 +784,10 @@ class TestLogTable:
             want = reference_log_table(family, law)
         except ConfigInvalid as refused:
             with pytest.raises(ConfigInvalid) as got:
-                simulate._log_table(family, law)
+                simulate._log_table(family)
             assert str(got.value) == str(refused)
             return
-        got = simulate._log_table(family, law)
+        got = simulate._log_table(family)
         for name in ("lo", "hi", "kinds"):
             g, w = getattr(got, name), getattr(want, name)
             assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name

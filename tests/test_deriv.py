@@ -13,9 +13,9 @@ from bellhop.deriv import (
     format_report,
     parse,
 )
-from bellhop.errors import EmptyDomain, ExprSyntaxError, UnknownSymbol
-from bellhop.intervals import DomainSet, Interval
-from bellhop.observables import make_observable
+from bellhop.errors import EmptyDomain, ExprSyntaxError, InputOutOfRange, UnknownSymbol
+from bellhop.intervals import Interval
+from bellhop.observables import make_observable, setting_interval
 from bellhop.steprv import combine
 
 
@@ -120,8 +120,8 @@ class TestAnalyze:
         assert r.verdict == "empty"
         assert r.culprit.node == Sum(Symbol("a", 0.0), Symbol("a", 1.0))
         assert r.culprit.axis == "x"
-        assert r.culprit.left_domain == DomainSet.of([Interval(0, 1)])
-        assert r.culprit.right_domain == DomainSet.of([Interval(1, 2)])
+        assert r.culprit.left_domain == Interval(0, 1)
+        assert r.culprit.right_domain == Interval(1, 2)
 
     def test_ghz_product_empty(self):
         r = analyze(parse("a0*a1"))
@@ -131,8 +131,8 @@ class TestAnalyze:
     def test_cross_axis_product_exists(self):
         r = analyze(parse("a0*b0"))
         assert r.verdict == "exists"
-        assert r.axes["x"] == DomainSet.of([Interval(0, 1)])
-        assert r.axes["y"] == DomainSet.of([Interval(0, 1)])
+        assert r.axes["x"] == Interval(0, 1)
+        assert r.axes["y"] == Interval(0, 1)
 
     def test_expanded_form_also_empty_with_different_culprit(self):
         left = analyze(parse("a0*b0 + a1*b0"))
@@ -147,6 +147,31 @@ class TestAnalyze:
 
     def test_neg_transparent(self):
         assert analyze(parse("-a0")).verdict == "exists"
+
+    @given(exprs())
+    def test_matches_a_fold_of_the_symbols(self, e):
+        # each axis's domain is the intersection of its symbols' spans: (max lo, min hi)
+        def symbols(e):
+            if isinstance(e, Symbol):
+                return [e]
+            if isinstance(e, Neg):
+                return symbols(e.child)
+            return symbols(e.left) + symbols(e.right)
+
+        folds = {}
+        try:
+            for sym in symbols(e):
+                span, axis = setting_interval(sym.index), {"a": "x", "b": "y"}[sym.name]
+                lo, hi = folds.get(axis, (span.lo, span.hi))
+                folds[axis] = (max(lo, span.lo), min(hi, span.hi))
+        except InputOutOfRange:
+            with pytest.raises(InputOutOfRange):
+                analyze(e)
+            return
+        r = analyze(e)
+        assert r.verdict == ("empty" if any(hi <= lo for lo, hi in folds.values()) else "exists")
+        if r.verdict == "exists":
+            assert r.axes == {axis: Interval(lo, hi) for axis, (lo, hi) in folds.items()}
 
 
 class TestFormatReport:

@@ -84,7 +84,7 @@ class TestThresholds:
     def test_are_excluded(self):
         a0 = make_observable(0.0)
         for t in thresholds(0.0):
-            assert not a0.domain.contains(t)
+            assert not any(iv.lo < t < iv.hi for iv in a0.domain.intervals)
             assert t in a0.breakpoints()
 
 

@@ -460,7 +460,7 @@ class TestSharedAxes:
         # the event log's rows: each class's cells in order, their corners bit
         # for bit, their probabilities given the class and the class's one template
         family = self.FAMILIES[family]()
-        table = simulate._log_table(family, family._class_law)
+        table = simulate._log_table(family)
         row, kind, split = 0, 0, iter(table.split)
         for (alpha, beta), c in zip(PAIRS, per_pair_cells(family)):
             for u in c.a_values:
