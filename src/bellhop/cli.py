@@ -18,7 +18,7 @@ import numpy as np
 from . import chsh, deriv, simulate
 from .density import ROUND_OFF
 from .errors import BellhopError, EmptyDomain, ExprSyntaxError, OutOfDomain, UndefinedPoint, _show
-from .observables import log_curve, make_observable, thresholds
+from .observables import log_curve, make_observable
 from .steprv import combine
 
 EXIT_OK = 0
@@ -203,7 +203,6 @@ def write_figures(out_dir: str) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     a0 = chsh.OBSERVABLES[0][0]
-    excluded = thresholds(0.0)  # sign-change points: ln = 0, sign undefined
     steps = np.arange(1001) / 1000
     # x labels k/1000 for k <= 2000: fig1 and fig3 use the first 1001, and
     # fig2's block alpha = i/100 uses entries 10i..10i+1000, which equal
@@ -221,10 +220,7 @@ def write_figures(out_dir: str) -> None:
     rows = ["x,a0,logcurve\n"]
     a0_text = [text for text, n in _runs(a0, steps) for _ in range(n)]
     for x, label, a in zip(steps.tolist(), x_labels, a0_text):
-        try:
-            curve = math.nan if x in excluded else log_curve(0.0, x)
-        except OutOfDomain:
-            curve = math.nan
+        curve = math.nan if a == "nan" else log_curve(0.0, x)
         rows.append(f"{label},{a},{curve:.17g}\n")
     with open(out / "fig1.csv", "w") as fh:
         fh.write("".join(rows))

@@ -41,7 +41,8 @@ class GridDensity:
     weights[ix, iy] is the density value on the (ix, iy) cell; the row-major
     flattening (ix*ny + iy) matches the JSON wire format.  The constructor
     rescales the given nonnegative weights so the density integrates to 1 and
-    keeps a read-only copy, its mass summed over the cells' float edges.  A
+    keeps a read-only copy, its mass summed over the cells' float edges, and its
+    rectangle's ends as floats, so to_dict writes what from_dict reads.  A
     rectangle that is not an Interval, or a weight or rectangle end that is no
     number (errors._is_real: text and bools are not), raises MalformedInput; a
     weight, total mass, rectangle endpoint or rescaled weight that is not a
@@ -81,6 +82,8 @@ class GridDensity:
         total = np.inf  # an end that is not finite gives no cell area
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN
             if _finite(x_rect.lo, x_rect.hi, y_rect.lo, y_rect.hi, float(w.sum())):
+                # kept as the floats it computes with, once _finite: float(10**400) raises
+                x_rect, y_rect = (Interval(float(r.lo), float(r.hi)) for r in (x_rect, y_rect))
                 dx, dy = (e[1:] - e[:-1] for e in (_edges(x_rect, nx), _edges(y_rect, ny)))
                 total = float((w * (dx[:, None] * dy)).sum())
             if not _finite(total):
@@ -94,7 +97,8 @@ class GridDensity:
         if not np.isfinite(w).all():  # the cells are too small for their mass
             raise NonFiniteInput(f"density on {x_rect!r} × {y_rect!r} overflows")
         w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        for key, value in (("x_rect", x_rect), ("y_rect", y_rect), ("weights", w)):
+            object.__setattr__(self, key, value)
 
     def __deepcopy__(self, memo) -> "GridDensity":
         return self  # immutable: its weights are read-only

@@ -1,11 +1,11 @@
 """Parse derivation expressions and compute where they exist.
 
 The checker decides existence, not values: each symbol a[α] or b[β] is a
-function of one axis with domain setting_interval(index), sums/products intersect
-domains on shared axes, and the verdict is empty as soon as any axis's
-domain becomes empty.  The culprit is the deepest (leftmost on ties)
-node at which that first happens, which is the step where a Bell-type
-derivation gets stuck.
+function of one axis with domain setting_interval(index), every BinOp (+, -
+and * alike) intersects domains on shared axes, and the verdict is empty as
+soon as any axis's domain becomes empty.  The culprit is the deepest
+(leftmost on ties) node at which that first happens, which is the step where
+a Bell-type derivation gets stuck.
 """
 
 from __future__ import annotations
@@ -33,27 +33,15 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Sum:
+class BinOp:
+    op: str  # "+", "-" or "*", a key of _PRECEDENCE
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Diff:
-    left: "Expr"
-    right: "Expr"
+Expr = Union[Symbol, Neg, BinOp]
 
-
-@dataclass(frozen=True)
-class Prod:
-    left: "Expr"
-    right: "Expr"
-
-
-Expr = Union[Symbol, Neg, Sum, Diff, Prod]
-
-_BINARY = {"+": (1, Sum), "-": (1, Diff), "*": (2, Prod)}  # operator -> (precedence, node)
-_OPERATORS = {node: (op, prec) for op, (prec, node) in _BINARY.items()}
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2}  # the binary operators, all left-associative
 _AXES = {"a": "x", "b": "y"}  # symbol name -> its axis; a[i] spans setting_interval(i)
 
 
@@ -109,15 +97,15 @@ class _Parser:
     def parse(self) -> Expr:
         e = self.expr()
         if self.peek()[0] != "end":
-            self.fail(["'+'", "'-'", "'*'", "end of input"])
+            self.fail([*map(repr, _PRECEDENCE), "end of input"])
         return e
 
     def expr(self, prec: int = 1) -> Expr:
         """Operators of precedence >= prec; right operands bind one tighter."""
         node = self.factor()
-        while self.peek()[1] in _BINARY and _BINARY[self.peek()[1]][0] >= prec:
-            op_prec, node_type = _BINARY[self.advance()[1]]
-            node = node_type(node, self.expr(op_prec + 1))
+        while _PRECEDENCE.get(self.peek()[1], 0) >= prec:
+            op = self.advance()[1]
+            node = BinOp(op, node, self.expr(_PRECEDENCE[op] + 1))
         return node
 
     def factor(self) -> Expr:
@@ -178,8 +166,8 @@ def _format(e: Expr, parent_prec: int = 0) -> str:
         return f"{e.name}[{np.format_float_positional(e.index, trim='-')}]"
     if isinstance(e, Neg):
         return f"-{_format(e.child, 3)}"  # 3: tighter than every binary operator
-    op, prec = _OPERATORS[type(e)]
-    text = f"{_format(e.left, prec)} {op} {_format(e.right, prec + 1)}"
+    prec = _PRECEDENCE[e.op]
+    text = f"{_format(e.left, prec)} {e.op} {_format(e.right, prec + 1)}"
     return f"({text})" if prec < parent_prec else text
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -29,11 +29,7 @@ from .errors import (
 )
 from .intervals import DomainSet, Interval
 
-_OPS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "sum": lambda u, v: u + v,
-    "difference": lambda u, v: u - v,
-    "product": lambda u, v: u * v,
-}
+_OPS = {"sum": np.add, "difference": np.subtract, "product": np.multiply}
 
 
 @dataclass(frozen=True)

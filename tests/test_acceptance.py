@@ -18,7 +18,7 @@ from bellhop.chsh import (
     saturating_family,
 )
 from bellhop.cli import main, write_figures
-from bellhop.deriv import Prod, Sum, Symbol, analyze, parse
+from bellhop.deriv import BinOp, Symbol, analyze, parse
 from bellhop.errors import EmptyDomain
 from bellhop.observables import log_curve, make_observable, thresholds
 from bellhop.simulate import ExperimentConfig, estimate, run_experiment
@@ -59,7 +59,7 @@ def test_criterion_2_empty_domain_obstruction(capsys):
 
     factored = analyze(parse("(a0+a1)*b0"))
     assert factored.verdict == "empty"
-    assert factored.culprit.node == Sum(Symbol("a", 0.0), Symbol("a", 1.0))
+    assert factored.culprit.node == BinOp("+", Symbol("a", 0.0), Symbol("a", 1.0))
 
     expanded = analyze(parse("a0*b0 + a1*b0"))
     assert expanded.verdict == "empty"
@@ -67,7 +67,7 @@ def test_criterion_2_empty_domain_obstruction(capsys):
 
     ghz = analyze(parse("a0*a1"))
     assert ghz.verdict == "empty"
-    assert ghz.culprit.node == Prod(Symbol("a", 0.0), Symbol("a", 1.0))
+    assert ghz.culprit.node == BinOp("*", Symbol("a", 0.0), Symbol("a", 1.0))
 
     assert main(["domain", "--expr", "(a0+a1)*b0"]) == 3
     capsys.readouterr()

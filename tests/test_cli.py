@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -505,3 +506,24 @@ class TestFigures:
         ]
         assert len(rows) == 1001
         assert all(row.endswith(",nan") for row in rows)
+
+
+def test_benchmark_tracer_patches_and_restores_its_names(monkeypatch):
+    # perfbench/tracer.py wraps bellhop's functions by module and attribute name (such as
+    # chsh._integrate, cli.combine and DomainSet.intersect): each must still exist, and
+    # uninstall must put each original back
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        patches = list(tracer._patches)
+    finally:
+        tracer.uninstall()
+    assert patches
+    for owner, attr, original in patches:
+        now = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        assert now is original, (owner, attr)

@@ -1,5 +1,6 @@
 import copy
 import io
+import json
 import math
 import pickle
 from typing import NamedTuple
@@ -473,6 +474,18 @@ class TestConstruction:
         again = GridDensity.from_dict(rho.to_dict())
         assert np.array_equal(again.weights, rho.weights)
         assert again.x_rect == rho.x_rect
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 2**53 + 1), (-3, 5), (np.int64(0), np.int64(1)), (np.float32(0.1), np.float32(1.5)),
+    ], ids=["int_no_float_equals", "int", "int64", "float32"])
+    def test_rectangle_ends_round_trip_through_json(self, lo, hi):
+        # the rectangle is kept as the floats the density computes with
+        rho = GridDensity(Interval(lo, hi), Interval(0.0, 1.0), [[1.0, 2.0], [3.0, 4.0]])
+        assert rho.x_rect == Interval(float(lo), float(hi))
+        assert {type(x) for x in (rho.x_rect.lo, rho.x_rect.hi)} == {float}
+        again = GridDensity.from_dict(json.loads(json.dumps(rho.to_dict())))
+        assert (again.x_rect, again.y_rect) == (rho.x_rect, rho.y_rect)
+        np.testing.assert_allclose(again.weights, rho.weights, rtol=ROUND_OFF, atol=0)
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bellhop.deriv import (
-    Diff,
+    BinOp,
     Neg,
-    Prod,
-    Sum,
     Symbol,
     analyze,
     format_expr,
@@ -16,19 +14,19 @@ from bellhop.deriv import (
 from bellhop.errors import EmptyDomain, ExprSyntaxError, InputOutOfRange, UnknownSymbol
 from bellhop.intervals import Interval
 from bellhop.observables import make_observable, setting_interval
-from bellhop.steprv import combine
+from bellhop.steprv import PartialRV, combine
 
 
 class TestParse:
     def test_chsh_left_side(self):
-        assert parse("a0*b0 + a1*b0") == Sum(
-            Prod(Symbol("a", 0.0), Symbol("b", 0.0)),
-            Prod(Symbol("a", 1.0), Symbol("b", 0.0)),
+        assert parse("a0*b0 + a1*b0") == BinOp(
+            "+", BinOp("*", Symbol("a", 0.0), Symbol("b", 0.0)),
+            BinOp("*", Symbol("a", 1.0), Symbol("b", 0.0)),
         )
 
     def test_chsh_right_side(self):
-        assert parse("(a0+a1)*b0") == Prod(
-            Sum(Symbol("a", 0.0), Symbol("a", 1.0)), Symbol("b", 0.0)
+        assert parse("(a0+a1)*b0") == BinOp(
+            "*", BinOp("+", Symbol("a", 0.0), Symbol("a", 1.0)), Symbol("b", 0.0)
         )
 
     def test_double_star_rejected(self):
@@ -40,16 +38,16 @@ class TestParse:
         assert parse("a[0.5]") == Symbol("a", 0.5)
 
     def test_precedence(self):
-        assert parse("a0 + a1 * b0") == Sum(
-            Symbol("a", 0.0), Prod(Symbol("a", 1.0), Symbol("b", 0.0))
+        assert parse("a0 + a1 * b0") == BinOp(
+            "+", Symbol("a", 0.0), BinOp("*", Symbol("a", 1.0), Symbol("b", 0.0))
         )
 
     def test_unary_minus(self):
-        assert parse("-a0 * b0") == Prod(Neg(Symbol("a", 0.0)), Symbol("b", 0.0))
+        assert parse("-a0 * b0") == BinOp("*", Neg(Symbol("a", 0.0)), Symbol("b", 0.0))
 
     def test_difference(self):
-        assert parse("a0 - a1 - b0") == Diff(
-            Diff(Symbol("a", 0.0), Symbol("a", 1.0)), Symbol("b", 0.0)
+        assert parse("a0 - a1 - b0") == BinOp(
+            "-", BinOp("-", Symbol("a", 0.0), Symbol("a", 1.0)), Symbol("b", 0.0)
         )
 
     @pytest.mark.parametrize("text, position, expected", [
@@ -90,12 +88,10 @@ def exprs(draw, depth=0):
         index = draw(st.one_of(st.sampled_from([0.0, 1.0, 0.5, 2.0, 0.25]),
                                st.floats(allow_nan=False, allow_infinity=False)))
         return Symbol(name, index)
-    kind = draw(st.sampled_from(["sum", "diff", "prod", "neg"]))
-    if kind == "neg":
+    op = draw(st.sampled_from(["+", "-", "*", "neg"]))
+    if op == "neg":
         return Neg(draw(exprs(depth=depth + 1)))
-    left = draw(exprs(depth=depth + 1))
-    right = draw(exprs(depth=depth + 1))
-    return {"sum": Sum, "diff": Diff, "prod": Prod}[kind](left, right)
+    return BinOp(op, draw(exprs(depth=depth + 1)), draw(exprs(depth=depth + 1)))
 
 
 class TestFormat:
@@ -118,7 +114,7 @@ class TestAnalyze:
     def test_factored_form_empty(self):
         r = analyze(parse("(a0+a1)*b0"))
         assert r.verdict == "empty"
-        assert r.culprit.node == Sum(Symbol("a", 0.0), Symbol("a", 1.0))
+        assert r.culprit.node == BinOp("+", Symbol("a", 0.0), Symbol("a", 1.0))
         assert r.culprit.axis == "x"
         assert r.culprit.left_domain == Interval(0, 1)
         assert r.culprit.right_domain == Interval(1, 2)
@@ -126,7 +122,7 @@ class TestAnalyze:
     def test_ghz_product_empty(self):
         r = analyze(parse("a0*a1"))
         assert r.verdict == "empty"
-        assert isinstance(r.culprit.node, Prod)
+        assert isinstance(r.culprit.node, BinOp) and r.culprit.node.op == "*"
 
     def test_cross_axis_product_exists(self):
         r = analyze(parse("a0*b0"))
@@ -139,7 +135,7 @@ class TestAnalyze:
         right = analyze(parse("(a0+a1)*b0"))
         assert left.verdict == "empty" and right.verdict == "empty"
         assert left.culprit.node != right.culprit.node
-        assert isinstance(left.culprit.node, Sum)
+        assert isinstance(left.culprit.node, BinOp) and left.culprit.node.op == "+"
 
     def test_unknown_symbol(self):
         with pytest.raises(UnknownSymbol):
@@ -191,6 +187,34 @@ class TestFormatReport:
         )
 
 
+# a[i] for i at, one ulp from and between the quarter points of a[0] and a[1]
+TREE_INDICES = [0.0, 0.25, 0.5, 0.75, 1.0, 0.9999999999999999, float(np.nextafter(0.25, 1)),
+                1.5, -0.5, 2.0]
+OPERATIONS = {"+": "sum", "-": "difference", "*": "product"}
+
+
+@st.composite
+def a_trees(draw, depth=0):
+    """Trees of depth at most 4 over a[i] alone, so on axis x only."""
+    op = draw(st.sampled_from(["+", "-", "*", "neg", "leaf"])) if depth < 4 else "leaf"
+    if op == "leaf":
+        return Symbol("a", draw(st.sampled_from(TREE_INDICES)))
+    if op == "neg":
+        return Neg(draw(a_trees(depth + 1)))
+    return BinOp(op, draw(a_trees(depth + 1)), draw(a_trees(depth + 1)))
+
+
+def materialize(e) -> PartialRV:
+    """The step function that a tree of a_trees denotes, by combine; EmptyDomain at the
+    first node that exists nowhere."""
+    if isinstance(e, Symbol):
+        return make_observable(e.index)
+    if isinstance(e, Neg):
+        f = materialize(e.child)
+        return PartialRV(tuple((iv, -v) for iv, v in f.pieces), f.axis_label)
+    return combine(materialize(e.left), materialize(e.right), OPERATIONS[e.op])
+
+
 class TestCrossModuleCoherence:
     def test_verdict_matches_combine(self):
         rng = np.random.default_rng(31)
@@ -209,3 +233,20 @@ class TestCrossModuleCoherence:
             except EmptyDomain:
                 materialized = "empty"
             assert verdict == materialized, (alpha, beta)
+
+    @given(a_trees())
+    @example(parse("a[0] + a[0.9999999999999999]"))  # exists on (0.9999999999999999, 1)
+    def test_trees_match_combine(self, e):
+        # the same tree built from step functions: EmptyDomain at some node exactly
+        # when the verdict is empty, else a function on the verdict's axis x
+        r = analyze(e)
+        try:
+            f = materialize(e)
+        except EmptyDomain:
+            assert r.verdict == "empty"
+            return
+        assert r.verdict == "exists"
+        x, spans = r.axes["x"], f.domain.intervals
+        assert (min(iv.lo for iv in spans), max(iv.hi for iv in spans)) == (x.lo, x.hi)
+        assert f.domain.measure() == pytest.approx(x.length, rel=1e-12, abs=0)
+
