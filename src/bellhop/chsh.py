@@ -2,12 +2,12 @@
 
 Four unrelated densities, one per setting pair, make the four correlators
 independently tunable: the only surviving bound is |S| <= 4, and it is
-saturated with all marginal means exactly zero.  When all four observables
-share one domain and one density, the classical argument applies and
-|S| <= 2; classical_bound_check embodies that contrast.  It takes the
+saturated with all marginal means exactly zero.  When one density lies where
+all four observables exist almost everywhere, the classical argument applies
+and |S| <= 2; classical_bound_check embodies that contrast.  It takes the
 textbook CHSH step S = E[a0·(b0 + b1)] + E[a1·(b0 − b1)], integrating each
 observable once and pairing each of Alice's two with both of Bob's, and that
-pairing is the one place the common-domain assumption enters.
+pairing is the one place the one-density assumption enters.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .density import ROUND_OFF, GridDensity, _correlators, _fields, _integrate, _same_measure
+from .density import ROUND_OFF, GridDensity, _correlators, _fields, _integrate
 from .errors import (
     DomainMismatch, GridMisaligned, InputOutOfRange, MalformedInput, _is_int, _is_real, _show,
 )
@@ -227,30 +227,19 @@ def random_classical_instance(rng: np.random.Generator):
     return a0, a1, b0, b1, rho
 
 
-def _same_domain(f: PartialRV, g: PartialRV) -> bool:
-    """m(f) = m(g) = m(f ∩ g), each within _same_measure's slack."""
-    f_domain, g_domain = f.domain, g.domain
-    common = f_domain.intersect(g_domain).measure()
-    return _same_measure(f_domain.measure(), common) and _same_measure(g_domain.measure(), common)
-
-
 def classical_bound_check(
     a0: PartialRV, a1: PartialRV, b0: PartialRV, b1: PartialRV, rho: GridDensity
 ) -> float:
-    """S from ONE shared density over a common pair of domains; |S| <= 2.
+    """S from ONE shared density on whose rectangle all four observables exist a.e.; |S| <= 2.
 
     Each observable is integrated once per grid cell of its axis, and S is
-    the textbook CHSH factorization E[a0·(b0 + b1)] + E[a1·(b0 − b1)]: a0
-    and a1 are each paired with both b0 and b1 under the one density.  That
-    step needs all four observables on one domain, so DomainMismatch is
-    raised when a0, a1 (or b0, b1) do not share theirs, or when one does not
-    cover rho's rectangle.  This is exactly the obstruction that blocks the
-    bound for disjoint domains.
+    the textbook CHSH factorization E[a0·(b0 + b1)] + E[a1·(b0 − b1)], whose
+    integrand lies in [-2, 2] pointwise.  DomainMismatch, as for a family's
+    pair, when an observable does not cover rho's rectangle a.e. (outside it
+    the domains may differ): the obstruction that blocks the bound for
+    disjoint domains.
     """
-    for f, g, side in ((a0, a1, "Alice's"), (b0, b1, "Bob's")):
-        if not _same_domain(f, g):
-            raise DomainMismatch(f"{f.domain!r} vs {g.domain!r} on {side} axis")
-    # The common-domain assumption is used here: one density and one pair of
-    # domains, so each a[alpha] integral is paired with both b[beta] integrals.
+    # The one-density assumption is used here: each a[alpha] integral is paired with both
+    # b[beta] integrals, which holds because all four observables cover rho's rectangle a.e.
     es = _correlators((a0, a1), (b0, b1), rho)
     return chsh_value(*(es[alpha][beta] for alpha, beta in PAIRS))

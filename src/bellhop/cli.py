@@ -245,6 +245,10 @@ def _cmd_figures(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    while argv[:1] == ["domain"] and "--expr" in argv[:-1]:  # a value may start with "-"
+        i = argv.index("--expr")
+        argv[i:i + 2] = ["--expr=" + argv[i + 1]]
     args = _build_parser().parse_args(argv)
     try:
         for flag in ("out", "log"):

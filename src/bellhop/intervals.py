@@ -2,10 +2,9 @@
 
 deriv asks "where do both exist" of Intervals: a symbol's domain is one open
 interval, and two open intervals overlap iff max(lo) < min(hi).  A DomainSet
-is a step function's domain, a union of such intervals; the common-domain
-check of chsh.classical_bound_check asks the question of DomainSets, and
-steprv.combine, which needs values as well, asks it of each cell between the
-operands' breakpoints by the same rule.
+is a step function's domain, a union of such intervals, as PartialRV.domain
+reports it; steprv.combine, which needs values as well, asks the question of
+each cell between the operands' breakpoints by the same rule.
 
 All endpoint comparisons are exact binary-float comparisons: the
 breakpoints that occur here (quarters, integers) are exactly representable,

@@ -38,7 +38,6 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, NamedTuple, Optional, TextIO, Tuple
 
 import numpy as np
@@ -81,11 +80,11 @@ class ExperimentConfig:
             raise ConfigInvalid("setting probabilities must sum to 1")
         object.__setattr__(self, "setting_probabilities", tuple(map(float, p)))
 
-    @cached_property
+    @property
     def _table(self) -> "_LogTable":
-        """A logged run's one set-up, done once per config and read by bellhop simulate before
-        it opens the file: ConfigInvalid if a worker gets _LOG_LIMIT trials or more or
-        _log_table cannot place a class, else the family's event-log table."""
+        """A logged run's one set-up, read by bellhop simulate before it opens the file:
+        ConfigInvalid if a worker gets _LOG_LIMIT trials or more or _log_table cannot place
+        a class, else the family's event-log table, built once per family."""
         if -(-self.n_trials // self.n_workers) >= _LOG_LIMIT:
             raise ConfigInvalid("an event log needs fewer than 1e9 trials per worker: "
                                 "use more workers")
@@ -149,6 +148,7 @@ class _LogTable(NamedTuple):
     split: list  # per (pair, class), as the counts: its cells' probabilities given it, or 0s
 
 
+@functools.lru_cache(maxsize=1)  # the last family's table: a seed sweep builds it once
 def _log_table(family: ChshFamily) -> _LogTable:
     """A cell's probability given its class is its grid weight × area over the class's sum;
     ConfigInvalid if a class has mass but only cells too thin for a float strictly inside."""

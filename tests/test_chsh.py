@@ -71,13 +71,8 @@ def random_partial_instance(rng):
 
 
 def reference_check(a0, a1, b0, b1, rho):
-    """S by the former rule, or None where it raised DomainMismatch: domains
-    compared through DomainSet.intersect and measure, then S from the four
-    per-pair expectations."""
-    for f, g in ((a0, a1), (b0, b1)):
-        common = f.domain.intersect(g.domain).measure()
-        if max(abs(f.domain.measure() - common), abs(g.domain.measure() - common)) > ROUND_OFF:
-            return None
+    """S from the four per-pair expectations, or None where some pair's
+    expectation raises DomainMismatch."""
     a, b = (a0, a1), (b0, b1)
     try:
         return chsh_value(*(expectation(a[alpha], b[beta], rho) for alpha, beta in PAIRS))
@@ -305,18 +300,35 @@ class TestClassicalBound:
                 outcomes["mismatch"] += 1
             else:
                 assert abs(classical_bound_check(a0, a1, b0, b1, rho) - want) <= 1e-15
+                assert abs(want) <= 2 + ROUND_OFF
                 outcomes["value"] += 1
         assert min(outcomes.values()) >= 150, outcomes
 
     def test_thin_disjoint_domains_differ(self):
-        # two domains of measure 1e-13 that do not meet: the slack scales with the measures
+        # two domains of measure 1e-13 that do not meet: g misses the 1e-13-wide rectangle,
+        # since the slack scales with the rectangle's width
         f = make_step([0.0, 1e-13], [1.0], "x")
         g = make_step([5.0, 5.0 + 1e-13], [1.0], "x")
-        assert not chsh._same_domain(f, g)
         b = make_step([0.0, 1.0], [1.0], "y")
         rho = GridDensity(Interval(0, 1e-13), Interval(0, 1), [[1.0]])
-        with pytest.raises(DomainMismatch, match="Alice's axis"):
+        with pytest.raises(DomainMismatch,
+                           match=r"x-rectangle \(0,1e-13\) not a.e. inside domain \(5,"):
             classical_bound_check(f, g, b, b, rho)
+
+    def test_domains_may_differ_outside_the_density(self):
+        # a0 reaches past the unit square on both sides: S is that of its pieces cut to (0, 1)
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            wide = random_partial(rng, [(-0.25, 1.25)], "x")
+            cut = PartialRV(tuple(
+                (Interval(max(iv.lo, 0.0), min(iv.hi, 1.0)), v)
+                for iv, v in wide.pieces if iv.hi > 0.0 and iv.lo < 1.0
+            ), "x")
+            a1, b0, b1 = (random_partial(rng, [(0.0, 1.0)], axis) for axis in "xyy")
+            weights = rng.random((int(rng.integers(1, 5)), int(rng.integers(1, 5)))) + 1e-3
+            rho = GridDensity(Interval(0.0, 1.0), Interval(0.0, 1.0), weights)
+            assert (classical_bound_check(wide, a1, b0, b1, rho)
+                    == classical_bound_check(cut, a1, b0, b1, rho))
 
     def test_overflow_refused(self):
         # finite observables whose correlators overflow: NonFiniteInput, no numpy warning

@@ -206,6 +206,13 @@ class TestDomain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "quarter points" in err
 
+    @pytest.mark.parametrize("expr, want", [("-a0*b0", 0), ("-(a0+a1)*b0", 3), ("-a[0.5]", 0)])
+    def test_leading_minus(self, capsys, expr, want):
+        # --expr takes an expression that starts with "-" as its value, not as an option
+        spaced = run(capsys, "domain", "--expr", expr)
+        assert spaced == run(capsys, "domain", f"--expr={expr}")
+        assert spaced[0] == want and spaced[2] == ""
+
 
 class TestUsage:
     def test_missing_subcommand_exit_1(self, capsys):

@@ -353,6 +353,12 @@ class TestRunExperiment:
                                   master_seed=1, n_workers=2)
         assert config._table is config._table
 
+    def test_one_table_per_family(self):
+        # a seed sweep over one family builds its event-log table once
+        family = saturating_family()
+        first, second = (ExperimentConfig(family, 1000, seed)._table for seed in (1, 2))
+        assert first is second
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_logged_and_unlogged_summaries_agree(self, workers):
         # every worker logs more than one block; the mixed grids share some axes, not all
@@ -693,6 +699,26 @@ class TestFloatText:
             small += float(x) < 1e-4
         assert 4000 < small < 6000
         assert per_point(tiny_x_family(), log) == summary
+
+
+def test_numpy_streams_pinned():
+    # every pinned summary and event log rests on these raw draws from a worker's substream
+    rng = np.random.default_rng(np.random.SeedSequence(1).spawn(2)[1])
+    draws = [
+        rng.multinomial(1000, [0.25] * 4).tolist(),  # setting counts
+        rng.multinomial(500, [0.125, 0.375, 0.5, 0.0]).tolist(),  # class counts
+        rng.multivariate_hypergeometric(np.array([5, 10, 15, 20]), 25).tolist(),
+        rng.permutation(10).tolist(),
+        [x.hex() for x in rng.random(3).tolist()],
+    ]
+    assert draws == [
+        [253, 253, 263, 231],
+        [61, 200, 239, 0],
+        [1, 6, 8, 10],
+        [6, 5, 2, 1, 7, 8, 9, 0, 3, 4],
+        ["0x1.b0e6431832bddp-1", "0x1.6357474564ad0p-1", "0x1.60de88e594a88p-2"],
+    ], (f"numpy {np.__version__}'s random streams moved (pins made with numpy 2.4.6): "
+        "bellhop's pinned outputs follow numpy's draws, not a change in bellhop")
 
 
 class TestEstimate:
