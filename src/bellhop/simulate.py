@@ -29,7 +29,12 @@ rounds Dekker's exact float64 product x·5**n (exact as each operation rounds to
 nearest, as in IEEE 754 and numpy's ufuncs), and Python's % writes the rest.
 Those draws need a total below _LOG_LIMIT = 1e9, so ExperimentConfig._table,
 the log's one set-up, refuses a worker that many trials (more workers split it).
-Memory is bounded by the block size and the cell count, not by n_trials.
+Each slice of _SLICE rows is written as one uint8 matrix, a line a row, of
+NUL-padded fixed-width fields: the trial as four-digit words (wide enough for any
+trial below MAX_WORKERS · _LOG_LIMIT), the row's (pair, class) bytes ",α,β," and
+",±1,±1" with the newline from the table, and x's and y's 24 bytes from _g17; the
+NULs are dropped once, and the slice is decoded and written once.  Memory is
+bounded by the block size and the cell count, not by n_trials.
 """
 
 from __future__ import annotations
@@ -47,10 +52,13 @@ from .density import ROUND_OFF
 from .errors import ConfigInvalid, InsufficientTrials, _finite, _is_int, _is_real
 
 _BLOCK = 1 << 16  # event-log rows drawn at a time
-_SLICE = 8192  # event-log rows formatted and written at a time: about 1 MB of text and temporaries
+_SLICE = 8192  # event-log rows formatted and written at a time: a traced peak of 2.3 MiB
 _LOG_LIMIT = 10**9  # logged trials per worker: the hypergeometric draws' total
 MAX_TRIALS = 2**63 - 1  # counts and sums are int64
 MAX_WORKERS = 1024  # about 0.1 s of per-worker set-up
+# a logged trial's number is below MAX_WORKERS · _LOG_LIMIT: 13 digits, four 4-digit words
+_TRIAL_WORDS = -(-len(str(MAX_WORKERS * _LOG_LIMIT - 1)) // 4)
+_POW10K = 10 ** (4 * np.arange(1, _TRIAL_WORDS, dtype=np.int64))  # where a trial gains a word
 
 
 @dataclass(frozen=True)
@@ -143,8 +151,9 @@ class _LogTable(NamedTuple):
 
     lo: np.ndarray  # (rows, 2): the cell's lower (x, y) corner
     hi: np.ndarray  # (rows, 2): its upper corner
-    kinds: np.ndarray  # (rows,): the row's (pair, class), an index into templates and split
-    templates: list  # per (pair, class): its CSV line as bytes, the trial and (x, y) as %d,%s,%s
+    kinds: np.ndarray  # (rows,): the row's (pair, class), an index into lines and split
+    lines: np.ndarray  # (kinds, width) uint8 per (pair, class): its CSV line's fixed bytes,
+    # NUL where _format_block writes the trial (4·_TRIAL_WORDS bytes), x and y (24 each)
     split: list  # per (pair, class), as the counts: its cells' probabilities given it, or 0s
 
 
@@ -152,7 +161,8 @@ class _LogTable(NamedTuple):
 def _log_table(family: ChshFamily) -> _LogTable:
     """A cell's probability given its class is its grid weight × area over the class's sum;
     ConfigInvalid if a class has mass but only cells too thin for a float strictly inside."""
-    cells, templates, split = [], [], []  # cells: per (pair, class), its corners' edges
+    cells, lines, split = [], [], []  # cells: per (pair, class), its corners' edges
+    trial, point = "\0" * (4 * _TRIAL_WORDS), "\0" * 24
     law = family._class_law
     for (alpha, beta), rho, (a_values, b_values, classes) in zip(PAIRS, family.densities(), law):
         f, g = family.observables(alpha, beta)
@@ -169,7 +179,7 @@ def _log_table(family: ChshFamily) -> _LogTable:
                     raise ConfigInvalid(f"pair ({alpha},{beta}) class (a, b) = ({u:+d}, {v:+d}) "
                                         "lies on cells too thin for the event log's points")
                 cells.append((x_lo[ix], x_hi[ix], y_lo[iy], y_hi[iy]))
-                templates.append(f"%d,{alpha},{beta},%s,%s,{u:+d},{v:+d}\n".encode())
+                lines.append(f"{trial},{alpha},{beta},{point},{point},{u:+d},{v:+d}\n")
                 split.append(p / (p.sum() or 1.0))
     sizes = [len(p) for p in split]
     lo, hi = np.empty((sum(sizes), 2)), np.empty((sum(sizes), 2))
@@ -180,7 +190,8 @@ def _log_table(family: ChshFamily) -> _LogTable:
             grid[..., 0], grid[..., 1] = x[:, None], y
         start += size
     kinds = np.repeat(np.arange(len(split), dtype=np.uint8), sizes)  # at most 4 × 2 × 2 kinds
-    return _LogTable(lo, hi, kinds, templates, split)
+    lines = np.frombuffer("".join(lines).encode(), np.uint8).reshape(len(lines), -1)
+    return _LogTable(lo, hi, kinds, lines, split)
 
 
 def sample_many(table: _LogTable, rng: np.random.Generator, n: int, left: np.ndarray):
@@ -217,18 +228,21 @@ _E16 = 10**16
 @functools.cache
 def _digit_words():
     """(groups, heads) of uint32 text words, built on first use.  groups[g]: the four digits
-    of g (0 <= g < 10**4), and groups[10**4 + g] the same with trailing zeros cut to NUL.
+    of g (0 <= g < 10**4), groups[10**4 + g] the same with trailing zeros cut to NUL (all NUL
+    for g = 0), groups[2·10**4 + g] with leading zeros cut (a lone "0" kept for g = 0).
     heads[200·z + 100·c + h]: "c." and the two digits of h (0 <= h < 100), cut if z is 1
     (the "." too if h is 0)."""
     g = np.arange(10**4)
     digits = (ord("0") + g[:, None] // 10 ** np.arange(3, -1, -1) % 10).astype(np.uint8)
     kept = np.maximum.accumulate(digits[:, ::-1] != ord("0"), axis=1)[:, ::-1]
     cut = digits * kept
+    trimmed = digits * np.maximum.accumulate(digits != ord("0"), axis=1)
+    trimmed[0, 3] = ord("0")
     heads = np.zeros((2, 2, 100, 4), np.uint8)
     heads[:, 0, :, 0], heads[:, 1, :, 0] = ord("0"), ord("1")
     heads[0, :, :, 1], heads[1, :, 1:, 1] = ord("."), ord(".")
     heads[0, :, :, 2:], heads[1, :, :, 2:] = digits[:100, 2:], cut[:100, 2:]
-    groups = np.concatenate([digits, cut]).view(np.uint32).reshape(-1)
+    groups = np.concatenate([digits, cut, trimmed]).view(np.uint32).reshape(-1)
     return groups, heads.view(np.uint32).reshape(-1)
 
 
@@ -280,14 +294,33 @@ def _g17(x: np.ndarray) -> np.ndarray:
     return text
 
 
+def _trial_words(first: int, n: int) -> np.ndarray:
+    """first, …, first + n − 1 as (n, _TRIAL_WORDS) uint32 words of four digits each, most
+    significant first: the words before the first nonzero one NUL, that one with its leading
+    zeros cut, the last word a lone "0" for trial 0."""
+    groups, _ = _digit_words()
+    t = np.arange(first, first + n, dtype=np.int64)
+    # a row's lead word, its first nonzero one (the last for trial 0), picks the words' tables:
+    # groups[10**4 + g] before it (g is 0 there: NUL), [2·10**4 + g] at it, [g] after it
+    words = np.arange(_TRIAL_WORDS)
+    tables = 10**4 * ((words < words[:, None]) + 2 * (words == words[:, None]))  # row: the lead
+    g = tables.take(_TRIAL_WORDS - 1 - np.searchsorted(_POW10K, t, side="right"), axis=0)
+    for j in range(_TRIAL_WORDS - 1, 0, -1):
+        t, digits = _split(t, 10**4)
+        g[:, j] += digits
+    g[:, 0] += t
+    return groups.take(g)
+
+
 def _format_block(table: _LogTable, first: int, rows, points) -> str:
-    """The rows' CSV lines, numbered from first, as one string."""
-    n = len(rows)
-    fields = [None] * (3 * n)
-    fields[0::3] = range(first, first + n)
-    fields[1::3], fields[2::3] = _g17(points[:, 0]).tolist(), _g17(points[:, 1]).tolist()
-    lines = b"".join([table.templates[kind] for kind in table.kinds[rows].tolist()])
-    return (lines % tuple(fields)).decode()
+    """The rows' CSV lines, numbered from first, as one string: one NUL-padded byte row per
+    line, each kind's fixed bytes from table.lines, the NULs dropped once."""
+    n, x = len(rows), 4 * _TRIAL_WORDS + 5  # x's 24 bytes follow the trial's and ",α,β,"
+    lines = table.lines.take(table.kinds.take(rows), axis=0)
+    lines[:, :x - 5] = _trial_words(first, n).view(np.uint8).reshape(n, -1)
+    for at, column in ((x, points[:, 0]), (x + 25, points[:, 1])):  # y's follow x's and ","
+        lines[:, at:at + 24] = _g17(column).view(np.uint8).reshape(n, 24)
+    return lines.tobytes().translate(None, b"\0").decode()
 
 
 def run_experiment(

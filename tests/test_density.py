@@ -656,7 +656,8 @@ def reference_log_table(family, law) -> simulate._LogTable:
     """simulate._log_table from the refined grids: one row per (pair, class, cell), each
     class's cells row-major; ConfigInvalid if a class has mass but only cells too thin
     for a float strictly inside."""
-    lo, hi, templates, split = [], [], [], []
+    lo, hi, lines, split = [], [], [], []
+    trial, point = b"\0" * 16, b"\0" * 24  # NUL where the trial and (x, y) go
     for (alpha, beta), rho, (a_values, b_values, classes) in zip(PAIRS, family.densities(), law):
         f, g = family.observables(alpha, beta)
         xe, x_cells, x_widths = refine_axis(rho.x_edges(), rho.x_rect, f.breakpoints())
@@ -672,10 +673,11 @@ def reference_log_table(family, law) -> simulate._LogTable:
                                         "lies on cells too thin for the event log's points")
                 for corners, x, y in ((lo, xe[ix], ye[iy]), (hi, xe[ix + 1], ye[iy + 1])):
                     corners.append(np.stack(np.meshgrid(x, y, indexing="ij"), -1).reshape(-1, 2))
-                templates.append(f"%d,{alpha},{beta},%s,%s,{u:+d},{v:+d}\n".encode())
+                lines.append(b"%s,%d,%d,%s,%s,%+d,%+d\n" % (trial, alpha, beta, point, point, u, v))
                 split.append(p / (p.sum() or 1.0))
     kinds = np.repeat(np.arange(len(split), dtype=np.uint8), [len(p) for p in split])
-    return simulate._LogTable(np.concatenate(lo), np.concatenate(hi), kinds, templates, split)
+    lines = np.frombuffer(b"".join(lines), np.uint8).reshape(len(lines), -1)
+    return simulate._LogTable(np.concatenate(lo), np.concatenate(hi), kinds, lines, split)
 
 
 @st.composite
@@ -801,10 +803,9 @@ class TestLogTable:
             assert str(got.value) == str(refused)
             return
         got = simulate._log_table(family)
-        for name in ("lo", "hi", "kinds"):
+        for name in ("lo", "hi", "kinds", "lines"):
             g, w = getattr(got, name), getattr(want, name)
             assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
-        assert got.templates == want.templates
         assert [(p.dtype, p.tobytes()) for p in got.split] == [
             (p.dtype, p.tobytes()) for p in want.split]
 

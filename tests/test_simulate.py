@@ -464,10 +464,12 @@ class TestSharedAxes:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_cells_match_per_pair_reference(self, family):
         # the event log's rows: each class's cells in order, their corners bit
-        # for bit, their probabilities given the class and the class's one template
+        # for bit, their probabilities given the class and the class's one line of fixed
+        # bytes, NUL where the trial, x and y go
         family = self.FAMILIES[family]()
         table = simulate._log_table(family)
         row, kind, split = 0, 0, iter(table.split)
+        trial, point = b"\0" * 16, b"\0" * 24
         for (alpha, beta), c in zip(PAIRS, per_pair_cells(family)):
             for u in c.a_values:
                 for v in c.b_values:
@@ -480,11 +482,11 @@ class TestSharedAxes:
                         assert np.array_equal(corners[rows], np.stack(want, -1).reshape(-1, 2))
                     assert np.abs(next(split) - p / (p.sum() or 1.0)).max() <= ROUND_OFF
                     assert (table.kinds[rows] == kind).all()
-                    assert table.templates[kind] == b"%%d,%d,%d,%%s,%%s,%+d,%+d\n" % (
-                        alpha, beta, u, v)
+                    assert table.lines[kind].tobytes() == b"%s,%d,%d,%s,%s,%+d,%+d\n" % (
+                        trial, alpha, beta, point, point, u, v)
                     row, kind = row + len(p), kind + 1
         assert row == len(table.lo) == len(table.kinds) and next(split, None) is None
-        assert kind == len(table.templates)
+        assert kind == len(table.lines)
 
     # summaries of 1 000 003 trials, seed 29, at 1, 2 and 3 workers
     PINNED = {
@@ -640,6 +642,10 @@ class TestUnplaceableClass:
         assert main(argv) == 0
 
 
+# the longest "%.17g" texts: 24 bytes, an event-log float field's width
+LONGEST = (-2.2250738585072014e-308, -4.9406564584124654e-324, -1.7976931348623157e308)
+
+
 def g17(values) -> list:
     """The event log's text of each value, as str."""
     return [text.decode() for text in simulate._g17(np.array(values, dtype=float)).tolist()]
@@ -661,6 +667,11 @@ class TestFloatText:
             np.nextafter(1e-4, 0), 1e-4,  # Python's %, then the kernel
             *(np.nextafter(p, to) for p in powers for to in (0.0, 2.0)), *powers,
             1.0, np.nextafter(2.0, 0), 2.0, 0.0, 5e-324, 0.5, 0.999999999999999,
+            # the longest %.17g texts, 24 bytes: the field never truncates
+            *LONGEST,
+            # Python's % also writes values of 2 and more and every negative value
+            2.5, 10.0, 123456.78901234567, 1e16, 1e17, 1e22, 1.7976931348623157e308,
+            -0.0, -5e-324, -1e-5, -0.5, -1.0, -1.9999999999999998, -2.0, -1e300,
         ]
         # every float within 5000 ulps of each end of the kernel's range and each power of ten
         # in it: Dekker's product is exact only if each float64 operation rounds to nearest
@@ -668,6 +679,7 @@ class TestFloatText:
         for edge in (1e-4, 1e-3, 1e-2, 0.1, 1.0, 2.0):
             bits = np.array([edge]).view(np.int64) + steps
             values += bits.view(float).tolist()
+        assert {len("%.17g" % v) for v in LONGEST} == {24}
         assert g17(values) == ["%.17g" % v for v in values]
 
     def test_ties_round_half_to_even(self):
@@ -699,6 +711,63 @@ class TestFloatText:
             small += float(x) < 1e-4
         assert 4000 < small < 6000
         assert per_point(tiny_x_family(), log) == summary
+
+
+class TestLineMatrix:
+    """_format_block writes each slice as one matrix of fixed-width byte fields: every line
+    is "%d,%d,%d,%.17g,%.17g,%+d,%+d\n" of the trial, the row's pair and class and its point,
+    up to the largest trial a logged config can write."""
+
+    # a valid logged config has fewer than _LOG_LIMIT trials in each of at most MAX_WORKERS
+    # workers, numbered from 0
+    LARGEST = simulate.MAX_WORKERS * (simulate._LOG_LIMIT - 1) - 1
+
+    @staticmethod
+    def block(n, seed=9):
+        """n rows of the saturating family's table, their points, each row's (alpha, beta,
+        a, b), and a few points in Python's % range, the longest among them."""
+        family = saturating_family()
+        table = simulate._log_table(family)
+        kinds = [(alpha, beta, u, v) for (alpha, beta), (a, b, _) in zip(PAIRS, family._class_law)
+                 for u in a.tolist() for v in b.tolist()]
+        rng = np.random.default_rng(seed)
+        left = np.concatenate([k.reshape(-1) for k in simulate._counts(
+            rng, family._class_law, np.full(4, 0.25), 10 * n)])
+        rows, points = simulate.sample_many(table, rng, n, left)
+        odd = np.array([*LONGEST, -0.5, 2.5, 1e-5, 0.0, 1e22])
+        at = rng.choice(points.size, min(len(odd), n), replace=False)
+        points.reshape(-1)[at] = odd[:len(at)]
+        return table, rows, points, [kinds[k] for k in table.kinds[rows].tolist()]
+
+    def test_largest_trial_fits(self):
+        ExperimentConfig(saturating_family(), self.LARGEST + 1, 1,
+                         n_workers=simulate.MAX_WORKERS)._table
+        with pytest.raises(ConfigInvalid, match="fewer than 1e9 trials per worker"):
+            ExperimentConfig(saturating_family(), self.LARGEST + 2, 1,
+                             n_workers=simulate.MAX_WORKERS)._table
+        assert len(str(self.LARGEST)) == 13
+        assert 4 * simulate._TRIAL_WORDS == 16
+
+    @pytest.mark.parametrize("n", [1, simulate._SLICE])
+    @pytest.mark.parametrize("first", [0, 9_995, 99_999_995, 10**12 - 5, LARGEST])
+    def test_lines_match_the_spec(self, first, n):
+        table, rows, points, kinds = self.block(n)
+        text = simulate._format_block(table, first, rows, points)
+        want = ["%d,%d,%d,%.17g,%.17g,%+d,%+d\n" % (first + k, alpha, beta, x, y, a, b)
+                for k, ((alpha, beta, a, b), (x, y)) in enumerate(zip(kinds, points.tolist()))]
+        assert text.splitlines(keepends=True) == want
+
+    def test_slice_memory(self):
+        # one slice's traced peak: the matrix, its text and _g17's temporaries of one column
+        table, rows, points, _ = self.block(simulate._SLICE)
+        simulate._format_block(table, 0, rows, points)  # _digit_words' tables, built once
+        tracemalloc.start()
+        try:
+            simulate._format_block(table, 10**6, rows, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6 * 2**20
 
 
 def test_numpy_streams_pinned():
