@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
                     type=_int_flag(1, simulate.MAX_TRIALS, "2**63 - 1, the int64 limit"))
     sp.add_argument("--seed", type=_int_flag(0), required=True)
     sp.add_argument("--workers", default=1,
-                    type=_int_flag(1, simulate.MAX_WORKERS, "0.1 s of per-worker set-up"))
+                    type=_int_flag(1, simulate.MAX_WORKERS, "25 ms of per-worker set-up"))
     sp.add_argument("--log", default=None, help="per-trial CSV event log")
     sp.set_defaults(run=_cmd_simulate)
 

@@ -9,10 +9,12 @@ once: the pairs get Multinomial(size, setting probabilities) trials, and each
 pair's at most 2×2 outcome classes (a, b) Multinomial counts of those, from
 their exact law (ChshFamily._class_law: read-only arrays that the family's
 constructor computes with its moments, on rectangles that each pair's
-observables cover a.e.).  The class counts, summed over the workers, are
-contracted once with the outcome values, exactly, in int64.  (numpy's binomial
-keeps every low bit of a count up to about 2**54 trials per pair; above that
-counts share their low bits, an error of about 2**-21 standard deviations.)
+observables cover a.e.).  A worker's counts are one flat int64 vector, each
+pair's classes row-major in PAIRS order (the event log's (pair, class) order);
+the workers' vectors are summed in place, and each pair's sums are read from
+the total once, in exact Python integers.  (numpy's binomial keeps every low
+bit of a count up to about 2**54 trials per pair; above that counts share
+their low bits, an error of about 2**-21 standard deviations.)
 Worker i draws from child i of SeedSequence(master_seed).spawn(n_workers), so
 substreams are independent across workers and seeds and a summary is
 bit-identical for a fixed (seed, workers).  Workers run one after another.
@@ -43,7 +45,7 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, TextIO, Tuple
+from typing import NamedTuple, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -54,8 +56,8 @@ from .errors import ConfigInvalid, InsufficientTrials, _finite, _is_int, _is_rea
 _BLOCK = 1 << 16  # event-log rows drawn at a time
 _SLICE = 8192  # event-log rows formatted and written at a time: a traced peak of 2.3 MiB
 _LOG_LIMIT = 10**9  # logged trials per worker: the hypergeometric draws' total
-MAX_TRIALS = 2**63 - 1  # counts and sums are int64
-MAX_WORKERS = 1024  # about 0.1 s of per-worker set-up
+MAX_TRIALS = 2**63 - 1  # class counts are int64
+MAX_WORKERS = 1024  # about 25 µs of set-up a worker: 25 ms a call at the cap
 # a logged trial's number is below MAX_WORKERS · _LOG_LIMIT: 13 digits, four 4-digit words
 _TRIAL_WORDS = -(-len(str(MAX_WORKERS * _LOG_LIMIT - 1)) // 4)
 _POW10K = 10 ** (4 * np.arange(1, _TRIAL_WORDS, dtype=np.int64))  # where a trial gains a word
@@ -131,19 +133,24 @@ class EstimateReport:
     s_se: float
 
 
-def _counts(rng: np.random.Generator, law, p: np.ndarray, size: int) -> List[np.ndarray]:
-    """size trials' outcome-class counts, one array per pair, shaped as its classes."""
+def _counts(rng: np.random.Generator, law, p: np.ndarray, size: int) -> np.ndarray:
+    """size trials' class counts, one int64 vector: each pair's, row-major, in PAIRS order."""
     settings = rng.multinomial(size, p).tolist()
-    return [rng.multinomial(n, classes.reshape(-1)).reshape(classes.shape)
-            for n, (_, _, classes) in zip(settings, law)]
+    return np.concatenate([rng.multinomial(n, classes.reshape(-1))
+                           for n, (_, _, classes) in zip(settings, law)])
 
 
-def _sums(law, counts) -> np.ndarray:
-    """(trials, sum_ab, sum_a, sum_b) per pair from its class counts k."""
-    return np.array([
-        (k.sum(), a @ k @ b, a @ k.sum(axis=1), k.sum(axis=0) @ b)
-        for (a, b, _), k in zip(law, counts)
-    ], dtype=np.int64)
+def _sums(law, counts: np.ndarray) -> Tuple[PairCounts, ...]:
+    """Each pair's trials, sum_ab, sum_a and sum_b from the flat class counts, in Python ints."""
+    k, sums = iter(counts.tolist()), []
+    for a, b, _ in law:
+        t = ab = sa = sb = 0
+        for u in a.tolist():
+            for v in b.tolist():
+                n = next(k)
+                t, ab, sa, sb = t + n, ab + u * v * n, sa + u * n, sb + v * n
+        sums.append(PairCounts(t, ab, sa, sb))
+    return tuple(sums)
 
 
 class _LogTable(NamedTuple):
@@ -334,24 +341,22 @@ def run_experiment(
     if event_log is not None:
         table = config._table
         event_log.write("trial,alpha,beta,x,y,a,b\n")
-    totals, trial = [0] * len(PAIRS), 0
+    total, trial = 0, 0  # 0 + the first worker's counts is a new array: the log may use counts up
     for worker, seed in enumerate(seeds):
         size = base + (worker < extra)
         rng = np.random.default_rng(seed)
         counts = _counts(rng, law, p, size)
-        totals = [t + k for t, k in zip(totals, counts)]
+        total += counts
         if event_log is None:
             continue
-        left = np.concatenate([k.reshape(-1) for k in counts])
         for start in range(0, size, _BLOCK):
             n = min(_BLOCK, size - start)
-            rows, points = sample_many(table, rng, n, left)
+            rows, points = sample_many(table, rng, n, counts)  # takes its rows out of counts
             for at in range(0, n, _SLICE):
                 event_log.write(_format_block(table, trial + at, rows[at:at + _SLICE],
                                               points[at:at + _SLICE]))
             trial += n
-    counts = tuple(PairCounts(*row) for row in _sums(law, totals).tolist())
-    return ExperimentSummary(config.n_trials, counts)
+    return ExperimentSummary(config.n_trials, _sums(law, total))
 
 
 def estimate(summary: ExperimentSummary) -> EstimateReport:

@@ -14,7 +14,7 @@ import pytest
 import bellhop
 from bellhop import chsh, simulate
 from bellhop.chsh import MAX_GRID
-from bellhop.cli import MAX_CHECKS, _build_parser, _runs, main, write_figures
+from bellhop.cli import EXIT_RUNTIME, MAX_CHECKS, _build_parser, _runs, main, write_figures
 from bellhop.steprv import make_step
 from test_simulate import sub_rectangle_family
 
@@ -55,7 +55,7 @@ BAD_INT_FLAGS = [
      "--grid: at most 512 (the largest grid measured), got 513"),
     (["simulate", "--family", "f.json", "--seed", "1", "--trials", "9",
       "--workers", "1025"],
-     "--workers: at most 1024 (0.1 s of per-worker set-up), got 1025"),
+     "--workers: at most 1024 (25 ms of per-worker set-up), got 1025"),
     # text that is no integer gets one message on every flag
     (["saturate", "--out", "f.json", "--grid", "4.0"],
      "--grid: must be an integer, got '4.0'"),
@@ -74,7 +74,7 @@ BAD_INT_FLAGS = [
     # an out-of-range integer of more than 40 digits is counted, not echoed
     (["simulate", "--family", "f.json", "--seed", "1", "--trials", "9",
       "--workers", "9" * 4000],
-     "--workers: at most 1024 (0.1 s of per-worker set-up), got a 4000-digit number"),
+     "--workers: at most 1024 (25 ms of per-worker set-up), got a 4000-digit number"),
     (["check-classical", "--trials", "-" + "9" * 4000],
      "--trials: must be a positive integer, got a 4000-digit number"),
     # check-classical's cap keeps a run near an hour
@@ -451,6 +451,13 @@ class TestFamilyPipeline:
         code, out, _ = run(capsys, "check-classical", "--trials", "20")
         assert code == 0
         assert out.startswith("OK")
+
+    def test_check_classical_fail(self, capsys, monkeypatch):
+        # an instance past the bound stops the run at once: its |S| on stdout, exit 2
+        monkeypatch.setattr(chsh, "classical_bound_check", lambda *args: 2.0 + 1e-9)
+        code, out, err = run(capsys, "check-classical", "--trials", "20")
+        assert code == EXIT_RUNTIME == 2
+        assert (out, err) == (f"FAIL: |S| = {2.0 + 1e-9!r} > 2\n", "")
 
 
 class TestFigures:

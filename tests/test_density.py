@@ -219,7 +219,9 @@ def pair_counts(family, n, seed, pair=0):
     for n trials of family, and the pair's refined cells."""
     law = family._class_law
     counts = simulate._counts(np.random.default_rng(seed), law, np.full(4, 0.25), n)
-    return counts[pair], per_pair_cells(family)[pair]
+    classes, start = law[pair][2], sum(c.size for _, _, c in law[:pair])
+    counts = counts[start:start + classes.size].reshape(classes.shape)
+    return counts, per_pair_cells(family)[pair]
 
 
 def pair_cell_counts(family, n, seed, pair=0):
@@ -228,8 +230,7 @@ def pair_cell_counts(family, n, seed, pair=0):
     law, cells = family._class_law, per_pair_cells(family)
     table = simulate._log_table(family)
     rng = np.random.default_rng(seed)
-    left = np.concatenate([
-        k.reshape(-1) for k in simulate._counts(rng, law, np.full(4, 0.25), n)])
+    left = simulate._counts(rng, law, np.full(4, 0.25), n)
     hits = np.zeros(len(table.lo), dtype=np.int64)
     for start in range(0, n, simulate._BLOCK):
         rows, _ = simulate.sample_many(table, rng, min(simulate._BLOCK, n - start), left)
@@ -907,8 +908,8 @@ class TestSampling:
         assert all(rho.weights.shape == (side, side) for rho in family.densities())
         law = family._class_law
         counts = simulate._counts(np.random.default_rng(side), law, np.full(4, 0.25), 10**7)
-        assert [k.shape for k in counts] == [(2, 2)] * len(PAIRS)
-        assert sum(int(k.sum()) for k in counts) == 10**7
+        assert counts.shape == (2 * 2 * len(PAIRS),)
+        assert int(counts.sum()) == 10**7
 
     @settings(max_examples=40, deadline=None)
     @given(families(ALIGNED_OR_NOT), st.integers(0, 2**32))

@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 import io
 import json
+import operator
 import time
 import tracemalloc
+from collections import Counter
 from decimal import Decimal
 
 import numpy as np
@@ -453,6 +455,32 @@ class TestOutcomeTables:
         assert summary == run_experiment(config) == per_point(config.family, log)
 
 
+class TestLogTally:
+    """A logged run's summary is its own log's tally: each pair's trials, Σab, Σa and Σb
+    counted from the CSV rows' (alpha, beta, a, b), with no engine code."""
+
+    FAMILIES = {
+        "saturating": saturating_family,
+        "interior32": lambda: optimize_family((0.7, 0.7, 0.7, -0.7), (32, 32))[0],
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_summary_is_the_rows_tally(self, family, workers):
+        config = ExperimentConfig(self.FAMILIES[family](), 20_001, 33, n_workers=workers)
+        summary, log = logged(config)
+        lines = log.splitlines()[1:]
+        fields = operator.itemgetter(1, 2, 5, 6)  # alpha, beta, a, b
+        seen = Counter(tuple(map(int, fields(line.split(",")))) for line in lines)
+        tally = {pair: [0, 0, 0, 0] for pair in PAIRS}
+        for (alpha, beta, a, b), n in seen.items():
+            for i, w in enumerate((1, a * b, a, b)):
+                tally[alpha, beta][i] += w * n
+        assert len(lines) == 20_001 and len(seen) > len(PAIRS)
+        assert summary == ExperimentSummary(
+            len(lines), tuple(PairCounts(*tally[pair]) for pair in PAIRS))
+
+
 class TestSharedAxes:
     FAMILIES = {
         "grid32": lambda: optimize_family((0.5, -0.25, 1.0, 0.0), (32, 32))[0],
@@ -731,8 +759,7 @@ class TestLineMatrix:
         kinds = [(alpha, beta, u, v) for (alpha, beta), (a, b, _) in zip(PAIRS, family._class_law)
                  for u in a.tolist() for v in b.tolist()]
         rng = np.random.default_rng(seed)
-        left = np.concatenate([k.reshape(-1) for k in simulate._counts(
-            rng, family._class_law, np.full(4, 0.25), 10 * n)])
+        left = simulate._counts(rng, family._class_law, np.full(4, 0.25), 10 * n)
         rows, points = simulate.sample_many(table, rng, n, left)
         odd = np.array([*LONGEST, -0.5, 2.5, 1e-5, 0.0, 1e22])
         at = rng.choice(points.size, min(len(odd), n), replace=False)

@@ -311,6 +311,10 @@ class TestCombine:
         with pytest.raises(AxisMismatch):
             combine(make_observable(0.0, "x"), make_observable(0.0, "y"), "sum")
 
+    def test_unknown_op(self):
+        with pytest.raises(ValueError, match="unknown op 'quotient'"):
+            combine(make_observable(0.0), make_observable(0.0), "quotient")
+
     @settings(max_examples=300)
     @given(gapped_step_rvs(), gapped_step_rvs(), st.sampled_from(sorted(OPS)))
     def test_matches_intersect_and_split(self, f, g, op):
