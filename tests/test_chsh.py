@@ -1,10 +1,11 @@
 import copy
 import pickle
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellhop import chsh
 from bellhop.chsh import (
@@ -24,6 +25,8 @@ from bellhop.intervals import Interval
 from bellhop.observables import make_observable, setting_interval
 from bellhop.simulate import ExperimentConfig, run_experiment
 from bellhop.steprv import PartialRV, make_step
+import exact
+from test_density import SMALL_ALIGNED_OR_NOT, families, family_of, middle_band_density
 from test_simulate import mixed_grid_family
 
 
@@ -315,6 +318,24 @@ class TestClassicalBound:
                            match=r"x-rectangle \(0,1e-13\) not a.e. inside domain \(5,"):
             classical_bound_check(f, g, b, b, rho)
 
+    @pytest.mark.parametrize("hi", [1 + 5e-13, 1 + 2e-12])
+    def test_coverage_slack_boundary(self, hi):
+        # a0 may miss 1e-12 of the rectangle's width, no more: pair 00 and the classical
+        # check alike
+        rho = GridDensity(Interval(0.0, hi), setting_interval(0), [[1.0]])
+        a0, b0 = chsh.OBSERVABLES[0][0], chsh.OBSERVABLES[1][0]
+        densities = (rho, *saturating_family().densities()[1:])
+        if hi < 1 + 1e-12:
+            ChshFamily(*densities)
+            assert classical_bound_check(a0, a0, b0, b0, rho) == 0.0
+            return
+        message = ("x-rectangle (0,1.000000000002) not a.e. inside domain "
+                   "(0,0.25)∪(0.25,0.75)∪(0.75,1)")
+        with pytest.raises(DomainMismatch, match=f"^{re.escape('rho00: ' + message)}$"):
+            ChshFamily(*densities)
+        with pytest.raises(DomainMismatch, match=f"^{re.escape(message)}$"):
+            classical_bound_check(a0, a0, b0, b0, rho)
+
     def test_domains_may_differ_outside_the_density(self):
         # a0 reaches past the unit square on both sides: S is that of its pieces cut to (0, 1)
         rng = np.random.default_rng(5)
@@ -452,55 +473,63 @@ class TestFamilySerialization:
             ChshFamily(*densities)
 
 
-def former_moments(f, g, rho):
-    """(E[fg], E[f], E[g]) by the former _integrate's chain of products."""
-    xe, ye, w = rho.x_edges(), rho.y_edges(), rho.weights
-    i_fw = f.cell_integrals(xe)[0] @ w
-    i_g = g.cell_integrals(ye)[0]
-    return float(i_fw @ i_g), float(i_fw @ np.diff(ye)), float(np.diff(xe) @ w @ i_g)
+DYADIC = {  # families whose moments and class probabilities floats hold exactly
+    "saturating4": lambda: optimize_family(chsh.SIGNS, (4, 4))[0],
+    "saturating8": lambda: optimize_family(chsh.SIGNS, (8, 8))[0],
+    "saturating32": lambda: optimize_family(chsh.SIGNS, (32, 32))[0],
+    "middle_band": lambda: family_of(middle_band_density().weights),
+}
 
 
-def former_correlators(a0, a1, b0, b1, rho):
-    """The four correlators in PAIRS order by the former classical_bound_check."""
-    i_aw = [rv.cell_integrals(rho.x_edges())[0] @ rho.weights for rv in (a0, a1)]
-    i_b = [rv.cell_integrals(rho.y_edges())[0] for rv in (b0, b1)]
-    return [float(i_aw[alpha] @ i_b[beta]) for alpha, beta in PAIRS]
+class TestExactLayer:
+    """The exact layer against the exact rationals of tests/exact.py: each moment, correlator
+    and class probability within (nx + ny + k)·ε·M of its exact value, and equal to it on
+    dyadic families."""
 
-
-def bits(values):
-    return np.array(values, dtype=float).tobytes()
-
-
-class TestOneContraction:
-    """_correlators is the one contraction of per-cell integrals with the weights, and it
-    rounds as the two it replaced did: every value bit for bit."""
-
-    def test_random_instances(self):
+    def test_classical_instances(self):
         rng = np.random.default_rng(1)
-        got, want = [], []
-        for _ in range(2000):
+        for _ in range(100):
             a0, a1, b0, b1, rho = random_classical_instance(rng)
-            es = former_correlators(a0, a1, b0, b1, rho)
-            got.append(classical_bound_check(a0, a1, b0, b1, rho))
-            want.append(chsh_value(*es))
-            rows = _correlators((a0, a1), (b0, b1), rho)
-            got += [rows[alpha][beta] for alpha, beta in PAIRS]
-            want += es
-            for (alpha, beta), e in zip(PAIRS, es):
-                f, g = (a0, a1)[alpha], (b0, b1)[beta]
-                got += [*_integrate(f, g, rho), expectation(f, g, rho)]
-                want += [*former_moments(f, g, rho), e]
-        assert bits(got) == bits(want)
+            a, b, n = (a0, a1), (b0, b1), exact.terms(rho, a0, a1, b0, b1)
+            rows = _correlators(a, b, rho)
+            es = []
+            for alpha, beta in PAIRS:
+                f, g = a[alpha], b[beta]
+                want = exact.moments(f, g, rho)
+                assert exact.within(rows[alpha][beta], want[0], n)
+                assert exact.within(expectation(f, g, rho), want[0], n)
+                assert all(map(exact.within, _integrate(f, g, rho), want, [n] * 3))
+                es.append(want[0])
+            s = exact.Exact(sum(e.value * sign for e, sign in zip(es, chsh.SIGNS)),
+                            sum(e.magnitude for e in es))
+            assert exact.within(classical_bound_check(a0, a1, b0, b1, rho), s, n)
 
-    @pytest.mark.parametrize("family", [
-        pytest.param(lambda: optimize_family((0.7, 0.7, 0.7, -0.7), (32, 32))[0], id="grid32"),
-        pytest.param(mixed_grid_family, id="mixed"),
-    ])
+    @settings(max_examples=40, deadline=None)
+    @given(families(SMALL_ALIGNED_OR_NOT))
+    @example(optimize_family((0.7, 0.7, 0.7, -0.7), (32, 32))[0])
+    @example(mixed_grid_family())
     def test_families(self, family):
-        family = family()
-        want = [former_moments(*family.observables(alpha, beta), rho)
-                for (alpha, beta), rho in zip(PAIRS, family.densities())]
-        assert bits(family._moments) == bits(want)
+        for (alpha, beta), rho, moments, (a, b, classes) in zip(
+                PAIRS, family.densities(), family._moments, family._class_law, strict=True):
+            f, g = family.observables(alpha, beta)
+            n = exact.terms(rho, f, g)
+            assert all(map(exact.within, moments, exact.moments(f, g, rho), [n] * 3))
+            law = exact.class_law(exact.cells(f, g, rho))
+            assert a.dtype == b.dtype == np.int64
+            assert [(u, v) for u in a.tolist() for v in b.tolist()] == list(law)
+            assert all(map(exact.within, classes.reshape(-1).tolist(), law.values(),
+                           [n] * len(law)))
+
+    @pytest.mark.parametrize("family", sorted(DYADIC))
+    def test_dyadic_families(self, family):
+        family = DYADIC[family]()
+        for (alpha, beta), rho, moments, (_, _, classes) in zip(
+                PAIRS, family.densities(), family._moments, family._class_law, strict=True):
+            f, g = family.observables(alpha, beta)
+            assert list(map(Fraction, moments)) == [e.value for e in exact.moments(f, g, rho)]
+            law = exact.class_law(exact.cells(f, g, rho))
+            assert list(map(Fraction, classes.reshape(-1).tolist())) == [
+                p.value for p in law.values()]
 
 
 class TestCopies:

@@ -470,7 +470,7 @@ class TestFigures:
             ).read_bytes()
 
     def test_pinned_digests(self, tmp_path):
-        write_figures(tmp_path)
+        assert main(["figures", "--out", str(tmp_path)]) == 0
         for name, want in FIGURE_SHA256.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want
 

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import pickle
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from bellhop.chsh import PAIRS, ChshFamily, optimize_family, saturating_family
 from bellhop.density import ROUND_OFF, GridDensity, _integrate, expectation
 from bellhop.errors import (
     BellhopError,
-    ConfigInvalid,
     DomainMismatch,
     EmptyRect,
     MalformedInput,
@@ -27,48 +25,11 @@ from bellhop.intervals import Interval
 from bellhop.observables import make_observable, setting_interval, thresholds
 from bellhop.simulate import ExperimentConfig, estimate, run_experiment
 from bellhop.steprv import PartialRV, make_step
-from test_steprv import gapped_step_rvs, grid_points, step_rvs
+import exact
 
 
 def unit_rect():
     return Interval(0.0, 1.0), Interval(0.0, 1.0)
-
-
-def refine(rho, x_cuts, y_cuts):
-    """(x_edges, y_edges, probs) of rho's grid cut also at the cuts inside its
-    rectangle by refine_axis: each cell's probability is its grid weight
-    times its area, rescaled to sum 1, as the event log weighs its cells."""
-    x_edges, x_cells, x_widths = refine_axis(rho.x_edges(), rho.x_rect, x_cuts)
-    y_edges, y_cells, y_widths = refine_axis(rho.y_edges(), rho.y_rect, y_cuts)
-    probs = rho.weights[np.ix_(x_cells, y_cells)] * np.outer(x_widths, y_widths)
-    return x_edges, y_edges, probs / probs.sum()
-
-
-class Cells(NamedTuple):
-    """One pair's refined cells, their outcomes and the outcome classes' law."""
-
-    x_edges: np.ndarray
-    y_edges: np.ndarray
-    probs: np.ndarray  # (len(a), len(b)), sums to 1
-    a: np.ndarray  # Alice's ±1 outcome per x-cell, int64
-    b: np.ndarray  # Bob's ±1 outcome per y-cell, int64
-    a_values: np.ndarray  # the distinct values of a, sorted
-    b_values: np.ndarray  # the distinct values of b, sorted
-    classes: np.ndarray  # (len(a_values), len(b_values)): probs summed per (a, b)
-
-
-def per_pair_cells(family):
-    """Each pair's Cells, in PAIRS order, by breakpoint refinement: the oracle
-    of the exact class law and of the event log's cells."""
-    out = []
-    for (alpha, beta), rho in zip(PAIRS, family.densities()):
-        f, g = family.observables(alpha, beta)
-        xe, ye, probs = refine(rho, f.breakpoints(), g.breakpoints())
-        a, b = (column_values(rv, e).astype(np.int64) for rv, e in ((f, xe), (g, ye)))
-        a_values, b_values = np.unique(a), np.unique(b)
-        classes = (a[:, None] == a_values).T @ probs @ (b[:, None] == b_values)
-        out.append(Cells(xe, ye, probs, a, b, a_values, b_values, classes))
-    return out
 
 
 def middle_band_density():
@@ -212,22 +173,23 @@ def families(draw, sides):
 
 
 ALIGNED_OR_NOT = st.one_of(st.sampled_from([4, 8, 16, 32]), st.integers(1, 7))
+# up to 16 cells a side, where tests/exact.py takes milliseconds a pair
+SMALL_ALIGNED_OR_NOT = st.one_of(st.sampled_from([4, 8, 16]), st.integers(1, 7))
 
 
 def pair_counts(family, n, seed, pair=0):
     """One pair's outcome-class counts, as the Monte-Carlo engine draws them
-    for n trials of family, and the pair's refined cells."""
+    for n trials of family."""
     law = family._class_law
     counts = simulate._counts(np.random.default_rng(seed), law, np.full(4, 0.25), n)
     classes, start = law[pair][2], sum(c.size for _, _, c in law[:pair])
-    counts = counts[start:start + classes.size].reshape(classes.shape)
-    return counts, per_pair_cells(family)[pair]
+    return counts[start:start + classes.size].reshape(classes.shape)
 
 
 def pair_cell_counts(family, n, seed, pair=0):
-    """One pair's refined-cell counts, as the event log's class split draws
-    them block by block for n trials of family, and the pair's refined cells."""
-    law, cells = family._class_law, per_pair_cells(family)
+    """One pair's event-log cell counts in table row order, as the event log's class
+    split draws them block by block for n trials of family."""
+    law = family._class_law
     table = simulate._log_table(family)
     rng = np.random.default_rng(seed)
     left = simulate._counts(rng, law, np.full(4, 0.25), n)
@@ -235,14 +197,20 @@ def pair_cell_counts(family, n, seed, pair=0):
     for start in range(0, n, simulate._BLOCK):
         rows, _ = simulate.sample_many(table, rng, min(simulate._BLOCK, n - start), left)
         hits += np.bincount(rows, minlength=len(hits))
-    # the table's rows hold the pairs in PAIRS order; a row's lower corner is
-    # an edge of its cell on each axis
-    first, c = sum(k.probs.size for k in cells[:pair]), cells[pair]
-    lo = table.lo[first:first + c.probs.size]
-    counts = np.zeros(c.probs.shape, dtype=np.int64)
-    counts[np.searchsorted(c.x_edges, lo[:, 0]), np.searchsorted(c.y_edges, lo[:, 1])] = (
-        hits[first:first + c.probs.size])
-    return counts, c
+    first = sum(c.size for _, _, c in law[:pair])  # the kinds hold the pairs in PAIRS order
+    return hits[(table.kinds >= first) & (table.kinds < first + law[pair][2].size)]
+
+
+def exact_cell_probs(family, pair=0):
+    """Each of one pair's event-log cells' probability given the pair, in table row order:
+    its class's exact probability times its share of the class's mass."""
+    (alpha, beta), rho = PAIRS[pair], family.densities()[pair]
+    cells = exact.cells(*family.observables(alpha, beta), rho)
+    probs = []
+    for p, class_cells in zip(exact.class_law(cells).values(), cells.values()):
+        mass = sum(c.log_mass for c in class_cells)
+        probs += [float(p.value * c.log_mass / mass) if mass else 0.0 for c in class_cells]
+    return np.array(probs)
 
 
 def log_rows(family, n, seed, workers=1):
@@ -250,33 +218,6 @@ def log_rows(family, n, seed, workers=1):
     sink = io.StringIO()
     run_experiment(ExperimentConfig(family, n, seed, n_workers=workers), event_log=sink)
     return np.loadtxt(sink.getvalue().splitlines()[1:], delimiter=",", ndmin=2)
-
-
-def refined_moments(f, g, rho):
-    """(E[fg], E[f], E[g]) by breakpoint refinement, or None when f or g does
-    not exist a.e. on its side of the rectangle.
-
-    Each axis is cut at the union of its grid edges and the breakpoints inside
-    the rectangle; every refined cell then lies in one piece or in no piece, so
-    its value is the function at its midpoint and its mass is the grid weight
-    times the cell's area.
-    """
-    def axis(rv, grid, rect):
-        cuts = [p for p in rv.breakpoints() if rect.lo < p < rect.hi]
-        edges = np.unique(np.concatenate([grid, cuts]))
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        values, defined = rv.eval_many(mids)
-        widths = np.diff(edges)
-        covered = abs(widths[defined].sum() - rect.length) <= ROUND_OFF
-        cell = np.clip(np.searchsorted(grid, mids) - 1, 0, len(grid) - 2)
-        return values, widths, cell, covered
-
-    fv, ax, xi, x_ok = axis(f, rho.x_edges(), rho.x_rect)
-    gv, ay, yi, y_ok = axis(g, rho.y_edges(), rho.y_rect)
-    if not (x_ok and y_ok):
-        return None
-    mass = rho.weights[np.ix_(xi, yi)] * np.outer(ax, ay)
-    return fv @ mass @ gv, fv @ mass.sum(axis=1), mass.sum(axis=0) @ gv
 
 
 class TestConstruction:
@@ -591,21 +532,18 @@ class TestExpectation:
         mix = expectation(f, g, GridDensity(*unit_rect(), w1 + w2))
         assert mix == pytest.approx((s1 * e1 + s2 * e2) / (s1 + s2), abs=1e-12)
 
-
     @given(partial_steps("x"), partial_steps("y"), grid_densities())
-    def test_refinement_oracle(self, f, g, rho):
-        want = refined_moments(f, g, rho)
+    def test_exact_oracle(self, f, g, rho):
+        want = exact.moments(f, g, rho)
         if want is None:
             with pytest.raises(DomainMismatch):
                 expectation(f, g, rho)
             with pytest.raises(DomainMismatch):
-                _integrate(f, g, rho)[1:]
+                _integrate(f, g, rho)
             return
-        e_fg, e_f, e_g = want
-        assert abs(expectation(f, g, rho) - e_fg) <= 1e-12
-        got_f, got_g = _integrate(f, g, rho)[1:]
-        assert abs(got_f - e_f) <= 1e-12
-        assert abs(got_g - e_g) <= 1e-12
+        n = exact.terms(rho, f, g)
+        assert exact.within(expectation(f, g, rho), want[0], n)
+        assert all(map(exact.within, _integrate(f, g, rho), want, [n] * 3))
 
 
 class TestMarginals:
@@ -628,57 +566,6 @@ class TestMarginals:
         g = make_observable(0.0, "y")
         mf, mg = _integrate(f, g, rho)[1:]
         assert expectation(f, g, rho) == pytest.approx(mf * mg, abs=1e-12)
-
-
-# The event log's cells by breakpoint refinement, an algorithm apart from
-# PartialRV._overlap_cells: the reference for simulate._log_table and for the oracles above.
-
-def refine_axis(grid: np.ndarray, rect: Interval, cuts):
-    """Edges of grid cut also at the cuts inside rect, with each refined
-    cell's grid cell and its width, 0 where no float lies strictly inside."""
-    edges = np.array(sorted({*grid.tolist(), *(c for c in cuts if rect.lo < c < rect.hi)}))
-    lo, hi = edges[:-1], edges[1:]
-    cells = np.minimum(np.searchsorted(grid, lo, side="right") - 1, len(grid) - 2)
-    return edges, cells, np.where(np.nextafter(lo, hi) < hi, hi - lo, 0.0)
-
-
-def column_values(f: PartialRV, edges: np.ndarray) -> np.ndarray:
-    """Per cell (edges[i], edges[i+1]): the value of the piece of f that holds
-    the whole open cell, or NaN where no piece does (a breakpoint cuts
-    the cell or part of it lies outside the domain)."""
-    los, his, values = f._arrays()
-    # holds[i, j]: piece j holds cell i; pieces are disjoint, so at most one
-    # holds a nonempty cell
-    holds = (edges[:-1, None] >= los) & (edges[1:, None] <= his)
-    return np.where(holds.any(axis=1), values[holds.argmax(axis=1)], np.nan)
-
-
-def reference_log_table(family, law) -> simulate._LogTable:
-    """simulate._log_table from the refined grids: one row per (pair, class, cell), each
-    class's cells row-major; ConfigInvalid if a class has mass but only cells too thin
-    for a float strictly inside."""
-    lo, hi, lines, split = [], [], [], []
-    trial, point = b"\0" * 16, b"\0" * 24  # NUL where the trial and (x, y) go
-    for (alpha, beta), rho, (a_values, b_values, classes) in zip(PAIRS, family.densities(), law):
-        f, g = family.observables(alpha, beta)
-        xe, x_cells, x_widths = refine_axis(rho.x_edges(), rho.x_rect, f.breakpoints())
-        ye, y_cells, y_widths = refine_axis(rho.y_edges(), rho.y_rect, g.breakpoints())
-        probs = rho.weights[np.ix_(x_cells, y_cells)] * np.outer(x_widths, y_widths)
-        a, b = column_values(f, xe), column_values(g, ye)
-        for i, u in enumerate(a_values.tolist()):
-            for j, v in enumerate(b_values.tolist()):
-                ix, iy = (a == u).nonzero()[0], (b == v).nonzero()[0]
-                p = probs[np.ix_(ix, iy)].reshape(-1)
-                if classes[i, j] > 0 and not p.any():
-                    raise ConfigInvalid(f"pair ({alpha},{beta}) class (a, b) = ({u:+d}, {v:+d}) "
-                                        "lies on cells too thin for the event log's points")
-                for corners, x, y in ((lo, xe[ix], ye[iy]), (hi, xe[ix + 1], ye[iy + 1])):
-                    corners.append(np.stack(np.meshgrid(x, y, indexing="ij"), -1).reshape(-1, 2))
-                lines.append(b"%s,%d,%d,%s,%s,%+d,%+d\n" % (trial, alpha, beta, point, point, u, v))
-                split.append(p / (p.sum() or 1.0))
-    kinds = np.repeat(np.arange(len(split), dtype=np.uint8), [len(p) for p in split])
-    lines = np.frombuffer(b"".join(lines), np.uint8).reshape(len(lines), -1)
-    return simulate._LogTable(np.concatenate(lo), np.concatenate(hi), kinds, lines, split)
 
 
 @st.composite
@@ -709,131 +596,10 @@ def sub_rectangle_families(draw):
         assume(False)
 
 
-class TestColumnValues:
-    def test_quarter_grid(self):
-        assert column_values(make_observable(0.0), np.arange(5) / 4).tolist() == [
-            -1.0, 1.0, 1.0, -1.0
-        ]
-
-    def test_cut_and_outside_columns_are_nan(self):
-        # (0, 1/3) and (2/3, 1) are cut at 1/4 and 3/4; (-1/3, 0) and (1, 4/3)
-        # lie outside the domain (0, 1)
-        values = column_values(make_observable(0.0), np.arange(-1, 5) / 3)
-        assert np.isnan(values[[0, 1, 3, 4]]).all()
-        assert values[2] == 1.0
-
-    @given(
-        st.one_of(
-            gapped_step_rvs(),
-            step_rvs().map(lambda f: PartialRV(f.pieces[::2], f.axis_label)),
-        ),
-        st.lists(grid_points, min_size=2, max_size=8, unique=True).map(sorted),
-        st.lists(st.floats(0, 1, exclude_min=True, exclude_max=True), min_size=1, max_size=5),
-    )
-    def test_interior_points_oracle(self, f, edges, fractions):
-        edges = np.array(edges)
-        values = column_values(f, edges)
-        assert values.shape == (len(edges) - 1,)
-        cuts = np.array(f.breakpoints())
-        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-            xs = np.array([lo + t * (hi - lo) for t in fractions])
-            xs = xs[(xs > lo) & (xs < hi)]
-            got, defined = f.eval_many(np.append(xs, 0.5 * (lo + hi)))
-            # one piece holds the open cell iff its midpoint is defined and no
-            # breakpoint lies strictly inside it
-            held = defined[-1] and not ((cuts > lo) & (cuts < hi)).any()
-            if held:
-                assert defined.all() and (got == values[i]).all()
-            else:
-                assert np.isnan(values[i])
-
-
-class TestRefine:
-    @given(partial_steps("x"), partial_steps("y"), grid_densities())
-    def test_refinement_oracle(self, f, g, rho):
-        # the refined cells carry the grid's mass, cell by cell, and f and g
-        # are constant on each cell inside their domains
-        xe, ye, probs = refine(rho, f.breakpoints(), g.breakpoints())
-        assert probs.shape == (len(xe) - 1, len(ye) - 1)
-        assert (probs >= 0).all() and abs(probs.sum() - 1.0) <= 1e-12
-        for edges, grid, rv, rect in ((xe, rho.x_edges(), f, rho.x_rect),
-                                      (ye, rho.y_edges(), g, rho.y_rect)):
-            inner = [p for p in rv.breakpoints() if rect.lo < p < rect.hi]
-            assert np.array_equal(edges, np.unique([*grid, *inner]))
-        want = refined_moments(f, g, rho)
-        if want is not None:
-            a, b = column_values(f, xe), column_values(g, ye)
-            # NaN outcomes only on cells of no mass: outside the domain, or
-            # one of the excluded points' slivers
-            a0, b0 = np.nan_to_num(a), np.nan_to_num(b)
-            assert (probs[np.isnan(a)] == 0).all() and (probs[:, np.isnan(b)] == 0).all()
-            assert abs(a0 @ probs @ b0 - want[0]) <= 1e-12
-
-    def test_cut_one_ulp_from_a_grid_line_gets_no_mass(self):
-        # on a 196-cell grid, edge 49 rounds to 0.24999999999999997: no float
-        # lies strictly between it and the threshold 0.25, so no point can
-        # be drawn in that cell
-        rho = GridDensity(*unit_rect(), np.ones((196, 1)))
-        xe, _, probs = refine(rho, thresholds(0.0), [])
-        sliver = np.flatnonzero(xe == 0.25)[0] - 1
-        assert xe[sliver] == np.nextafter(0.25, 0.0) == rho.x_edges()[49]
-        assert probs[sliver, 0] == 0.0
-        assert probs.sum() == pytest.approx(1.0, abs=1e-15) and (probs[:sliver] > 0).all()
-
-    def test_cuts_outside_the_rectangle_are_ignored(self):
-        rho = middle_band_density()
-        xe, ye, probs = refine(rho, [-1.0, 0.0, 1.0, 2.0], [0.5])
-        assert np.array_equal(xe, rho.x_edges())
-        assert ye.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
-        width, height = rho.x_rect.length / rho.nx, rho.y_rect.length / rho.ny
-        assert np.array_equal(probs, rho.weights * (width * height))
-
-
-class TestLogTable:
-    """simulate._log_table, built from PartialRV._overlap_cells, against the reference."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.one_of(families(ALIGNED_OR_NOT), sub_rectangle_families()))
-    def test_bit_equal_to_the_reference(self, family):
-        law = family._class_law
-        try:
-            want = reference_log_table(family, law)
-        except ConfigInvalid as refused:
-            with pytest.raises(ConfigInvalid) as got:
-                simulate._log_table(family)
-            assert str(got.value) == str(refused)
-            return
-        got = simulate._log_table(family)
-        for name in ("lo", "hi", "kinds", "lines"):
-            g, w = getattr(got, name), getattr(want, name)
-            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
-        assert [(p.dtype, p.tobytes()) for p in got.split] == [
-            (p.dtype, p.tobytes()) for p in want.split]
-
-
-class TestClassLaw:
-    """The exact outcome-class law that the Monte-Carlo summary draws from."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(families(ALIGNED_OR_NOT))
-    def test_exact_and_refinement_oracles(self, family):
-        summary, cells = family.summary(), per_pair_cells(family)
-        for (alpha, beta), (a, b, classes), want in zip(
-                PAIRS, family._class_law, cells, strict=True):
-            assert a.dtype == b.dtype == np.int64
-            assert np.array_equal(a, want.a_values) and np.array_equal(b, want.b_values)
-            assert abs(a @ classes @ b - summary[f"e{alpha}{beta}"]) <= ROUND_OFF
-            assert abs(a @ classes.sum(axis=1)
-                       - summary["marginals"][f"a{alpha}|{alpha}{beta}"]) <= ROUND_OFF
-            assert abs(classes.sum(axis=0) @ b
-                       - summary["marginals"][f"b{beta}|{alpha}{beta}"]) <= ROUND_OFF
-            assert np.abs(classes - want.classes).max() <= ROUND_OFF
-
-
 class TestSampling:
-    """Draws from the densities' refined cells: the Monte-Carlo engine's class
+    """Draws from the densities' event-log cells: the Monte-Carlo engine's class
     counts, the cells its event log splits them into, and the points it places
-    in the cells."""
+    in the cells, against the exact law and cells (tests/exact.py)."""
 
     def test_support(self):
         _, alpha, beta, x, y, _, _ = log_rows(family_of(np.ones((1, 1))), 1000, 1).T
@@ -841,8 +607,8 @@ class TestSampling:
 
     def test_concentrated_support(self):
         family = family_of(middle_band_density().weights)
-        counts, cells = pair_cell_counts(family, 100_000, 1)
-        assert counts.sum() > 0 and counts[cells.probs == 0].sum() == 0
+        counts = pair_cell_counts(family, 100_000, 1)
+        assert counts.sum() > 0 and counts[exact_cell_probs(family) == 0].sum() == 0
         _, alpha, beta, x, y, a, b = log_rows(family, 1000, 1).T
         assert np.all((0.25 < x - alpha) & (x - alpha < 0.75))
         assert np.all((0.25 < y - beta) & (y - beta < 0.75))
@@ -851,7 +617,7 @@ class TestSampling:
     def test_deterministic(self):
         family = family_of(np.arange(1.0, 16.0).reshape(3, 5))
         assert np.array_equal(log_rows(family, 5000, 42, 2), log_rows(family, 5000, 42, 2))
-        assert np.array_equal(pair_counts(family, 5000, 42)[0], pair_counts(family, 5000, 42)[0])
+        assert np.array_equal(pair_counts(family, 5000, 42), pair_counts(family, 5000, 42))
 
     @settings(max_examples=40, deadline=None)
     @given(families(st.integers(1, 8)), st.integers(0, 2**32))
@@ -859,46 +625,45 @@ class TestSampling:
         # strictly inside a cell of positive probability: never on a grid
         # line or breakpoint
         _, alpha, beta, x, y, _, _ = log_rows(family, 2000, seed).T
-        for (p_alpha, p_beta), cells in zip(PAIRS, per_pair_cells(family)):
+        for (p_alpha, p_beta), rho in zip(PAIRS, family.densities()):
+            cells = exact.cells(*family.observables(p_alpha, p_beta), rho).values()
+            lo, hi = (np.array([getattr(c, end) for cs in cells for c in cs if c.log_mass])
+                      for end in ("lo", "hi"))
             sel = (alpha == p_alpha) & (beta == p_beta)
-            ix = np.searchsorted(cells.x_edges, x[sel]) - 1
-            iy = np.searchsorted(cells.y_edges, y[sel]) - 1
-            for points, cell, edges in ((x[sel], ix, cells.x_edges), (y[sel], iy, cells.y_edges)):
-                assert ((edges[cell] < points) & (points < edges[cell + 1])).all()
-            assert (cells.probs[ix, iy] > 0).all()
+            points = np.stack([x[sel], y[sel]], axis=-1)[:, None]
+            assert ((lo < points) & (points < hi)).all(axis=2).any(axis=1).all()
 
     def test_chi_square_fidelity(self):
         # a 3x5 grid whose cells the thresholds cut, refined to 5x7 cells
-        rng = np.random.default_rng(9)
-        counts, cells = pair_cell_counts(family_of(rng.random((3, 5)) + 0.1), 400_000, 9)
-        assert cells.probs.shape == (5, 7)
-        _, p = stats.chisquare(counts.reshape(-1), cells.probs.reshape(-1) * counts.sum())
+        family = family_of(np.random.default_rng(9).random((3, 5)) + 0.1)
+        counts, probs = pair_cell_counts(family, 400_000, 9), exact_cell_probs(family)
+        assert probs.shape == (5 * 7,)
+        _, p = stats.chisquare(counts, probs * counts.sum())
         assert p > 0.001
 
     def test_chi_square_fidelity_32x32(self):
         rng = np.random.default_rng(21)
         w = rng.random((32, 32))
         w[rng.random((32, 32)) < 0.2] = 0.0
-        counts, cells = pair_cell_counts(family_of(w), 4_000_000, 21)
-        probs = cells.probs
-        assert probs.shape == (32, 32)  # the thresholds lie on grid lines
+        family = family_of(w)
+        counts, probs = pair_cell_counts(family, 4_000_000, 21), exact_cell_probs(family)
+        assert probs.shape == (32 * 32,)  # the thresholds lie on grid lines
         assert counts[probs == 0].sum() == 0
         _, p = stats.chisquare(counts[probs > 0], probs[probs > 0] * counts.sum())
         assert p > 0.001
 
     def test_class_chi_square_fidelity(self):
-        # the summary's draw: a 3x5 grid's 5x7 refined cells, pooled into the
+        # the summary's draw: a 3x5 grid's cells, cut to 5x7, pooled into the
         # 2x2 outcome classes
         rng = np.random.default_rng(9)
         family = family_of(rng.random((3, 5)) + 0.1)
-        for pair in range(len(PAIRS)):
-            counts, cells = pair_counts(family, 400_000, 10 + pair, pair)
-            assert counts.shape == cells.classes.shape == (2, 2)
-            assert cells.classes.sum() == pytest.approx(1.0, abs=ROUND_OFF)
-            want = [cells.probs[np.ix_(cells.a == a, cells.b == b)].sum()
-                    for a in (-1, 1) for b in (-1, 1)]
-            assert cells.classes.reshape(-1) == pytest.approx(want, abs=ROUND_OFF)
-            _, p = stats.chisquare(counts.reshape(-1), cells.classes.reshape(-1) * counts.sum())
+        for pair, (alpha, beta) in enumerate(PAIRS):
+            counts = pair_counts(family, 400_000, 10 + pair, pair)
+            law = exact.class_law(exact.cells(*family.observables(alpha, beta),
+                                              family.densities()[pair]))
+            want = np.array([float(p.value) for p in law.values()])
+            assert counts.shape == (2, 2) and len(want) == 4
+            _, p = stats.chisquare(counts.reshape(-1), want * counts.sum())
             assert p > 0.001
 
     @pytest.mark.parametrize("side", [4, 32, 512])

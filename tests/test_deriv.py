@@ -62,9 +62,10 @@ class TestParse:
         ("a + b", 2, ("digits", "'['")),
         ("a0)", 2, ("'+'", "'-'", "'*'", "end of input")),
         ("(a0+a1))", 7, ("'+'", "'-'", "'*'", "end of input")),
+        ("a0 $ b0", 3, ()),
     ], ids=["empty", "dangling_plus", "open_paren", "unclosed_paren", "juxtaposed",
             "open_bracket", "name_index", "lone_name", "bare_name", "stray_close",
-            "extra_close"])
+            "extra_close", "unexpected_character"])
     def test_error_contract(self, text, position, expected):
         with pytest.raises(ExprSyntaxError) as exc_info:
             parse(text)

@@ -10,13 +10,13 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bellhop import simulate
 from bellhop.chsh import (
     MAX_GRID, PAIRS, SIGNS, ChshFamily, optimize_family, saturating_family,
 )
-from bellhop.density import ROUND_OFF, GridDensity
+from bellhop.density import GridDensity
 from bellhop.errors import ConfigInvalid, InsufficientTrials
 from bellhop.intervals import Interval
 from bellhop.observables import setting_interval
@@ -29,7 +29,8 @@ from bellhop.simulate import (
     estimate,
     run_experiment,
 )
-from test_density import per_pair_cells
+import exact
+from test_density import SMALL_ALIGNED_OR_NOT, families, sub_rectangle_families
 
 
 def uniform_family():
@@ -489,33 +490,6 @@ class TestSharedAxes:
         "mixed": mixed_grid_family,
     }
 
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_cells_match_per_pair_reference(self, family):
-        # the event log's rows: each class's cells in order, their corners bit
-        # for bit, their probabilities given the class and the class's one line of fixed
-        # bytes, NUL where the trial, x and y go
-        family = self.FAMILIES[family]()
-        table = simulate._log_table(family)
-        row, kind, split = 0, 0, iter(table.split)
-        trial, point = b"\0" * 16, b"\0" * 24
-        for (alpha, beta), c in zip(PAIRS, per_pair_cells(family)):
-            for u in c.a_values:
-                for v in c.b_values:
-                    in_a, in_b = c.a == u, c.b == v
-                    p = c.probs[np.ix_(in_a, in_b)].reshape(-1)
-                    rows = slice(row, row + len(p))
-                    for corners, xe, ye in ((table.lo, c.x_edges[:-1], c.y_edges[:-1]),
-                                            (table.hi, c.x_edges[1:], c.y_edges[1:])):
-                        want = np.meshgrid(xe[in_a], ye[in_b], indexing="ij")
-                        assert np.array_equal(corners[rows], np.stack(want, -1).reshape(-1, 2))
-                    assert np.abs(next(split) - p / (p.sum() or 1.0)).max() <= ROUND_OFF
-                    assert (table.kinds[rows] == kind).all()
-                    assert table.lines[kind].tobytes() == b"%s,%d,%d,%s,%s,%+d,%+d\n" % (
-                        trial, alpha, beta, point, point, u, v)
-                    row, kind = row + len(p), kind + 1
-        assert row == len(table.lo) == len(table.kinds) and next(split, None) is None
-        assert kind == len(table.lines)
-
     # summaries of 1 000 003 trials, seed 29, at 1, 2 and 3 workers
     PINNED = {
         ("mixed", 1): [(249823, -5691, 18579, -32331), (249716, -6302, -14908, -48950),
@@ -553,6 +527,61 @@ class TestSharedAxes:
         summary, log = logged(config)
         assert hashlib.sha256(log.encode()).hexdigest() == digest
         assert summary == run_experiment(config)
+
+
+def uniform196_family():
+    """uniform_family with rho00 on a uniform 196x1 grid: column 49 starts one ulp below
+    the threshold 0.25, so a sliver with no float inside sits beside cells of mass."""
+    rho00 = GridDensity(setting_interval(0), setting_interval(0), np.ones((196, 1)))
+    return dataclasses.replace(uniform_family(), rho00=rho00)
+
+
+class TestLogTable:
+    """simulate._log_table against the exact event-log cells of tests/exact.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(families(SMALL_ALIGNED_OR_NOT), sub_rectangle_families()))
+    @example(saturating_family())
+    @example(optimize_family((0.5, -0.25, 1.0, 0.0), (32, 32))[0])
+    @example(unaligned_family())
+    @example(mixed_grid_family())
+    @example(sub_rectangle_family())  # a0's breakpoints lie on and past rho00's x ends
+    @example(uniform196_family())
+    @example(sliver_family())  # refused
+    def test_rows_are_the_exact_cells(self, family):
+        # one row per cell, each class's cells in row-major order: its corners bit for bit,
+        # its probability given the class within the rule (0 where no float fits inside), and
+        # the class's kind and line of fixed bytes, NUL where the trial, x and y go; or the
+        # first class that has mass on no cell refused by name
+        lo, hi, kinds, lines, split, refused = [], [], [], [], [], None
+        trial, point = b"\0" * 16, b"\0" * 24
+        for (alpha, beta), rho in zip(PAIRS, family.densities()):
+            f, g = family.observables(alpha, beta)
+            n = exact.terms(rho, f, g)
+            cells = exact.cells(f, g, rho)
+            for ((u, v), p), class_cells in zip(exact.class_law(cells).items(), cells.values()):
+                mass = sum(c.log_mass for c in class_cells)
+                if p.value > 0 and not mass and refused is None:
+                    refused = (f"pair ({alpha},{beta}) class (a, b) = ({u:+.0f}, {v:+.0f}) "
+                               "lies on cells too thin for the event log's points")
+                lo += [c.lo for c in class_cells]
+                hi += [c.hi for c in class_cells]
+                kinds += [len(lines)] * len(class_cells)
+                lines.append(b"%s,%d,%d,%s,%s,%+d,%+d\n" % (trial, alpha, beta, point, point, u, v))
+                split.append((n, [c.log_mass / (mass or 1) for c in class_cells]))
+        if refused:
+            with pytest.raises(ConfigInvalid) as err:
+                simulate._log_table(family)
+            assert str(err.value) == refused
+            return
+        table = simulate._log_table(family)
+        assert table.lo.tobytes() == np.array(lo).tobytes()
+        assert table.hi.tobytes() == np.array(hi).tobytes()
+        assert table.kinds.tolist() == kinds
+        assert [line.tobytes() for line in table.lines] == lines
+        for got, (n, want) in zip(table.split, split, strict=True):
+            assert all(exact.within(q, exact.Exact(p, p), n)
+                       for q, p in zip(got.tolist(), want, strict=True))
 
 
 def uncached_law(family):
@@ -646,9 +675,15 @@ class TestSubRectangle:
 
 class TestUnplaceableClass:
     def test_exact_law_has_the_sliver(self):
-        a, _, classes = sliver_family()._class_law[0]
+        # the law gives a = -1 the sliver's mass, as the exact law does, and no event-log
+        # cell can hold it
+        family = sliver_family()
+        a, _, classes = family._class_law[0]
+        cells = exact.cells(*family.observables(0, 0), family.rho00)
+        law = exact.class_law(cells)
         assert 0 < classes[a == -1].sum() < 1e-16
-        assert (per_pair_cells(sliver_family())[0].classes[0] == 0).all()
+        assert 0 < sum(p.value for (u, _), p in law.items() if u == -1) < 1e-16
+        assert not any(c.log_mass for (u, _), cs in cells.items() if u == -1 for c in cs)
 
     def test_summary_runs(self):
         summary = run_experiment(ExperimentConfig(sliver_family(), 10**6, 1))
