@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bellhop import chsh
 from bellhop.chsh import (
@@ -481,10 +481,19 @@ DYADIC = {  # families whose moments and class probabilities floats hold exactly
 }
 
 
+def check_moments(family):
+    """Each pair's (E[fg], E[f], E[g]) within the rule of its exact value."""
+    for (alpha, beta), rho, moments in zip(
+            PAIRS, family.densities(), family._moments, strict=True):
+        f, g = family.observables(alpha, beta)
+        n = exact.terms(rho, f, g)
+        assert all(map(exact.within, moments, exact.moments(f, g, rho), [n] * 3))
+
+
 class TestExactLayer:
-    """The exact layer against the exact rationals of tests/exact.py: each moment, correlator
-    and class probability within (nx + ny + k)·ε·M of its exact value, and equal to it on
-    dyadic families."""
+    """The exact layer against the exact rationals of tests/exact.py: each moment and
+    correlator within (nx + ny + k)·ε·M of its exact value, and each moment and class
+    probability equal to it on dyadic families."""
 
     def test_classical_instances(self):
         rng = np.random.default_rng(1)
@@ -506,19 +515,8 @@ class TestExactLayer:
 
     @settings(max_examples=40, deadline=None)
     @given(families(SMALL_ALIGNED_OR_NOT))
-    @example(optimize_family((0.7, 0.7, 0.7, -0.7), (32, 32))[0])
-    @example(mixed_grid_family())
     def test_families(self, family):
-        for (alpha, beta), rho, moments, (a, b, classes) in zip(
-                PAIRS, family.densities(), family._moments, family._class_law, strict=True):
-            f, g = family.observables(alpha, beta)
-            n = exact.terms(rho, f, g)
-            assert all(map(exact.within, moments, exact.moments(f, g, rho), [n] * 3))
-            law = exact.class_law(exact.cells(f, g, rho))
-            assert a.dtype == b.dtype == np.int64
-            assert [(u, v) for u in a.tolist() for v in b.tolist()] == list(law)
-            assert all(map(exact.within, classes.reshape(-1).tolist(), law.values(),
-                           [n] * len(law)))
+        check_moments(family)
 
     @pytest.mark.parametrize("family", sorted(DYADIC))
     def test_dyadic_families(self, family):
@@ -530,6 +528,18 @@ class TestExactLayer:
             law = exact.class_law(exact.cells(f, g, rho))
             assert list(map(Fraction, classes.reshape(-1).tolist())) == [
                 p.value for p in law.values()]
+
+
+class TestOneContraction:
+    """A family's moments come from one contraction of per-cell integrals with the weights:
+    on a 32x32 grid and on grids of mixed sides, each within the rule of its exact value."""
+
+    @pytest.mark.parametrize("family", [
+        pytest.param(lambda: optimize_family((0.7, 0.7, 0.7, -0.7), (32, 32))[0], id="grid32"),
+        pytest.param(mixed_grid_family, id="mixed"),
+    ])
+    def test_families(self, family):
+        check_moments(family())
 
 
 class TestCopies:

@@ -14,6 +14,7 @@ from bellhop.chsh import PAIRS, ChshFamily, optimize_family, saturating_family
 from bellhop.density import ROUND_OFF, GridDensity, _integrate, expectation
 from bellhop.errors import (
     BellhopError,
+    ConfigInvalid,
     DomainMismatch,
     EmptyRect,
     MalformedInput,
@@ -197,8 +198,14 @@ def pair_cell_counts(family, n, seed, pair=0):
     for start in range(0, n, simulate._BLOCK):
         rows, _ = simulate.sample_many(table, rng, min(simulate._BLOCK, n - start), left)
         hits += np.bincount(rows, minlength=len(hits))
+    return hits[pair_rows(family, table, pair)]
+
+
+def pair_rows(family, table, pair=0):
+    """Which rows of family's event-log table are one pair's."""
+    law = family._class_law
     first = sum(c.size for _, _, c in law[:pair])  # the kinds hold the pairs in PAIRS order
-    return hits[(table.kinds >= first) & (table.kinds < first + law[pair][2].size)]
+    return (table.kinds >= first) & (table.kinds < first + law[pair][2].size)
 
 
 def exact_cell_probs(family, pair=0):
@@ -211,6 +218,43 @@ def exact_cell_probs(family, pair=0):
         mass = sum(c.log_mass for c in class_cells)
         probs += [float(p.value * c.log_mass / mass) if mass else 0.0 for c in class_cells]
     return np.array(probs)
+
+
+def check_log_table(family):
+    """simulate._log_table against the exact cells: one row per cell, each class's cells in
+    row-major order, its corners bit for bit, its probability given the class within the
+    rule (0 where no float fits inside), and the class's kind and line of fixed bytes, NUL
+    where the trial, x and y go; or the first class that has mass on no cell refused by
+    name."""
+    lo, hi, kinds, lines, split, refused = [], [], [], [], [], None
+    trial, point = b"\0" * 16, b"\0" * 24
+    for (alpha, beta), rho in zip(PAIRS, family.densities()):
+        f, g = family.observables(alpha, beta)
+        n = exact.terms(rho, f, g)
+        cells = exact.cells(f, g, rho)
+        for ((u, v), p), class_cells in zip(exact.class_law(cells).items(), cells.values()):
+            mass = sum(c.log_mass for c in class_cells)
+            if p.value > 0 and not mass and refused is None:
+                refused = (f"pair ({alpha},{beta}) class (a, b) = ({u:+.0f}, {v:+.0f}) "
+                           "lies on cells too thin for the event log's points")
+            lo += [c.lo for c in class_cells]
+            hi += [c.hi for c in class_cells]
+            kinds += [len(lines)] * len(class_cells)
+            lines.append(b"%s,%d,%d,%s,%s,%+d,%+d\n" % (trial, alpha, beta, point, point, u, v))
+            split.append((n, [c.log_mass / (mass or 1) for c in class_cells]))
+    if refused:
+        with pytest.raises(ConfigInvalid) as err:
+            simulate._log_table(family)
+        assert str(err.value) == refused
+        return
+    table = simulate._log_table(family)
+    assert table.lo.tobytes() == np.array(lo).tobytes()
+    assert table.hi.tobytes() == np.array(hi).tobytes()
+    assert table.kinds.tolist() == kinds
+    assert [line.tobytes() for line in table.lines] == lines
+    for got, (n, want) in zip(table.split, split, strict=True):
+        assert all(exact.within(q, exact.Exact(p, p), n)
+                   for q, p in zip(got.tolist(), want, strict=True))
 
 
 def log_rows(family, n, seed, workers=1):
@@ -594,6 +638,87 @@ def sub_rectangle_families(draw):
         return ChshFamily(*(GridDensity(*density) for density in densities))
     except BellhopError:  # an empty or too narrow rectangle, no mass, or off a domain
         assume(False)
+
+
+def with_rho00(rho00):
+    """The family of rho00 for pair 00 and a uniform density on each other pair's square."""
+    return ChshFamily(rho00, *[
+        GridDensity(setting_interval(a), setting_interval(b), [[1.0]]) for a, b in PAIRS[1:]
+    ])
+
+
+class TestRefine:
+    """The event log refines each grid cell at the observables' breakpoints inside it."""
+
+    def test_cut_one_ulp_from_a_grid_line_gets_no_mass(self):
+        # on a 196-cell grid, edges 49 and 147 round to one ulp below the thresholds 0.25
+        # and 0.75: no float lies strictly between either and its threshold, so no point
+        # can be drawn in those cells, though the exact law gives them mass
+        family = with_rho00(GridDensity(*unit_rect(), np.ones((196, 1))))
+        slivers = [np.nextafter(0.25, 0.0), np.nextafter(0.75, 0.0)]
+        assert family.rho00.x_edges()[[49, 147]].tolist() == slivers
+        cells = exact.cells(*family.observables(0, 0), family.rho00)
+        thin = [c for cs in cells.values() for c in cs if c.lo[0] in slivers]
+        assert len(thin) == 6 and all(c.mass > 0 and c.log_mass == 0 for c in thin)
+        table = simulate._log_table(family)
+        rows = pair_rows(family, table)
+        lo, hi, probs = table.lo[rows], table.hi[rows], np.concatenate(table.split)[rows]
+        on_sliver = np.nextafter(lo[:, 0], np.inf) == hi[:, 0]
+        assert sorted(set(lo[on_sliver, 0])) == slivers
+        assert (probs[on_sliver] == 0.0).all() and (probs[~on_sliver] > 0).all()
+        check_log_table(family)
+
+    def test_cuts_outside_the_rectangle_are_ignored(self):
+        # a0's breakpoints 0.25 and 0.75 are rho00's x ends and its domain's ends 0 and 1
+        # lie past them: the x corners are the grid's; b0's 0.25 and 0.75 cut the y cells
+        rho00 = GridDensity(Interval(0.25, 0.75), setting_interval(0),
+                            np.arange(1.0, 7.0).reshape(2, 3))
+        family = with_rho00(rho00)
+        table = simulate._log_table(family)
+        rows = pair_rows(family, table)
+        lo, hi, probs = table.lo[rows], table.hi[rows], np.concatenate(table.split)[rows]
+        assert sorted(set(lo[:, 0])) == [0.25, 0.5] and sorted(set(hi[:, 0])) == [0.5, 0.75]
+        assert sorted(set(lo[:, 1]) | set(hi[:, 1])) == sorted(
+            {*rho00.y_edges().tolist(), 0.25, 0.75})
+        assert len(probs) == 2 * 5 and (probs > 0).all()
+        assert family._class_law[0][0].tolist() == [1]
+        check_log_table(family)
+
+
+class TestLogTable:
+    """simulate._log_table, built from PartialRV._overlap_cells, against the reference: the
+    exact event-log cells of tests/exact.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(families(SMALL_ALIGNED_OR_NOT), sub_rectangle_families()))
+    def test_bit_equal_to_the_reference(self, family):
+        check_log_table(family)
+
+
+class TestClassLaw:
+    """The exact outcome-class law that the Monte-Carlo summary draws from."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(families(SMALL_ALIGNED_OR_NOT))
+    @example(optimize_family((0.7, 0.7, 0.7, -0.7), (32, 32))[0])
+    def test_exact_and_refinement_oracles(self, family):
+        # each class's probability within the rule of the exact law, which sums the
+        # class's event-log cells; and the law's moments those of the summary
+        summary = family.summary()
+        for (alpha, beta), rho, (a, b, classes) in zip(
+                PAIRS, family.densities(), family._class_law, strict=True):
+            f, g = family.observables(alpha, beta)
+            n = exact.terms(rho, f, g)
+            law = exact.class_law(exact.cells(f, g, rho))
+            assert a.dtype == b.dtype == np.int64
+            assert [(u, v) for u in a.tolist() for v in b.tolist()] == list(law)
+            assert all(map(exact.within, classes.reshape(-1).tolist(), law.values(),
+                           [n] * len(law)))
+            assert abs(a @ classes @ b - summary[f"e{alpha}{beta}"]) <= ROUND_OFF
+            assert abs(a @ classes.sum(axis=1)
+                       - summary["marginals"][f"a{alpha}|{alpha}{beta}"]) <= ROUND_OFF
+            assert abs(classes.sum(axis=0) @ b
+                       - summary["marginals"][f"b{beta}|{alpha}{beta}"]) <= ROUND_OFF
 
 
 class TestSampling:

@@ -10,7 +10,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bellhop import simulate
 from bellhop.chsh import (
@@ -30,7 +30,7 @@ from bellhop.simulate import (
     run_experiment,
 )
 import exact
-from test_density import SMALL_ALIGNED_OR_NOT, families, sub_rectangle_families
+from test_density import check_log_table
 
 
 def uniform_family():
@@ -506,6 +506,13 @@ class TestSharedAxes:
                         (300157, 300157, -53, -53), (399604, 1120, -696, -364)],
     }
 
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_cells_match_per_pair_reference(self, family):
+        # the event log's rows against the exact cells of each pair: each class's cells in
+        # order, their corners bit for bit, their probabilities given the class and the
+        # class's one line
+        check_log_table(self.FAMILIES[family]())
+
     @pytest.mark.parametrize("family, workers", sorted(PINNED))
     def test_pinned_summaries(self, family, workers):
         p = (0.25,) * 4 if family == "mixed" else (0.1, 0.2, 0.3, 0.4)
@@ -527,61 +534,6 @@ class TestSharedAxes:
         summary, log = logged(config)
         assert hashlib.sha256(log.encode()).hexdigest() == digest
         assert summary == run_experiment(config)
-
-
-def uniform196_family():
-    """uniform_family with rho00 on a uniform 196x1 grid: column 49 starts one ulp below
-    the threshold 0.25, so a sliver with no float inside sits beside cells of mass."""
-    rho00 = GridDensity(setting_interval(0), setting_interval(0), np.ones((196, 1)))
-    return dataclasses.replace(uniform_family(), rho00=rho00)
-
-
-class TestLogTable:
-    """simulate._log_table against the exact event-log cells of tests/exact.py."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.one_of(families(SMALL_ALIGNED_OR_NOT), sub_rectangle_families()))
-    @example(saturating_family())
-    @example(optimize_family((0.5, -0.25, 1.0, 0.0), (32, 32))[0])
-    @example(unaligned_family())
-    @example(mixed_grid_family())
-    @example(sub_rectangle_family())  # a0's breakpoints lie on and past rho00's x ends
-    @example(uniform196_family())
-    @example(sliver_family())  # refused
-    def test_rows_are_the_exact_cells(self, family):
-        # one row per cell, each class's cells in row-major order: its corners bit for bit,
-        # its probability given the class within the rule (0 where no float fits inside), and
-        # the class's kind and line of fixed bytes, NUL where the trial, x and y go; or the
-        # first class that has mass on no cell refused by name
-        lo, hi, kinds, lines, split, refused = [], [], [], [], [], None
-        trial, point = b"\0" * 16, b"\0" * 24
-        for (alpha, beta), rho in zip(PAIRS, family.densities()):
-            f, g = family.observables(alpha, beta)
-            n = exact.terms(rho, f, g)
-            cells = exact.cells(f, g, rho)
-            for ((u, v), p), class_cells in zip(exact.class_law(cells).items(), cells.values()):
-                mass = sum(c.log_mass for c in class_cells)
-                if p.value > 0 and not mass and refused is None:
-                    refused = (f"pair ({alpha},{beta}) class (a, b) = ({u:+.0f}, {v:+.0f}) "
-                               "lies on cells too thin for the event log's points")
-                lo += [c.lo for c in class_cells]
-                hi += [c.hi for c in class_cells]
-                kinds += [len(lines)] * len(class_cells)
-                lines.append(b"%s,%d,%d,%s,%s,%+d,%+d\n" % (trial, alpha, beta, point, point, u, v))
-                split.append((n, [c.log_mass / (mass or 1) for c in class_cells]))
-        if refused:
-            with pytest.raises(ConfigInvalid) as err:
-                simulate._log_table(family)
-            assert str(err.value) == refused
-            return
-        table = simulate._log_table(family)
-        assert table.lo.tobytes() == np.array(lo).tobytes()
-        assert table.hi.tobytes() == np.array(hi).tobytes()
-        assert table.kinds.tolist() == kinds
-        assert [line.tobytes() for line in table.lines] == lines
-        for got, (n, want) in zip(table.split, split, strict=True):
-            assert all(exact.within(q, exact.Exact(p, p), n)
-                       for q, p in zip(got.tolist(), want, strict=True))
 
 
 def uncached_law(family):
@@ -694,6 +646,7 @@ class TestUnplaceableClass:
         with pytest.raises(ConfigInvalid, match=r"pair \(0,0\) class \(a, b\) = \(-1, -1\)"):
             run_experiment(ExperimentConfig(sliver_family(), 1000, 1), event_log=sink)
         assert sink.getvalue() == ""
+        check_log_table(sliver_family())  # the whole text, the oracle's first empty class
 
     def test_cli_refuses_log(self, tmp_path, capsys):
         family, log = tmp_path / "sliver.json", tmp_path / "events.csv"
