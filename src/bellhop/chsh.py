@@ -24,7 +24,7 @@ from .errors import (
 )
 from .intervals import Interval
 from .observables import make_observable, setting_interval
-from .steprv import PartialRV, make_step
+from .steprv import PartialRV, cell_integrals, make_step
 
 PAIRS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (alpha, beta) order used throughout
 MAX_GRID = 512  # cells a side of optimize_family's grid: 78 MB of RSS, an 11.5 MB family file
@@ -150,7 +150,7 @@ def chsh_value(e00: float, e10: float, e01: float, e11: float) -> float:
 
 def _band_signs(n: int) -> np.ndarray:
     """Observable value per grid column for a quarter-aligned n-cell grid."""
-    return np.sign(OBSERVABLES[0][0].cell_integrals(np.arange(n + 1) / n)[0])
+    return np.sign(cell_integrals(OBSERVABLES[0][:1], np.arange(n + 1) / n)[0][0])
 
 
 def saturating_family() -> ChshFamily:
@@ -217,7 +217,8 @@ def random_classical_instance(rng: np.random.Generator):
         k = int(rng.integers(0, 4))
         cuts = sorted(set(rng.random(k).tolist()))  # not np.unique, which imports numpy.ma
         boundaries = [0.0, *cuts, 1.0]
-        values = rng.choice([-1.0, 1.0], size=len(boundaries) - 1)
+        # rng.choice([-1.0, 1.0], size=...)'s draws, without its per-call overhead
+        values = np.array([-1.0, 1.0])[rng.integers(0, 2, size=len(boundaries) - 1)]
         return make_step(boundaries, values, axis)
 
     a0, a1 = random_rv("x"), random_rv("x")

@@ -34,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-MAX_CHECKS = 10**7  # check-classical instances: 0.4 ms each (instance plus check) on a Xeon
+MAX_CHECKS = 10**7  # check-classical instances: 0.17 ms each (instance plus check) on a 2 vCPU Xeon
 
 
 def _int_flag(low: int, high: int | None = None, why: str = ""):
@@ -96,7 +96,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("check-classical", help="randomized |S| <= 2 oracle suite")
     sp.add_argument("--trials", required=True,
-                    type=_int_flag(1, MAX_CHECKS, "about an hour at 0.4 ms an instance"))
+                    type=_int_flag(1, MAX_CHECKS, "about half an hour at 0.17 ms an instance"))
     sp.add_argument("--seed", type=_int_flag(0), default=0)
     sp.set_defaults(run=_cmd_check_classical)
 

@@ -4,9 +4,10 @@ Both the observables and the densities are piecewise constant, so every
 expectation is a finite sum over the grid cells of per-cell integrals of the
 observables.  There is no quadrature error; excluded breakpoints have
 measure zero and are ignored; _correlators alone contracts them with the
-weights.  The outcome-class law (ChshFamily._class_law) is its own Aᵀ·W·B, as
-the pinned summaries and logs were drawn from that product's rounding, not a
-row-by-row chain's, and class lengths cannot overflow.
+weights, each axis's observables integrated from one overlap of their pieces
+with the edges the density keeps.  The outcome-class law (ChshFamily._class_law)
+is its own Aᵀ·W·B, as the pinned summaries and logs were drawn from that
+product's rounding, not a row-by-row chain's, and class lengths cannot overflow.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     _show,
 )
 from .intervals import Interval
-from .steprv import PartialRV
+from .steprv import PartialRV, cell_integrals
 
 # Slack for float round-off in sums of masses, probabilities and correlators.
 ROUND_OFF = 1e-12
@@ -41,15 +42,16 @@ class GridDensity:
     weights[ix, iy] is the density value on the (ix, iy) cell; the row-major
     flattening (ix*ny + iy) matches the JSON wire format.  The constructor
     rescales the given nonnegative weights so the density integrates to 1 and
-    keeps a read-only copy, its mass summed over the cells' float edges, and its
-    rectangle's ends as floats, so to_dict writes what from_dict reads.  A
-    rectangle that is not an Interval, or a weight or rectangle end that is no
+    keeps a read-only copy, its mass summed over the cells' float edges, those
+    edges, read-only, for x_edges and y_edges to return without rebuilding them,
+    and its rectangle's ends as floats, so to_dict writes what from_dict reads.
+    A rectangle that is not an Interval, or a weight or rectangle end that is no
     number (errors._is_real: text and bools are not), raises MalformedInput; a
     weight, total mass, rectangle endpoint or rescaled weight that is not a
     finite float raises NonFiniteInput instead of becoming a NaN, infinite or
     all-zero density, and edges that are not strictly increasing
     MalformedInput.  A deep copy is the density itself, and unpickling
-    restores the weights' bits without renormalizing them.
+    restores the weights' and edges' bits, read-only, without renormalizing.
     """
 
     x_rect: Interval
@@ -84,7 +86,8 @@ class GridDensity:
             if _finite(x_rect.lo, x_rect.hi, y_rect.lo, y_rect.hi, float(w.sum())):
                 # kept as the floats it computes with, once _finite: float(10**400) raises
                 x_rect, y_rect = (Interval(float(r.lo), float(r.hi)) for r in (x_rect, y_rect))
-                dx, dy = (e[1:] - e[:-1] for e in (_edges(x_rect, nx), _edges(y_rect, ny)))
+                xe, ye = _edges(x_rect, nx), _edges(y_rect, ny)
+                dx, dy = xe[1:] - xe[:-1], ye[1:] - ye[:-1]
                 total = float((w * (dx[:, None] * dy)).sum())
             if not _finite(total):
                 raise NonFiniteInput(f"weights or rectangle {x_rect!r} × {y_rect!r} not finite")
@@ -96,8 +99,10 @@ class GridDensity:
             w /= total
         if not np.isfinite(w).all():  # the cells are too small for their mass
             raise NonFiniteInput(f"density on {x_rect!r} × {y_rect!r} overflows")
-        w.setflags(write=False)
-        for key, value in (("x_rect", x_rect), ("y_rect", y_rect), ("weights", w)):
+        for array in (w, xe, ye):
+            array.setflags(write=False)
+        for key, value in (("x_rect", x_rect), ("y_rect", y_rect), ("weights", w),
+                           ("_x_edges", xe), ("_y_edges", ye)):
             object.__setattr__(self, key, value)
 
     def __deepcopy__(self, memo) -> "GridDensity":
@@ -105,8 +110,9 @@ class GridDensity:
 
     def __setstate__(self, state: dict) -> None:
         """Unpickle without the constructor, whose renormalization could change the weights'
-        bits, and make the weights read-only again."""
-        state["weights"].setflags(write=False)
+        bits, and make the weights and edges read-only again."""
+        for key in ("weights", "_x_edges", "_y_edges"):
+            state[key].setflags(write=False)
         self.__dict__.update(state)
 
     @property
@@ -118,10 +124,10 @@ class GridDensity:
         return self.weights.shape[1]
 
     def x_edges(self) -> np.ndarray:
-        return _edges(self.x_rect, self.nx)
+        return self._x_edges
 
     def y_edges(self) -> np.ndarray:
-        return _edges(self.y_rect, self.ny)
+        return self._y_edges
 
     def to_dict(self) -> dict:
         return {
@@ -183,12 +189,17 @@ def _same_measure(a: float, b: float) -> bool:
     return abs(a - b) <= ROUND_OFF * max(abs(a), abs(b))
 
 
-def _axis_integrals(rv: PartialRV, edges: np.ndarray, rect: Interval, axis: str):
-    """rv's integral over each grid cell of one axis; rv must exist a.e. on rect."""
-    integrals, covered = rv.cell_integrals(edges)
-    if not _same_measure(float(covered.sum()), rect.length):
-        raise DomainMismatch(f"{axis}-rectangle {rect!r} not a.e. inside domain {rv.domain!r}")
-    return integrals
+def _integrate_axis(rvs, edges: np.ndarray, rect: Interval, axis: str) -> list:
+    """Each rv's integral over each grid cell of one axis, None the constant 1, all read from
+    one overlap of their pieces; DomainMismatch for the first rv not defined a.e. on rect."""
+    stacked = iter(cell_integrals([rv for rv in rvs if rv is not None], edges))
+    out = []
+    for rv in rvs:
+        integrals, covered = (np.diff(edges), rect.length) if rv is None else next(stacked)
+        if not _same_measure(float(covered), rect.length):
+            raise DomainMismatch(f"{axis}-rectangle {rect!r} not a.e. inside domain {rv.domain!r}")
+        out.append(integrals)
+    return out
 
 
 def _correlators(fs, gs, rho: GridDensity) -> list:
@@ -196,8 +207,8 @@ def _correlators(fs, gs, rho: GridDensity) -> list:
     each as (i_f @ W) @ i_g: the one contraction with the weights; NonFiniteInput on overflow."""
     xe, ye, w = rho.x_edges(), rho.y_edges(), rho.weights
     with np.errstate(over="ignore", invalid="ignore"):
-        i_f = [np.diff(xe) if f is None else _axis_integrals(f, xe, rho.x_rect, "x") for f in fs]
-        i_g = [np.diff(ye) if g is None else _axis_integrals(g, ye, rho.y_rect, "y") for g in gs]
+        i_f = _integrate_axis(fs, xe, rho.x_rect, "x")
+        i_g = _integrate_axis(gs, ye, rho.y_rect, "y")
         es = [[float(fw @ ig) for ig in i_g] for fw in (i @ w for i in i_f)]
     if not _finite(*(e for row in es for e in row)):
         raise NonFiniteInput(f"correlators on {rho.x_rect!r} × {rho.y_rect!r} overflow")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -54,7 +55,7 @@ class PartialRV:
             raise (NonFiniteInput if real else MalformedInput)(
                 f"pieces {_show(self.pieces)} on axis {_show(self.axis_label)} not finite floats")
         prev_hi = -math.inf
-        for iv, _ in self.pieces:  # compared as the floats that _arrays makes
+        for iv, _ in self.pieces:  # compared as the floats that _rows makes
             if not prev_hi <= (lo := float(iv.lo)) < (hi := float(iv.hi)):
                 raise NonMonotoneBoundaries(
                     f"piece {iv!r} is empty or starts before the previous one ends"
@@ -67,10 +68,6 @@ class PartialRV:
 
     def breakpoints(self) -> Tuple[float, ...]:
         return tuple(sorted({x for iv, _ in self.pieces for x in (iv.lo, iv.hi)}))
-
-    def _arrays(self) -> np.ndarray:
-        """Rows los, his, values: the pieces as float64 arrays, in piece order."""
-        return np.array([(iv.lo, iv.hi, v) for iv, v in self.pieces], dtype=float).T
 
     def eval(self, x: float) -> float:
         """eval_many at the single point x; raises where that leaves x undefined."""
@@ -91,41 +88,51 @@ class PartialRV:
         Returns (values, defined) where defined[i] is False when xs[i] is
         outside the domain or on an excluded breakpoint; values there are 0.
         """
-        los, his, values = self._arrays()
+        los, his, values = _rows((self,))
         # side="right" puts no index past len - 1; only points left of los[0] need lifting to 0
         idx = np.maximum(np.searchsorted(los, xs, side="right") - 1, 0)
         defined = (xs > los[idx]) & (xs < his[idx])
         return np.where(defined, values[idx], 0.0), defined
 
-    def _overlap(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(lo, hi, values): cell (edges[i], edges[i+1]) ∩ piece j is (lo[i, j], hi[i, j]),
-        empty unless lo[i, j] < hi[i, j], and values the pieces' values."""
-        los, his, values = self._arrays()
-        return np.maximum(edges[:-1, None], los), np.minimum(edges[1:, None], his), values
-
     def _overlap_cells(self, edges: np.ndarray) -> tuple[np.ndarray, ...]:
         """(lo, hi, column, width, value) per nonempty cell ∩ piece of _overlap, in axis
         order: its ends, its cell i, its length (0 where no float lies strictly inside) and
         the piece's value."""
-        lo, hi, values = self._overlap(edges)
+        lo, hi, values = _overlap(edges, (self,))
         column, piece = (lo < hi).nonzero()
         lo, hi = lo[column, piece], hi[column, piece]
         return lo, hi, column, np.where(np.nextafter(lo, hi) < hi, hi - lo, 0.0), values[piece]
 
-    def cell_integrals(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per cell (edges[i], edges[i+1]): the integral of self over the cell
-        and the measure of the domain inside it."""
-        lo, hi, values = self._overlap(edges)
-        lengths = np.maximum(hi - lo, 0.0)
-        return lengths @ values, lengths.sum(axis=1)
-
     def value_lengths(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(distinct, lengths): the sorted values self takes on the cells
         (edges[i], edges[i+1]), and lengths[i, k] the length of cell i where self = distinct[k]."""
-        lo, hi, values = self._overlap(edges)
+        lo, hi, values = _overlap(edges, (self,))
         # not np.unique, whose first call imports numpy.ma: 10-27 ms of a process's set-up
         distinct = np.array(sorted(set(values[(lo < hi).any(axis=0)].tolist())))
         return distinct, np.maximum(hi - lo, 0.0) @ (values[:, None] == distinct)
+
+
+def _rows(rvs) -> np.ndarray:
+    """Rows los, his, values: the pieces of rvs as float64 arrays, rv by rv in piece order."""
+    return np.array([(iv.lo, iv.hi, v) for rv in rvs for iv, v in rv.pieces], dtype=float).T
+
+
+def _overlap(edges: np.ndarray, rvs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, values): cell (edges[i], edges[i+1]) ∩ piece j of rvs, in _rows' order, is
+    (lo[i, j], hi[i, j]), empty unless lo[i, j] < hi[i, j], and values the pieces' values."""
+    los, his, values = _rows(rvs)
+    return np.maximum(edges[:-1, None], los), np.minimum(edges[1:, None], his), values
+
+
+def cell_integrals(rvs, edges: np.ndarray) -> list:
+    """Per rv of rvs, all on one axis, (integrals, covered): its integral over each cell
+    (edges[i], edges[i+1]) and the measure of its domain inside the cells, each read from
+    its own columns of one _overlap of every rv's pieces."""
+    lo, hi, values = _overlap(edges, rvs)
+    lengths = np.maximum(hi - lo, 0.0)
+    ends = [0, *accumulate(len(rv.pieces) for rv in rvs)]
+    return [(lengths[:, i:j] @ values[i:j], lengths[:, i:j].sum(axis=1).sum())
+            for i, j in zip(ends, ends[1:])]
 
 
 def make_step(boundaries: Sequence[float], values: Sequence[float], axis_label: str) -> PartialRV:
@@ -141,7 +148,7 @@ def make_step(boundaries: Sequence[float], values: Sequence[float], axis_label: 
 def _cell_values(h: PartialRV, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, defined) per cell (cuts[i], cuts[i+1]): the value of the piece of h that
     overlaps it, and whether one does."""
-    lo, hi, values = h._overlap(cuts)
+    lo, hi, values = _overlap(cuts, (h,))
     overlaps = lo < hi
     return values[overlaps.argmax(axis=1)], overlaps.any(axis=1)
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import re
 from fractions import Fraction
@@ -367,6 +368,45 @@ class TestClassicalBound:
         with pytest.raises(DomainMismatch):
             classical_bound_check(a0, a1, b, b, rho)
 
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_second_observable_named(self, axis):
+        # a1 (or b1) alone misses half the rectangle: the error names its domain, read from
+        # its own columns of the axis' one overlap
+        whole, half = make_step([0.0, 1.0], [1.0], axis), make_step([0.0, 0.5], [1.0], axis)
+        other = make_step([0.0, 1.0], [1.0], "y" if axis == "x" else "x")
+        rho = GridDensity(Interval(0, 1), Interval(0, 1), [[1.0, 2.0], [3.0, 4.0]])
+        rvs = (whole, half, other, other) if axis == "x" else (other, other, whole, half)
+        message = f"{axis}-rectangle (0,1) not a.e. inside domain (0,0.5)"
+        with pytest.raises(DomainMismatch, match=f"^{re.escape(message)}$"):
+            classical_bound_check(*rvs, rho)
+
+    @pytest.mark.parametrize("order", [(1, 4), (4, 1)], ids=["1then4", "4then1"])
+    def test_one_overlap_per_axis_bit_equal(self, order):
+        # observables of 1 and of 4 pieces on one axis: S is bit for bit that of integrating
+        # each observable alone, one pair at a time
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            rvs = []
+            for axis in "xy":
+                for k in order:
+                    cuts = sorted(rng.random(k - 1).tolist())
+                    values = rng.choice([-1.0, 1.0], size=k)
+                    rvs.append(make_step([0.0, *cuts, 1.0], values, axis))
+            weights = rng.random((int(rng.integers(1, 6)), int(rng.integers(1, 6)))) + 1e-3
+            rho = GridDensity(Interval(0.0, 1.0), Interval(0.0, 1.0), weights)
+            a, b = rvs[:2], rvs[2:]
+            alone = [_correlators((a[alpha],), (b[beta],), rho)[0][0] for alpha, beta in PAIRS]
+            assert classical_bound_check(*rvs, rho) == chsh_value(*alone)
+
+    def test_pinned_bits(self):
+        # the S of the first 1000 instances of seed 3, as float64 bytes: the instance stream
+        # and every bit of the check
+        rng = np.random.default_rng(3)
+        s = np.array([classical_bound_check(*random_classical_instance(rng))
+                      for _ in range(1000)])
+        assert hashlib.sha256(s.tobytes()).hexdigest() == (
+            "a0ef1ab928947f88f04d9de830043eda9e54e0339a53916d0ce3482759710e0c")
+
 
 class TestFamilySerialization:
     def test_round_trip(self):
@@ -540,6 +580,12 @@ class TestOneContraction:
     ])
     def test_families(self, family):
         check_moments(family())
+
+    def test_pinned_bits(self):
+        # every bit of the 32x32 family's twelve moments, as float64 bytes in PAIRS order
+        moments = optimize_family((0.7, 0.7, 0.7, -0.7), (32, 32))[0]._moments
+        assert hashlib.sha256(np.array(moments).tobytes()).hexdigest() == (
+            "3982bd4fe97bdbd9a8d3f0a985cb90840afa3e8fa91df6b9d471b1477ccf2e99")
 
 
 class TestCopies:

@@ -77,11 +77,11 @@ BAD_INT_FLAGS = [
      "--workers: at most 1024 (25 ms of per-worker set-up), got a 4000-digit number"),
     (["check-classical", "--trials", "-" + "9" * 4000],
      "--trials: must be a positive integer, got a 4000-digit number"),
-    # check-classical's cap keeps a run near an hour
+    # check-classical's cap keeps a run near half an hour
     (["check-classical", "--trials", "10000001"],
-     "--trials: at most 10000000 (about an hour at 0.4 ms an instance), got 10000001"),
+     "--trials: at most 10000000 (about half an hour at 0.17 ms an instance), got 10000001"),
     (["check-classical", "--trials", "1" + "0" * 40],
-     "--trials: at most 10000000 (about an hour at 0.4 ms an instance), got a 41-digit number"),
+     "--trials: at most 10000000 (about half an hour at 0.17 ms an instance), got a 41-digit number"),
 ]
 
 

@@ -11,7 +11,7 @@ from scipy import stats
 
 from bellhop import simulate
 from bellhop.chsh import PAIRS, ChshFamily, optimize_family, saturating_family
-from bellhop.density import ROUND_OFF, GridDensity, _integrate, expectation
+from bellhop.density import ROUND_OFF, GridDensity, _edges, _integrate, expectation
 from bellhop.errors import (
     BellhopError,
     ConfigInvalid,
@@ -320,6 +320,18 @@ class TestConstruction:
         assert (again.x_rect, again.y_rect) == (rho.x_rect, rho.y_rect)
         with pytest.raises(ValueError, match="read-only"):
             again.weights[0, 0] = 99.0
+
+    @pytest.mark.parametrize("how", ["new", "pickle"])
+    def test_edges_kept_read_only(self, how):
+        # the constructor's edges, one object per axis, bit-equal to _edges and read-only
+        rho = GridDensity(Interval(0.1, 0.7), Interval(-3.0, 5.0), np.ones((7, 3)))
+        if how == "pickle":
+            rho = pickle.loads(pickle.dumps(rho))
+        for edges, rect, n in ((rho.x_edges, rho.x_rect, 7), (rho.y_edges, rho.y_rect, 3)):
+            assert edges() is edges()
+            assert edges().tobytes() == _edges(rect, n).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                edges()[0] = 99.0
 
     @pytest.mark.parametrize(
         "key, index, value, error",

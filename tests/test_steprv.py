@@ -16,7 +16,7 @@ from bellhop.errors import (
 )
 from bellhop.intervals import DomainSet, Interval
 from bellhop.observables import make_observable
-from bellhop.steprv import PartialRV, combine, make_step
+from bellhop.steprv import PartialRV, _overlap, combine, make_step
 
 
 @st.composite
@@ -253,7 +253,7 @@ class TestEval:
 
 def unique_value_lengths(f, edges):
     """value_lengths with the distinct values taken by np.unique."""
-    lo, hi, values = f._overlap(edges)
+    lo, hi, values = _overlap(edges, (f,))
     distinct = np.unique(values[(lo < hi).any(axis=0)])
     return distinct, np.maximum(hi - lo, 0.0) @ (values[:, None] == distinct)
 
