@@ -24,19 +24,21 @@ summary is the same with and without it.  Only the log splits each pair's
 grid into cells, each the nonempty overlap of a grid column (row) and a piece
 of Alice's (Bob's) observable (PartialRV._overlap_cells), so both outcomes are
 constant on each cell, and draws each block of _BLOCK rows from the remaining
-class counts (sample_many): exactly the law of i.i.d. trials.  Its floats are
-exactly Python's "%.17g" text, all from _g17: in [1e-4, 2), which holds every
-point of the observables' rectangles (0, 2) but those within 1e-4 of 0, it
-rounds Dekker's exact float64 product x·5**n (exact as each operation rounds to
-nearest, as in IEEE 754 and numpy's ufuncs), and Python's % writes the rest.
+class counts (sample_many, which gathers the rows' cell corners with take):
+exactly the law of i.i.d. trials.  Its floats are exactly Python's "%.17g" text,
+all from _g17: in [1e-4, 2), which holds every point of the observables'
+rectangles (0, 2) but those within 1e-4 of 0, it rounds Dekker's exact float64
+product x·5**n (exact as each operation rounds to nearest, as in IEEE 754 and
+numpy's ufuncs), and Python's % writes the rest.
 Those draws need a total below _LOG_LIMIT = 1e9, so ExperimentConfig._table,
 the log's one set-up, refuses a worker that many trials (more workers split it).
-Each slice of _SLICE rows is written as one uint8 matrix, a line a row, of
+Each slice of _SLICE = 4096 rows is written as one uint8 matrix, a line a row, of
 NUL-padded fixed-width fields: the trial as four-digit words (wide enough for any
 trial below MAX_WORKERS · _LOG_LIMIT), the row's (pair, class) bytes ",α,β," and
-",±1,±1" with the newline from the table, and x's and y's 24 bytes from _g17; the
-NULs are dropped once, and the slice is decoded and written once.  Memory is
-bounded by the block size and the cell count, not by n_trials.
+",±1,±1" with the newline from the table, and x's and y's 24 bytes from one _g17
+call over both columns; the NULs are dropped once, and the slice is decoded and
+written once.  Memory is bounded by the block size and the cell count, not by
+n_trials.
 """
 
 from __future__ import annotations
@@ -54,13 +56,12 @@ from .density import ROUND_OFF
 from .errors import ConfigInvalid, InsufficientTrials, _finite, _is_int, _is_real
 
 _BLOCK = 1 << 16  # event-log rows drawn at a time
-_SLICE = 8192  # event-log rows formatted and written at a time: a traced peak of 2.3 MiB
+_SLICE = 4096  # event-log rows formatted and written at a time: a traced peak of 2.0 MiB
 _LOG_LIMIT = 10**9  # logged trials per worker: the hypergeometric draws' total
 MAX_TRIALS = 2**63 - 1  # class counts are int64
 MAX_WORKERS = 1024  # about 25 µs of set-up a worker: 25 ms a call at the cap
 # a logged trial's number is below MAX_WORKERS · _LOG_LIMIT: 13 digits, four 4-digit words
 _TRIAL_WORDS = -(-len(str(MAX_WORKERS * _LOG_LIMIT - 1)) // 4)
-_POW10K = 10 ** (4 * np.arange(1, _TRIAL_WORDS, dtype=np.int64))  # where a trial gains a word
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ def sample_many(table: _LogTable, rng: np.random.Generator, n: int, left: np.nda
     left -= taken
     per_cell = np.concatenate([rng.multinomial(k, q) for k, q in zip(taken.tolist(), table.split)])
     rows = rng.permutation(np.repeat(np.arange(len(per_cell)), per_cell))
-    lo, hi = table.lo[rows], table.hi[rows]
+    lo, hi = table.lo.take(rows, axis=0), table.hi.take(rows, axis=0)
     points = lo + rng.random(lo.shape) * (hi - lo)
     while (redo := (points <= lo) | (points >= hi)).any():
         points[redo] = lo[redo] + rng.random(int(redo.sum())) * (hi[redo] - lo[redo])
@@ -304,19 +305,18 @@ def _g17(x: np.ndarray) -> np.ndarray:
 def _trial_words(first: int, n: int) -> np.ndarray:
     """first, …, first + n − 1 as (n, _TRIAL_WORDS) uint32 words of four digits each, most
     significant first: the words before the first nonzero one NUL, that one with its leading
-    zeros cut, the last word a lone "0" for trial 0."""
+    zeros cut, the last word a lone "0" for trial 0.  The trials are consecutive, so the rows
+    of one trial // 10**4 share every word but the last, which are consecutive entries of one
+    table: groups[2·10**4 + g] where the last word leads (trials below 10**4), else [g]."""
     groups, _ = _digit_words()
-    t = np.arange(first, first + n, dtype=np.int64)
-    # a row's lead word, its first nonzero one (the last for trial 0), picks the words' tables:
-    # groups[10**4 + g] before it (g is 0 there: NUL), [2·10**4 + g] at it, [g] after it
-    words = np.arange(_TRIAL_WORDS)
-    tables = 10**4 * ((words < words[:, None]) + 2 * (words == words[:, None]))  # row: the lead
-    g = tables.take(_TRIAL_WORDS - 1 - np.searchsorted(_POW10K, t, side="right"), axis=0)
-    for j in range(_TRIAL_WORDS - 1, 0, -1):
-        t, digits = _split(t, 10**4)
-        g[:, j] += digits
-    g[:, 0] += t
-    return groups.take(g)
+    words = np.empty((n, _TRIAL_WORDS), np.uint32)
+    for start in range(-(first % 10**4), n, 10**4):  # rows lo…hi: trial // 10**4 is top
+        top, lo, hi = (first + start) // 10**4, max(start, 0), min(start + 10**4, n)
+        head = (b"%d" % top if top else b"").rjust(4 * _TRIAL_WORDS - 4, b"\0")
+        words[lo:hi].view(f"V{4 * _TRIAL_WORDS}")[:] = head + bytes(4)  # the last word below
+        at = lo - start + (0 if top else 2 * 10**4)
+        words[lo:hi, -1] = groups[at:at + hi - lo]
+    return words
 
 
 def _format_block(table: _LogTable, first: int, rows, points) -> str:
@@ -325,8 +325,8 @@ def _format_block(table: _LogTable, first: int, rows, points) -> str:
     n, x = len(rows), 4 * _TRIAL_WORDS + 5  # x's 24 bytes follow the trial's and ",α,β,"
     lines = table.lines.take(table.kinds.take(rows), axis=0)
     lines[:, :x - 5] = _trial_words(first, n).view(np.uint8).reshape(n, -1)
-    for at, column in ((x, points[:, 0]), (x + 25, points[:, 1])):  # y's follow x's and ","
-        lines[:, at:at + 24] = _g17(column).view(np.uint8).reshape(n, 24)
+    text = _g17(points.reshape(-1)).view(np.uint8).reshape(n, 48)  # each row's x, then y
+    lines[:, x:x + 24], lines[:, x + 25:x + 49] = text[:, :24], text[:, 24:]  # y after ","
     return lines.tobytes().translate(None, b"\0").decode()
 
 

@@ -520,17 +520,21 @@ class TestSharedAxes:
         summary = run_experiment(config)
         assert [tuple(vars(c).values()) for c in summary.counts] == self.PINNED[family, workers]
 
-    @pytest.mark.parametrize("family, seed, digest", [
-        (mixed_grid_family, 19,
+    @pytest.mark.parametrize("family, seed, trials, workers, digest", [
+        (mixed_grid_family, 19, 140_001, 2,
          "341368c83efbd26057ba1ae9b1635f3ede30bc608c63b742aa29e3cdbe7b643e"),
         # pair 00's cells clipped at its rectangle's ends, inside a0's domain
-        (sub_rectangle_family, 24,
+        (sub_rectangle_family, 24, 140_001, 2,
          "d277194dda74cae5770313239095138ec2086b34616ed356480c01b788407473"),
-    ], ids=["mixed", "sub_rectangle"])
-    def test_pinned_event_log(self, family, seed, digest):
-        # 140 001 trials at 2 workers: each worker logs more than one block
-        config = ExperimentConfig(family(), 140_001, seed, n_workers=2)
-        assert -(-config.n_trials // 2) > simulate._BLOCK
+        # perfbench mc-eventlog's family at 1 worker; the last block ends past a 4096- and an
+        # 8192-row edge
+        (saturating_family, 31, 2 * 65536 + 8193, 1,
+         "c56b428ce9904f00c9d0d9ae21fb7d02fccc1ce47da0dc0b1ca4c5cabcf79255"),
+    ], ids=["mixed", "sub_rectangle", "saturating"])
+    def test_pinned_event_log(self, family, seed, trials, workers, digest):
+        # each worker logs more than one block
+        config = ExperimentConfig(family(), trials, seed, n_workers=workers)
+        assert -(-trials // workers) > simulate._BLOCK
         summary, log = logged(config)
         assert hashlib.sha256(log.encode()).hexdigest() == digest
         assert summary == run_experiment(config)
@@ -749,8 +753,11 @@ class TestLineMatrix:
         left = simulate._counts(rng, family._class_law, np.full(4, 0.25), 10 * n)
         rows, points = simulate.sample_many(table, rng, n, left)
         odd = np.array([*LONGEST, -0.5, 2.5, 1e-5, 0.0, 1e22])
-        at = rng.choice(points.size, min(len(odd), n), replace=False)
-        points.reshape(-1)[at] = odd[:len(at)]
+        row = rng.integers(n)
+        points[row] = odd[:2]  # x and y both in Python's % range
+        rest = np.delete(np.arange(points.size), [2 * row, 2 * row + 1])
+        at = rng.choice(rest, min(len(odd) - 2, rest.size), replace=False)
+        points.reshape(-1)[at] = odd[2:2 + len(at)]
         return table, rows, points, [kinds[k] for k in table.kinds[rows].tolist()]
 
     def test_largest_trial_fits(self):
@@ -762,17 +769,19 @@ class TestLineMatrix:
         assert len(str(self.LARGEST)) == 13
         assert 4 * simulate._TRIAL_WORDS == 16
 
-    @pytest.mark.parametrize("n", [1, simulate._SLICE])
+    # one row, a slice, and two slices' rows in one call
+    @pytest.mark.parametrize("n", [1, simulate._SLICE, 2 * simulate._SLICE])
     @pytest.mark.parametrize("first", [0, 9_995, 99_999_995, 10**12 - 5, LARGEST])
     def test_lines_match_the_spec(self, first, n):
         table, rows, points, kinds = self.block(n)
-        text = simulate._format_block(table, first, rows, points)
         want = ["%d,%d,%d,%.17g,%.17g,%+d,%+d\n" % (first + k, alpha, beta, x, y, a, b)
                 for k, ((alpha, beta, a, b), (x, y)) in enumerate(zip(kinds, points.tolist()))]
-        assert text.splitlines(keepends=True) == want
+        for layout in (points, np.asfortranarray(points)):  # x and y kept apart in either
+            text = simulate._format_block(table, first, rows, layout)
+            assert text.splitlines(keepends=True) == want
 
     def test_slice_memory(self):
-        # one slice's traced peak: the matrix, its text and _g17's temporaries of one column
+        # one slice's traced peak: the matrix, its text and _g17's temporaries of both columns
         table, rows, points, _ = self.block(simulate._SLICE)
         simulate._format_block(table, 0, rows, points)  # _digit_words' tables, built once
         tracemalloc.start()
