@@ -24,7 +24,7 @@ from .errors import (
 )
 from .intervals import Interval
 from .observables import make_observable, setting_interval
-from .steprv import PartialRV, cell_integrals, make_step
+from .steprv import PartialRV, _cell_values, make_step
 
 PAIRS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (alpha, beta) order used throughout
 MAX_GRID = 512  # cells a side of optimize_family's grid: 78 MB of RSS, an 11.5 MB family file
@@ -150,7 +150,7 @@ def chsh_value(e00: float, e10: float, e01: float, e11: float) -> float:
 
 def _band_signs(n: int) -> np.ndarray:
     """Observable value per grid column for a quarter-aligned n-cell grid."""
-    return np.sign(cell_integrals(OBSERVABLES[0][:1], np.arange(n + 1) / n)[0][0])
+    return _cell_values(OBSERVABLES[0][0], np.arange(n + 1) / n)[0]
 
 
 def saturating_family() -> ChshFamily:

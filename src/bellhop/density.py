@@ -4,7 +4,7 @@ Both the observables and the densities are piecewise constant, so every
 expectation is a finite sum over the grid cells of per-cell integrals of the
 observables.  There is no quadrature error; excluded breakpoints have
 measure zero and are ignored; _correlators alone contracts them with the
-weights, each axis's observables integrated from one overlap of their pieces
+weights, the observables of both axes integrated from one overlap of their pieces
 with the edges the density keeps.  The outcome-class law (ChshFamily._class_law)
 is its own Aᵀ·W·B, as the pinned summaries and logs were drawn from that
 product's rounding, not a row-by-row chain's, and class lengths cannot overflow.
@@ -13,6 +13,7 @@ product's rounding, not a row-by-row chain's, and class lengths cannot overflow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
     _show,
 )
 from .intervals import Interval
-from .steprv import PartialRV, cell_integrals
+from .steprv import PartialRV, _overlap
 
 # Slack for float round-off in sums of masses, probabilities and correlators.
 ROUND_OFF = 1e-12
@@ -189,26 +190,36 @@ def _same_measure(a: float, b: float) -> bool:
     return abs(a - b) <= ROUND_OFF * max(abs(a), abs(b))
 
 
-def _integrate_axis(rvs, edges: np.ndarray, rect: Interval, axis: str) -> list:
-    """Each rv's integral over each grid cell of one axis, None the constant 1, all read from
-    one overlap of their pieces; DomainMismatch for the first rv not defined a.e. on rect."""
-    stacked = iter(cell_integrals([rv for rv in rvs if rv is not None], edges))
-    out = []
-    for rv in rvs:
-        integrals, covered = (np.diff(edges), rect.length) if rv is None else next(stacked)
-        if not _same_measure(float(covered), rect.length):
-            raise DomainMismatch(f"{axis}-rectangle {rect!r} not a.e. inside domain {rv.domain!r}")
-        out.append(integrals)
-    return out
-
-
 def _correlators(fs, gs, rho: GridDensity) -> list:
     """[[E[f·g] for g in gs] for f in fs] under rho, f on x and g on y, None the constant 1,
-    each as (i_f @ W) @ i_g: the one contraction with the weights; NonFiniteInput on overflow."""
-    xe, ye, w = rho.x_edges(), rho.y_edges(), rho.weights
+    each as (i_f @ W) @ i_g: the one contraction with the weights.  The pieces of fs and then
+    gs are overlapped once with the x cells and then the y cells, and each observable's
+    integrals and covered length are read from its own block of those lengths;
+    DomainMismatch names the first of fs, then of gs, not defined a.e. on its side of rho's
+    rectangle, and NonFiniteInput an overflow."""
+    xe, ye, w, nx = rho.x_edges(), rho.y_edges(), rho.weights, rho.nx
+    rvs = [rv for rv in (*fs, *gs) if rv is not None]
+    ends = [0, *accumulate(len(rv.pieces) for rv in rvs)]
     with np.errstate(over="ignore", invalid="ignore"):
-        i_f = _integrate_axis(fs, xe, rho.x_rect, "x")
-        i_g = _integrate_axis(gs, ye, rho.y_rect, "y")
+        lo, hi, values = _overlap(np.concatenate((xe, ye)), rvs)
+        lengths = np.maximum(hi - lo, 0.0)
+        # per rv, its covered length on the x cells, on row nx (x's last edge to y's first,
+        # no cell) and on the y cells
+        covered = np.add.reduceat(np.add.reduceat(lengths, (0, nx, nx + 1)), ends[:-1], axis=1)
+        blocks = iter(zip(ends, ends[1:], covered.T.tolist()))
+        i_f, i_g = [], []
+        for side, out, edges, rect, axis, cells, row in (
+                (fs, i_f, xe, rho.x_rect, "x", lengths[:nx], 0),
+                (gs, i_g, ye, rho.y_rect, "y", lengths[nx + 1:], 2)):
+            for rv in side:
+                if rv is None:
+                    out.append(np.diff(edges))
+                    continue
+                i, j, on = next(blocks)
+                if not _same_measure(on[row], rect.length):
+                    raise DomainMismatch(
+                        f"{axis}-rectangle {rect!r} not a.e. inside domain {rv.domain!r}")
+                out.append(cells[:, i:j] @ values[i:j])
         es = [[float(fw @ ig) for ig in i_g] for fw in (i @ w for i in i_f)]
     if not _finite(*(e for row in es for e in row)):
         raise NonFiniteInput(f"correlators on {rho.x_rect!r} × {rho.y_rect!r} overflow")

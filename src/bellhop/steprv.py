@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -122,17 +121,6 @@ def _overlap(edges: np.ndarray, rvs) -> tuple[np.ndarray, np.ndarray, np.ndarray
     (lo[i, j], hi[i, j]), empty unless lo[i, j] < hi[i, j], and values the pieces' values."""
     los, his, values = _rows(rvs)
     return np.maximum(edges[:-1, None], los), np.minimum(edges[1:, None], his), values
-
-
-def cell_integrals(rvs, edges: np.ndarray) -> list:
-    """Per rv of rvs, all on one axis, (integrals, covered): its integral over each cell
-    (edges[i], edges[i+1]) and the measure of its domain inside the cells, each read from
-    its own columns of one _overlap of every rv's pieces."""
-    lo, hi, values = _overlap(edges, rvs)
-    lengths = np.maximum(hi - lo, 0.0)
-    ends = [0, *accumulate(len(rv.pieces) for rv in rvs)]
-    return [(lengths[:, i:j] @ values[i:j], lengths[:, i:j].sum(axis=1).sum())
-            for i, j in zip(ends, ends[1:])]
 
 
 def make_step(boundaries: Sequence[float], values: Sequence[float], axis_label: str) -> PartialRV:

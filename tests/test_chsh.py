@@ -3,6 +3,7 @@ import hashlib
 import pickle
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -398,6 +399,22 @@ class TestClassicalBound:
             alone = [_correlators((a[alpha],), (b[beta],), rho)[0][0] for alpha, beta in PAIRS]
             assert classical_bound_check(*rvs, rho) == chsh_value(*alone)
 
+    @pytest.mark.parametrize(
+        "missing", [ks for n in range(1, 5) for ks in combinations(range(4), n)],
+        ids=lambda ks: "+".join(("a0", "a1", "b0", "b1")[k] for k in ks))
+    def test_first_missing_observable_named(self, missing):
+        # observable k of (a0, a1, b0, b1) covers only (0, ends[k]) of its side of the unit
+        # square when k is in missing: the error names the first of them in that order, with
+        # its axis's text, whichever others miss too
+        ends = (0.5, 0.625, 0.75, 0.875)
+        rvs = [make_step([0.0, ends[k] if k in missing else 1.0], [1.0], axis)
+               for k, axis in enumerate("xxyy")]
+        rho = GridDensity(Interval(0, 1), Interval(0, 1), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+        k = missing[0]
+        message = f"{'xxyy'[k]}-rectangle (0,1) not a.e. inside domain (0,{ends[k]})"
+        with pytest.raises(DomainMismatch, match=f"^{re.escape(message)}$"):
+            classical_bound_check(*rvs, rho)
+
     def test_pinned_bits(self):
         # the S of the first 1000 instances of seed 3, as float64 bytes: the instance stream
         # and every bit of the check
@@ -586,6 +603,59 @@ class TestOneContraction:
         moments = optimize_family((0.7, 0.7, 0.7, -0.7), (32, 32))[0]._moments
         assert hashlib.sha256(np.array(moments).tobytes()).hexdigest() == (
             "3982bd4fe97bdbd9a8d3f0a985cb90840afa3e8fa91df6b9d471b1477ccf2e99")
+
+
+class TestOneOverlap:
+    """_correlators reads each observable's integrals from its own block of one overlap of
+    both axes' pieces: on grids with one cell on one side, with observables of 1 and of 4 pieces on
+    opposite axes and with sides that hold only the constant, each correlator is bit for bit
+    its pair's alone and within the rule of its exact value."""
+
+    # x's last edge and y's first are 1 apart, and every observable reaches past its side,
+    # so the overlap's row between the two axes' cells is not empty
+    RECTS = (Interval(0.0, 1.0), Interval(2.0, 3.0))
+
+    def step(self, rng, k, axis):
+        """A ±1 step function of k pieces, reaching half a width past both ends of its side."""
+        rect = self.RECTS["xy".index(axis)]
+        cuts = sorted(rng.uniform(rect.lo, rect.hi, k - 1).tolist())
+        return make_step([rect.lo - 0.5, *cuts, rect.hi + 0.5],
+                         rng.choice([-1.0, 1.0], size=k).tolist(), axis)
+
+    def check(self, fs, gs, rho):
+        ones = [make_step([r.lo, r.hi], [1.0], axis) for r, axis in zip(self.RECTS, "xy")]
+        es = _correlators(fs, gs, rho)
+        for f, row in zip(fs, es, strict=True):
+            for g, e in zip(gs, row, strict=True):
+                f1, g1 = f or ones[0], g or ones[1]
+                assert e == _correlators((f1,), (g1,), rho)[0][0]
+                assert exact.within(e, exact.moments(f1, g1, rho)[0], exact.terms(rho, f1, g1))
+        return es
+
+    def density(self, rng, shape):
+        return GridDensity(*self.RECTS, rng.random(shape) + 1e-3)
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 1)], ids=["1x4", "4x1"])
+    @pytest.mark.parametrize("pieces", [(1, 4), (4, 1)], ids=["x1-y4", "x4-y1"])
+    def test_lopsided_blocks(self, shape, pieces):
+        rng, (kx, ky) = np.random.default_rng(17), pieces
+        for _ in range(20):
+            fs = (self.step(rng, kx, "x"), None, self.step(rng, kx, "x"))
+            gs = (None, self.step(rng, ky, "y"), self.step(rng, ky, "y"))
+            rho = self.density(rng, shape)
+            es = self.check(fs, gs, rho)
+            for i, j in [(0, 1), (0, 2), (2, 1), (2, 2)]:
+                assert _integrate(fs[i], gs[j], rho) == (es[i][j], es[i][0], es[1][j])
+
+    @pytest.mark.parametrize("shape", [(1, 4), (4, 1)], ids=["1x4", "4x1"])
+    def test_constant_sides(self, shape):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            rho = self.density(rng, shape)
+            f, g = self.step(rng, 4, "x"), self.step(rng, 1, "y")
+            self.check((None,), (g, None), rho)
+            self.check((f, None), (None,), rho)
+            self.check((None, None), (None, g), rho)
 
 
 class TestCopies:
