@@ -28,15 +28,10 @@ from bellhop.observables import make_observable, setting_interval
 from bellhop.simulate import ExperimentConfig, run_experiment
 from bellhop.steprv import PartialRV, make_step
 import exact
-from test_density import SMALL_ALIGNED_OR_NOT, families, family_of, middle_band_density
-from test_simulate import mixed_grid_family
-
-
-def uniform_family():
-    return ChshFamily(*[
-        GridDensity(Interval(float(a), a + 1.0), Interval(float(b), b + 1.0), [[1.0]])
-        for a, b in PAIRS
-    ])
+from support import (
+    SMALL_ALIGNED_OR_NOT, families, family_of, middle_band_density, mixed_grid_family,
+    uniform_family,
+)
 
 
 def random_segments(rng):

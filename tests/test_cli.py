@@ -16,7 +16,7 @@ from bellhop import chsh, simulate
 from bellhop.chsh import MAX_GRID
 from bellhop.cli import EXIT_RUNTIME, MAX_CHECKS, _build_parser, _runs, main, write_figures
 from bellhop.steprv import make_step
-from test_simulate import sub_rectangle_family
+from support import sub_rectangle_family
 
 
 # SHA-256 of the reference figure data; perfbench/checks.py pins the same digests

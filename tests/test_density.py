@@ -14,7 +14,6 @@ from bellhop.chsh import PAIRS, ChshFamily, optimize_family, saturating_family
 from bellhop.density import ROUND_OFF, GridDensity, _edges, _integrate, expectation
 from bellhop.errors import (
     BellhopError,
-    ConfigInvalid,
     DomainMismatch,
     EmptyRect,
     MalformedInput,
@@ -23,21 +22,14 @@ from bellhop.errors import (
     ZeroTotalMass,
 )
 from bellhop.intervals import Interval
-from bellhop.observables import make_observable, setting_interval, thresholds
+from bellhop.observables import make_observable, setting_interval
 from bellhop.simulate import ExperimentConfig, estimate, run_experiment
 from bellhop.steprv import PartialRV, make_step
 import exact
-
-
-def unit_rect():
-    return Interval(0.0, 1.0), Interval(0.0, 1.0)
-
-
-def middle_band_density():
-    # all mass uniform on (0.25, 0.75)^2, on a quarter-aligned 4x4 grid
-    w = np.zeros((4, 4))
-    w[1:3, 1:3] = 1.0
-    return GridDensity(*unit_rect(), w)
+from support import (
+    SMALL_ALIGNED_OR_NOT, check_log_table, families, family_of, middle_band_density,
+    sub_rectangle_families, unit_rect, weights,
+)
 
 
 @st.composite
@@ -65,10 +57,7 @@ def partial_steps(draw, axis):
 @st.composite
 def grid_densities(draw, max_side=6):
     nx, ny = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
-    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1))
-    weights = draw(st.lists(weight, min_size=nx * ny, max_size=nx * ny))
-    assume(sum(weights) > 0)
-    return GridDensity(*unit_rect(), np.reshape(weights, (nx, ny)))
+    return GridDensity(*unit_rect(), draw(weights(nx, ny)))
 
 
 @st.composite
@@ -151,31 +140,7 @@ def family_records(draw):
     return record
 
 
-def family_of(weights):
-    """A family with the same grid weights for every pair."""
-    return ChshFamily(*[
-        GridDensity(setting_interval(a), setting_interval(b), weights) for a, b in PAIRS
-    ])
-
-
-@st.composite
-def families(draw, sides):
-    """Families of random weights, zeros among them, on grids of the given
-    sides: multiples of 4 keep the thresholds on grid lines, others cut cells."""
-    densities = []
-    for alpha, beta in PAIRS:
-        nx, ny = draw(sides), draw(sides)
-        weight = st.one_of(st.just(0.0), st.floats(1e-3, 1))
-        w = draw(st.lists(weight, min_size=nx * ny, max_size=nx * ny))
-        assume(sum(w) > 0)
-        densities.append(GridDensity(
-            setting_interval(alpha), setting_interval(beta), np.reshape(w, (nx, ny))))
-    return ChshFamily(*densities)
-
-
 ALIGNED_OR_NOT = st.one_of(st.sampled_from([4, 8, 16, 32]), st.integers(1, 7))
-# up to 16 cells a side, where tests/exact.py takes milliseconds a pair
-SMALL_ALIGNED_OR_NOT = st.one_of(st.sampled_from([4, 8, 16]), st.integers(1, 7))
 
 
 def pair_counts(family, n, seed, pair=0):
@@ -218,43 +183,6 @@ def exact_cell_probs(family, pair=0):
         mass = sum(c.log_mass for c in class_cells)
         probs += [float(p.value * c.log_mass / mass) if mass else 0.0 for c in class_cells]
     return np.array(probs)
-
-
-def check_log_table(family):
-    """simulate._log_table against the exact cells: one row per cell, each class's cells in
-    row-major order, its corners bit for bit, its probability given the class within the
-    rule (0 where no float fits inside), and the class's kind and line of fixed bytes, NUL
-    where the trial, x and y go; or the first class that has mass on no cell refused by
-    name."""
-    lo, hi, kinds, lines, split, refused = [], [], [], [], [], None
-    trial, point = b"\0" * 16, b"\0" * 24
-    for (alpha, beta), rho in zip(PAIRS, family.densities()):
-        f, g = family.observables(alpha, beta)
-        n = exact.terms(rho, f, g)
-        cells = exact.cells(f, g, rho)
-        for ((u, v), p), class_cells in zip(exact.class_law(cells).items(), cells.values()):
-            mass = sum(c.log_mass for c in class_cells)
-            if p.value > 0 and not mass and refused is None:
-                refused = (f"pair ({alpha},{beta}) class (a, b) = ({u:+.0f}, {v:+.0f}) "
-                           "lies on cells too thin for the event log's points")
-            lo += [c.lo for c in class_cells]
-            hi += [c.hi for c in class_cells]
-            kinds += [len(lines)] * len(class_cells)
-            lines.append(b"%s,%d,%d,%s,%s,%+d,%+d\n" % (trial, alpha, beta, point, point, u, v))
-            split.append((n, [c.log_mass / (mass or 1) for c in class_cells]))
-    if refused:
-        with pytest.raises(ConfigInvalid) as err:
-            simulate._log_table(family)
-        assert str(err.value) == refused
-        return
-    table = simulate._log_table(family)
-    assert table.lo.tobytes() == np.array(lo).tobytes()
-    assert table.hi.tobytes() == np.array(hi).tobytes()
-    assert table.kinds.tolist() == kinds
-    assert [line.tobytes() for line in table.lines] == lines
-    for got, (n, want) in zip(table.split, split, strict=True):
-        assert all(exact.within(q, exact.Exact(p, p), n)
-                   for q, p in zip(got.tolist(), want, strict=True))
 
 
 def log_rows(family, n, seed, workers=1):
@@ -428,11 +356,9 @@ class TestConstruction:
     def test_unit_mass(self, x_rect, y_rect, nx, ny, data):
         # E[1] = 1 for every density the constructor accepts, cells of
         # unequal float widths among them
-        weight = st.one_of(st.just(0.0), st.floats(1e-3, 1))
-        w = data.draw(st.lists(weight, min_size=nx * ny, max_size=nx * ny))
         try:
-            rho = GridDensity(x_rect, y_rect, np.reshape(w, (nx, ny)))
-        except (MalformedInput, ZeroTotalMass):
+            rho = GridDensity(x_rect, y_rect, data.draw(weights(nx, ny)))
+        except MalformedInput:
             return
         f, g = PartialRV(((x_rect, 1.0),), "x"), PartialRV(((y_rect, 1.0),), "y")
         assert abs(expectation(f, g, rho) - 1.0) <= ROUND_OFF
@@ -624,34 +550,6 @@ class TestMarginals:
         assert expectation(f, g, rho) == pytest.approx(mf * mg, abs=1e-12)
 
 
-@st.composite
-def rect_ends(draw, alpha):
-    """A rectangle end on setting_interval(alpha): one of its ends or thresholds or a point
-    between, half the time one ulp off it, either way."""
-    end = draw(st.sampled_from([alpha, *thresholds(alpha), alpha + 1.0])
-               | st.floats(alpha, alpha + 1.0))
-    return draw(st.sampled_from([end, end, np.nextafter(end, -np.inf), np.nextafter(end, np.inf)]))
-
-
-@st.composite
-def sub_rectangle_families(draw):
-    """Families of random weights on 1..8-cell grids over rectangles whose ends lie on or
-    one ulp off the setting intervals' ends and thresholds: sub-rectangles, rectangles
-    one ulp past a domain (inside its a.e. slack) and cells with no float inside."""
-    densities = []
-    for alpha, beta in PAIRS:
-        x_rect, y_rect = (Interval(*sorted((draw(rect_ends(s)), draw(rect_ends(s)))))
-                          for s in (alpha, beta))
-        nx, ny = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-        weight = st.one_of(st.just(0.0), st.floats(1e-3, 1))
-        w = draw(st.lists(weight, min_size=nx * ny, max_size=nx * ny))
-        densities.append((x_rect, y_rect, np.reshape(w, (nx, ny))))
-    try:
-        return ChshFamily(*(GridDensity(*density) for density in densities))
-    except BellhopError:  # an empty or too narrow rectangle, no mass, or off a domain
-        assume(False)
-
-
 def with_rho00(rho00):
     """The family of rho00 for pair 00 and a uniform density on each other pair's square."""
     return ChshFamily(rho00, *[
@@ -712,10 +610,11 @@ class TestClassLaw:
 
     @settings(max_examples=40, deadline=None)
     @given(families(SMALL_ALIGNED_OR_NOT))
-    @example(optimize_family((0.7, 0.7, 0.7, -0.7), (32, 32))[0])
+    @example(None)  # the 32x32 family below, built when the test runs, not at import
     def test_exact_and_refinement_oracles(self, family):
         # each class's probability within the rule of the exact law, which sums the
         # class's event-log cells; and the law's moments those of the summary
+        family = family or optimize_family((0.7, 0.7, 0.7, -0.7), (32, 32))[0]
         summary = family.summary()
         for (alpha, beta), rho, (a, b, classes) in zip(
                 PAIRS, family.densities(), family._class_law, strict=True):

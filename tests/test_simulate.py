@@ -30,14 +30,7 @@ from bellhop.simulate import (
     run_experiment,
 )
 import exact
-from test_density import check_log_table
-
-
-def uniform_family():
-    return ChshFamily(*[
-        GridDensity(Interval(float(a), a + 1.0), Interval(float(b), b + 1.0), [[1.0]])
-        for a, b in PAIRS
-    ])
+from support import check_log_table, mixed_grid_family, sub_rectangle_family, uniform_family
 
 
 def unaligned_family():
@@ -46,18 +39,6 @@ def unaligned_family():
     return ChshFamily(*[
         GridDensity(setting_interval(a), setting_interval(b), rng.random((3, 5)) + 0.1)
         for a, b in PAIRS
-    ])
-
-
-def mixed_grid_family():
-    """3x5 / 4x4 / 3x8 / 5x5 grids in PAIRS order: pairs 00 and 01 share the
-    setting-0 x axis, while pairs 10 and 11 have setting 1 but different
-    cell counts, and no two pairs share a y axis."""
-    rng = np.random.default_rng(19)
-    shapes = ((3, 5), (4, 4), (3, 8), (5, 5))
-    return ChshFamily(*[
-        GridDensity(setting_interval(a), setting_interval(b), rng.random(shape) + 0.1)
-        for (a, b), shape in zip(PAIRS, shapes)
     ])
 
 
@@ -71,14 +52,6 @@ def sliver_family():
     return ChshFamily(GridDensity(setting_interval(0), setting_interval(0), w), *[
         GridDensity(setting_interval(a), setting_interval(b), [[1.0]]) for a, b in PAIRS[1:]
     ])
-
-
-def sub_rectangle_family():
-    """mixed_grid_family with rho00 on (0.25, 0.75) × (0, 1): a rectangle that a0 and b0
-    cover a.e. without spanning a0's domain, on which a0 is +1."""
-    w = np.random.default_rng(24).random((3, 5)) + 0.1
-    rho00 = GridDensity(Interval(0.25, 0.75), setting_interval(0), w)
-    return dataclasses.replace(mixed_grid_family(), rho00=rho00)
 
 
 def tiny_x_family():
