@@ -19,7 +19,7 @@ from . import chsh, deriv, simulate
 from .density import ROUND_OFF
 from .errors import BellhopError, EmptyDomain, ExprSyntaxError, OutOfDomain, UndefinedPoint, _show
 from .observables import log_curve, make_observable
-from .steprv import combine
+from .steprv import _rows, combine
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -185,17 +185,24 @@ def _cmd_check_classical(args) -> int:
 
 
 def _runs(rv, xs: np.ndarray) -> list:
-    """rv at xs as runs [(text, length), ...] of one %.17g text, "nan" where rv is
-    undefined.  A step function takes few values, so each run is formatted once;
-    a run ends where the value's bits change, which keeps -0.0, 0.0 and nan apart.
-    """
-    values, defined = rv.eval_many(xs)
-    bits = np.where(defined, values, math.nan).view(np.int64)
-    change = np.concatenate(([True], bits[1:] != bits[:-1]))[: len(bits)]  # [:0] for no xs
-    starts = np.flatnonzero(change).tolist()
-    firsts = bits[starts].view(np.float64).tolist()
-    return [(f"{v:.17g}", end - start)
-            for v, start, end in zip(firsts, starts, [*starts[1:], len(bits)])]
+    """rv at increasing xs as maximal runs [(text, length), ...] of one %.17g text, "nan"
+    where rv is undefined.  Piece (lo, hi) holds the xs with lo < x < hi, eval_many's rule,
+    which searchsorted finds from the piece's ends; each piece is formatted once, and the
+    texts keep -0.0, 0.0 and nan apart."""
+    los, his, values = _rows((rv,))
+    runs, at = [], 0
+    for start, end, value in zip(np.searchsorted(xs, los, "right").tolist(),
+                                 np.searchsorted(xs, his, "left").tolist(), values.tolist()):
+        runs += [("nan", start - at), (f"{value:.17g}", end - start)]
+        at = end
+    runs.append(("nan", len(xs) - at))
+    out = []
+    for text, n in runs:
+        if out and out[-1][0] == text:  # a gap with no xs, or pieces of one value
+            out[-1] = (text, out[-1][1] + n)
+        elif n:
+            out.append((text, n))
+    return out
 
 
 def write_figures(out_dir: str) -> None:

@@ -309,7 +309,7 @@ def _trial_words(first: int, n: int) -> np.ndarray:
     of one trial // 10**4 share every word but the last, which are consecutive entries of one
     table: groups[2·10**4 + g] where the last word leads (trials below 10**4), else [g]."""
     groups, _ = _digit_words()
-    words = np.empty((n, _TRIAL_WORDS), np.uint32)
+    words = np.zeros((n, _TRIAL_WORDS), np.uint32)  # rows a faulty run skips stay NUL
     for start in range(-(first % 10**4), n, 10**4):  # rows lo…hi: trial // 10**4 is top
         top, lo, hi = (first + start) // 10**4, max(start, 0), min(start + 10**4, n)
         head = (b"%d" % top if top else b"").rjust(4 * _TRIAL_WORDS - 4, b"\0")

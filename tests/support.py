@@ -16,10 +16,31 @@ from bellhop.density import ROUND_OFF, GridDensity, _edges
 from bellhop.errors import ConfigInvalid
 from bellhop.intervals import Interval
 from bellhop.observables import setting_interval, thresholds
+from bellhop.steprv import PartialRV
 import exact
 
 # up to 16 cells a side, where tests/exact.py takes milliseconds a pair
 SMALL_ALIGNED_OR_NOT = st.one_of(st.sampled_from([4, 8, 16]), st.integers(1, 7))
+
+
+# cuts on k/40 and k/48 on [0, 2]: two grids whose lines mostly miss each other
+grid_points = st.one_of(
+    st.integers(0, 80).map(lambda k: k / 40),
+    st.integers(0, 96).map(lambda k: k / 48),
+)
+
+
+@st.composite
+def gapped_step_rvs(draw):
+    """Step functions on grid_points with some pieces dropped, so the domain
+    has gaps; values include both zeros so sums and products can be -0.0."""
+    points = sorted(draw(st.sets(grid_points, min_size=2, max_size=8)))
+    pieces = [
+        (Interval(lo, hi), draw(st.sampled_from([-1.0, 1.0, 0.5, 0.0, -0.0])))
+        for lo, hi in zip(points, points[1:])
+    ]
+    keep = draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces)))
+    return PartialRV(tuple(p for p, k in zip(pieces, keep) if k) or tuple(pieces[:1]), "x")
 
 
 def unit_rect():

@@ -497,6 +497,18 @@ class TestFamilySerialization:
         d["expectations"]["extra"] = "ignored"
         assert ChshFamily.from_dict(d).expectations()[2] == 0.75
 
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_stored_expectations_tolerance_is_closed(self, sign):
+        # a stored value exactly the tolerance away is accepted, the next float past it not
+        family = optimize_family((0.5, -0.25, 0.75, 0.125), (8, 8))[0]
+        d = family.to_dict()
+        edge = family.summary()["e01"] + sign * chsh._STORED_TOLERANCE
+        d["expectations"]["e01"] = edge
+        assert ChshFamily.from_dict(d).expectations() == family.expectations()
+        d["expectations"]["e01"] = np.nextafter(edge, sign * np.inf).item()
+        with pytest.raises(MalformedInput):
+            ChshFamily.from_dict(d)
+
     def test_rectangle_validation(self):
         rho = GridDensity(Interval(0, 1), Interval(0, 1), [[1.0]])
         with pytest.raises(DomainMismatch):

@@ -10,13 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import bellhop
 from bellhop import chsh, simulate
 from bellhop.chsh import MAX_GRID
 from bellhop.cli import EXIT_RUNTIME, MAX_CHECKS, _build_parser, _runs, main, write_figures
-from bellhop.steprv import make_step
-from support import sub_rectangle_family
+from bellhop.intervals import Interval
+from bellhop.steprv import PartialRV, make_step
+from support import gapped_step_rvs, sub_rectangle_family
 
 
 # SHA-256 of the reference figure data; perfbench/checks.py pins the same digests
@@ -476,15 +478,38 @@ class TestFigures:
 
     def test_runs(self):
         rv = make_step([0.0, 1.0, 2.0, 3.0], [-0.0, 0.0, -1.0], "x")
-        xs = np.array([0.5, 0.6, 1.0, 1.5, 1.7, 2.5, 1.5, 3.5, 4.0, 0.5])
+        xs = np.array([0.5, 0.6, 1.0, 1.5, 1.7, 2.5, 3.5, 4.0])
         runs = _runs(rv, xs)
-        # -0.0 and 0.0 compare equal but make separate runs
-        assert runs == [("-0", 2), ("nan", 1), ("0", 2), ("-1", 1), ("0", 1), ("nan", 2),
-                        ("-0", 1)]
+        # -0.0 and 0.0 compare equal but make separate runs, with a nan run between or not
+        assert runs == [("-0", 2), ("nan", 1), ("0", 2), ("-1", 1), ("nan", 2)]
         assert sum(n for _, n in runs) == len(xs)
+        assert _runs(rv, np.array([0.5, 1.5])) == [("-0", 1), ("0", 1)]
         assert _runs(rv, np.array([2.25, 2.5, 2.75])) == [("-1", 3)]
         assert _runs(rv, np.array([-1.0, 1.0, 2.0, 7.0])) == [("nan", 4)]
         assert _runs(rv, np.array([])) == []
+        # runs are maximal: one value across a breakpoint, or a gap, that holds no x
+        for ends in ([0.0, 1.0, 2.0], [0.0, 1.0, 1.5, 2.0]):
+            gapped = PartialRV(((Interval(ends[0], ends[1]), 1.0),
+                                (Interval(ends[-2], ends[-1]), 1.0)), "x")
+            assert _runs(gapped, np.array([0.5, 1.75])) == [("1", 2)]
+            assert _runs(gapped, np.array([-2.0, -1.0, 0.5, 1.75, 1.8])) == [("nan", 2), ("1", 3)]
+
+    @given(gapped_step_rvs(), st.lists(st.floats(-1.0, 3.0)),
+           st.sampled_from(["every end", "some points", "empty"]))
+    def test_runs_match_eval_many(self, rv, extra, grid):
+        # increasing grids: every breakpoint with its float neighbours and points outside
+        # the domain (which lies in [0, 2]), or drawn points alone, which may leave a
+        # breakpoint or a gap with no x, or no point at all
+        ends = np.array(rv.breakpoints())
+        points = {*extra} if grid == "some points" else {
+            *extra, *ends, *np.nextafter(ends, -np.inf), *np.nextafter(ends, np.inf), -1.0, 3.0}
+        xs = np.array(sorted(set() if grid == "empty" else points), dtype=float)
+        runs = _runs(rv, xs)
+        values, defined = rv.eval_many(xs)
+        assert [text for text, n in runs for _ in range(n)] == [
+            f"{v:.17g}" if d else "nan" for v, d in zip(values.tolist(), defined.tolist())]
+        assert all(n > 0 for _, n in runs)
+        assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
 
     def test_fig2_blocks_have_seven_runs(self):
         # a -1/+1/-1 step function on the closed span of its setting interval:

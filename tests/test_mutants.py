@@ -1,5 +1,6 @@
 """tools/mutants.json stays applicable to the tree: each recorded mutant still finds its code."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -32,3 +33,21 @@ def test_generated_functions_exist(file):
     text = (ROOT / file).read_text()
     for qualname in SPEC["generate"][file]:
         assert f"def {qualname.rsplit('.', 1)[-1]}(" in text
+
+
+def test_prefixes_select_mutants():
+    # a pure function of the ids: no tier-1 run starts
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    mutants = [module.Mutant(id, "", "") for id in (
+        "pr36-ravel-K", "pr37-x-block-nx-plus-1", "cli._runs:+>-#1", "cli._runs:0>1#1",
+        "steprv.combine:<><=#1", "steprv._cell_values:0>1#1")]
+    ids = lambda *prefixes: [m.id for m in module.selected(mutants, prefixes)]
+    assert ids() == [m.id for m in mutants]
+    assert ids("pr36-") == ["pr36-ravel-K"]
+    assert ids("_runs:") == ids("cli._runs:") == ["cli._runs:+>-#1", "cli._runs:0>1#1"]
+    assert ids("cli._runs:0>1#1") == ["cli._runs:0>1#1"]
+    assert ids("steprv.combine", "pr37-") == ["pr37-x-block-nx-plus-1", "steprv.combine:<><=#1"]
+    assert ids("combine:", "_c") == ["steprv.combine:<><=#1", "steprv._cell_values:0>1#1"]
+    assert ids("runs:", "36-", "ravel") == []

@@ -17,6 +17,7 @@ from bellhop.errors import (
 from bellhop.intervals import DomainSet, Interval
 from bellhop.observables import make_observable
 from bellhop.steprv import PartialRV, _overlap, combine, make_step
+from support import gapped_step_rvs, grid_points
 
 
 @st.composite
@@ -29,26 +30,6 @@ def step_rvs(draw, axis="x"):
         st.sampled_from([-1.0, 1.0]), min_size=len(points) - 1, max_size=len(points) - 1
     ))
     return make_step(points, values, axis)
-
-
-# cuts on k/40 and k/48 on [0, 2]: two grids whose lines mostly miss each other
-grid_points = st.one_of(
-    st.integers(0, 80).map(lambda k: k / 40),
-    st.integers(0, 96).map(lambda k: k / 48),
-)
-
-
-@st.composite
-def gapped_step_rvs(draw):
-    """Step functions on grid_points with some pieces dropped, so the domain
-    has gaps; values include both zeros so sums and products can be -0.0."""
-    points = sorted(draw(st.sets(grid_points, min_size=2, max_size=8)))
-    pieces = [
-        (Interval(lo, hi), draw(st.sampled_from([-1.0, 1.0, 0.5, 0.0, -0.0])))
-        for lo, hi in zip(points, points[1:])
-    ]
-    keep = draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces)))
-    return PartialRV(tuple(p for p, k in zip(pieces, keep) if k) or tuple(pieces[:1]), "x")
 
 
 OPS = {"sum": lambda u, v: u + v,

@@ -1,13 +1,16 @@
 """The mutation matrix: which tier-1 tests fail under each mutant of bellhop's source.
 
-    python tools/mutants.py > mutants.json
+    python tools/mutants.py [ID_PREFIX ...] > mutants.json
 
-takes no flags.  It reads tools/mutants.json: first the mutations recorded by hand, each an
-id, a file, the exact old text and its new text (a retired one, whose code is gone, is not
-run); then the functions over which it generates operator mutants with ast: < against <=,
-> against >=, + against - (binary and augmented), each integer constant ±1 (but the base of
-a power and reshape's -1), and each np.nextafter(a, b) replaced by a.  A generated mutant
-whose source equals another mutant's is dropped; recorded mutants of one source share a run.
+reads tools/mutants.json: first the mutations recorded by hand, each an id, a file, the
+exact old text and its new text (a retired one, whose code is gone, is not run); then the
+functions over which it generates operator mutants with ast: < against <=, > against >=,
++ against - (binary and augmented), each integer constant ±1 (but the base of a power and
+reshape's -1), and each np.nextafter(a, b) replaced by a.  A generated mutant whose source
+equals another mutant's is dropped; recorded mutants of one source share a run.  Given
+ID_PREFIXes, it runs only the mutants whose id starts with one of them, a generated id also
+without its module ("_runs:" as well as "cli._runs:"), and each prefix must select some
+mutant; given none, it runs every mutant.
 
 Each mutant runs tier-1 once, on a fresh copy of the tracked tree in a temporary directory,
 one mutant per available CPU at a time, under the "mutants" hypothesis profile of
@@ -16,16 +19,18 @@ rerun gives the same kills.  A clean run comes first: it must pass, and a mutant
 take TIMEOUT_RUNS times as long before it is killed with its whole process group and recorded
 as "timeout".
 
-stdout is one JSON object mapping each mutant's id to its failing test ids (a collection
-error counts as a failure of its module) or "timeout".  tests/test_mutants.py is left out of
-the runs: it checks the list against the source, not the program.  Progress goes to stderr.  The exit
-status is 1 if the clean run fails or a mutant survives, an empty list, that mutants.json
-does not state to be equivalent; else 0.  The matrix is a lower bound on what tier-1 guards:
-a test that kills no mutant here may still guard what no mutant touched.
+stdout is one JSON object mapping each selected mutant's id to its failing test ids (a
+collection error counts as a failure of its module) or "timeout".  tests/test_mutants.py is
+left out of the runs: it checks the list against the source, not the program.  Progress goes
+to stderr.  The exit status is 1 if the clean run fails or a mutant survives, an empty list,
+that mutants.json does not state to be equivalent; 2 for a prefix that selects nothing; else
+0.  The matrix is a lower bound on what tier-1 guards: a test that kills no mutant here may
+still guard what no mutant touched.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import json
 import os
@@ -160,6 +165,14 @@ def generated(spec: dict, seen: set) -> list:
     return out
 
 
+def selected(mutants: list, prefixes) -> list:
+    """The mutants whose id, or a generated id without its module, starts with a prefix;
+    every mutant for no prefix."""
+    prefixes = tuple(prefixes) or ("",)
+    return [m for m in mutants
+            if m.id.startswith(prefixes) or m.id.partition(".")[2].startswith(prefixes)]
+
+
 def copy_tree(dest: Path) -> None:
     """The tracked files of the repository, as they are in its working tree, under dest."""
     files = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, check=True,
@@ -201,10 +214,18 @@ def run(mutant, timeout):
     return failed, elapsed
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="tier-1 once per mutant of tools/mutants.json")
+    parser.add_argument("prefixes", nargs="*", metavar="ID_PREFIX",
+                        help="run only the mutants whose id starts with one of these")
+    prefixes = parser.parse_args(argv).prefixes
     spec = json.loads(SPEC.read_text())
     mutants = recorded(spec)
     mutants += generated(spec, {(m.file, m.source) for m in mutants})
+    for prefix in prefixes:
+        if not selected(mutants, [prefix]):
+            parser.error(f"no mutant id starts with {prefix!r}")
+    mutants = selected(mutants, prefixes)
     clean, seconds = run(None, None)
     print(f"clean run: {seconds:.1f} s, {len(mutants)} mutants", file=sys.stderr)
     if clean:
