@@ -24,7 +24,7 @@ from .errors import (
 )
 from .intervals import Interval
 from .observables import make_observable, setting_interval
-from .steprv import PartialRV, _cell_values, make_step
+from .steprv import PartialRV, make_step
 
 PAIRS = ((0, 0), (1, 0), (0, 1), (1, 1))  # (alpha, beta) order used throughout
 MAX_GRID = 512  # cells a side of optimize_family's grid: 78 MB of RSS, an 11.5 MB family file
@@ -149,8 +149,9 @@ def chsh_value(e00: float, e10: float, e01: float, e11: float) -> float:
 
 
 def _band_signs(n: int) -> np.ndarray:
-    """Observable value per grid column for a quarter-aligned n-cell grid."""
-    return _cell_values(OBSERVABLES[0][0], np.arange(n + 1) / n)[0]
+    """a0's value per column of a quarter-aligned n-cell grid on (0, 1), read at the
+    column midpoints, which lie inside a0's quarter bands."""
+    return OBSERVABLES[0][0].eval_many((np.arange(n) + 0.5) / n)[0]
 
 
 def saturating_family() -> ChshFamily:

@@ -201,7 +201,8 @@ def _correlators(fs, gs, rho: GridDensity) -> list:
     rvs = [rv for rv in (*fs, *gs) if rv is not None]
     ends = [0, *accumulate(len(rv.pieces) for rv in rvs)]
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi, values = _overlap(np.concatenate((xe, ye)), rvs)
+        grid = np.concatenate((xe, ye))
+        lo, hi, values = _overlap(grid[:-1], grid[1:], rvs)
         lengths = np.maximum(hi - lo, 0.0)
         # per rv, its covered length on the x cells, on row nx (x's last edge to y's first,
         # no cell) and on the y cells

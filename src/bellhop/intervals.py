@@ -4,7 +4,7 @@ deriv asks "where do both exist" of Intervals: a symbol's domain is one open
 interval, and two open intervals overlap iff max(lo) < min(hi).  A DomainSet
 is a step function's domain, a union of such intervals, as PartialRV.domain
 reports it; steprv.combine, which needs values as well, asks the question of
-each cell between the operands' breakpoints by the same rule.
+each piece of one operand and each of the other by the same rule (steprv._overlap).
 
 All endpoint comparisons are exact binary-float comparisons: the
 breakpoints that occur here (quarters, integers) are exactly representable,

@@ -97,7 +97,7 @@ class PartialRV:
         """(lo, hi, column, width, value) per nonempty cell ∩ piece of _overlap, in axis
         order: its ends, its cell i, its length (0 where no float lies strictly inside) and
         the piece's value."""
-        lo, hi, values = _overlap(edges, (self,))
+        lo, hi, values = _overlap(edges[:-1], edges[1:], (self,))
         column, piece = (lo < hi).nonzero()
         lo, hi = lo[column, piece], hi[column, piece]
         return lo, hi, column, np.where(np.nextafter(lo, hi) < hi, hi - lo, 0.0), values[piece]
@@ -105,7 +105,7 @@ class PartialRV:
     def value_lengths(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(distinct, lengths): the sorted values self takes on the cells
         (edges[i], edges[i+1]), and lengths[i, k] the length of cell i where self = distinct[k]."""
-        lo, hi, values = _overlap(edges, (self,))
+        lo, hi, values = _overlap(edges[:-1], edges[1:], (self,))
         # not np.unique, whose first call imports numpy.ma: 10-27 ms of a process's set-up
         distinct = np.array(sorted(set(values[(lo < hi).any(axis=0)].tolist())))
         return distinct, np.maximum(hi - lo, 0.0) @ (values[:, None] == distinct)
@@ -116,11 +116,12 @@ def _rows(rvs) -> np.ndarray:
     return np.array([(iv.lo, iv.hi, v) for rv in rvs for iv, v in rv.pieces], dtype=float).T
 
 
-def _overlap(edges: np.ndarray, rvs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lo, hi, values): cell (edges[i], edges[i+1]) ∩ piece j of rvs, in _rows' order, is
-    (lo[i, j], hi[i, j]), empty unless lo[i, j] < hi[i, j], and values the pieces' values."""
-    los, his, values = _rows(rvs)
-    return np.maximum(edges[:-1, None], los), np.minimum(edges[1:, None], his), values
+def _overlap(los: np.ndarray, his: np.ndarray, rvs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, values): interval (los[i], his[i]) ∩ piece j of rvs, in _rows' order, is
+    (lo[i, j], hi[i, j]), empty unless lo[i, j] < hi[i, j], and values the pieces' values;
+    an end that ties as ±0 is the piece's, as numpy's maximum and minimum keep the second."""
+    piece_los, piece_his, values = _rows(rvs)
+    return np.maximum(los[:, None], piece_los), np.minimum(his[:, None], piece_his), values
 
 
 def make_step(boundaries: Sequence[float], values: Sequence[float], axis_label: str) -> PartialRV:
@@ -133,36 +134,29 @@ def make_step(boundaries: Sequence[float], values: Sequence[float], axis_label: 
     return PartialRV(pieces, axis_label)
 
 
-def _cell_values(h: PartialRV, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, defined) per cell (cuts[i], cuts[i+1]): the value of the piece of h that
-    overlaps it, and whether one does."""
-    lo, hi, values = _overlap(cuts, (h,))
-    overlaps = lo < hi
-    return values[overlaps.argmax(axis=1)], overlaps.any(axis=1)
-
-
 def combine(f: PartialRV, g: PartialRV, op: str) -> PartialRV:
     """Pointwise op where both operands exist.
 
-    The cells between consecutive breakpoints of either operand are the
-    candidate pieces: each lies in at most one piece of each operand.  The
-    result keeps each cell that a piece of both overlaps (lo < hi in _overlap,
-    the rule of Interval.intersect), with those pieces' values, so its domain
-    excludes every breakpoint of either operand.
+    Each nonempty intersection of a piece of g with a piece of f (_overlap's rule, lo < hi,
+    the rule of Interval.intersect) is a piece with op of their values; in g's piece order,
+    then f's, they are sorted and disjoint, and an end that ties as ±0 is f's.  ValueError
+    for an op not in _OPS, MalformedInput for an operand that is not a PartialRV.
     """
-    if op not in _OPS:
+    if not isinstance(op, str) or op not in _OPS:
         raise ValueError(f"unknown op {_show(op)}")
+    for h in (f, g):
+        if not isinstance(h, PartialRV):
+            raise MalformedInput(f"operand of type {type(h).__name__} is not a PartialRV")
     if f.axis_label != g.axis_label:
         raise AxisMismatch(f"{_show(f.axis_label)} vs {_show(g.axis_label)}")
-    cuts = np.array(sorted({*f.breakpoints(), *g.breakpoints()}))
-    los, his = cuts[:-1], cuts[1:]
-    (f_values, f_defined), (g_values, g_defined) = (_cell_values(h, cuts) for h in (f, g))
-    both = f_defined & g_defined
-    if not both.any():
+    g_los, g_his, g_values = _rows((g,))
+    lo, hi, f_values = _overlap(g_los, g_his, (f,))
+    i, j = (lo < hi).nonzero()
+    if not i.size:
         raise EmptyDomain(
             f"{f.domain!r} ∩ {g.domain!r} = ∅: the {op} does not exist"
         )
     with np.errstate(over="ignore"):  # PartialRV refuses a value that overflows
-        values = _OPS[op](f_values[both], g_values[both])
-    pieces = zip(los[both].tolist(), his[both].tolist(), values.tolist())
+        values = _OPS[op](f_values[j], g_values[i])
+    pieces = zip(lo[i, j].tolist(), hi[i, j].tolist(), values.tolist())
     return PartialRV(tuple((Interval(lo, hi), v) for lo, hi, v in pieces), f.axis_label)

@@ -157,6 +157,11 @@ class TestSharedObservables:
 
 
 class TestOptimizeFamily:
+    def test_band_signs_every_grid(self):
+        # a0 on each column of every allowed grid; from n = 12 on, some midpoints are not dyadic
+        for n in range(4, chsh.MAX_GRID + 1, 4):
+            assert np.array_equal(chsh._band_signs(n), np.repeat([-1, 1, 1, -1], n // 4))
+
     def test_matches_saturating_construction(self):
         family, achieved = optimize_family((1, 1, 1, -1), (4, 4))
         oracle = saturating_family().expectations()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -55,8 +56,22 @@ def reference_combine(f, g, op):
 
 
 def signed(pieces):
-    """Pieces with each value's sign bit made explicit, so -0.0 != 0.0."""
-    return [(iv, v, math.copysign(1.0, v)) for iv, v in pieces]
+    """Pieces with the sign bits of each end and value made explicit, so -0.0 != 0.0."""
+    return [(iv, v, *(math.copysign(1.0, x) for x in (iv.lo, iv.hi, v))) for iv, v in pieces]
+
+
+@st.composite
+def signed_zero_rvs(draw):
+    """Step functions on k/8 in [-1, 1] with some pieces dropped, each end at 0 drawn as 0.0
+    or -0.0 on its own: two operands, or two touching pieces of one, meet at either zero."""
+    points = sorted(draw(st.sets(st.integers(-8, 8), min_size=2, max_size=6)))
+    pieces = [
+        (Interval(*(draw(st.sampled_from([0.0, -0.0])) if k == 0 else k / 8 for k in ends)),
+         draw(st.sampled_from([-1.0, 1.0, 0.5, 0.0, -0.0])))
+        for ends in zip(points, points[1:])
+    ]
+    keep = draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces)))
+    return PartialRV(tuple(p for p, k in zip(pieces, keep) if k) or tuple(pieces[:1]), "x")
 
 
 class TestMakeStep:
@@ -234,7 +249,7 @@ class TestEval:
 
 def unique_value_lengths(f, edges):
     """value_lengths with the distinct values taken by np.unique."""
-    lo, hi, values = _overlap(edges, (f,))
+    lo, hi, values = _overlap(edges[:-1], edges[1:], (f,))
     distinct = np.unique(values[(lo < hi).any(axis=0)])
     return distinct, np.maximum(hi - lo, 0.0) @ (values[:, None] == distinct)
 
@@ -292,12 +307,32 @@ class TestCombine:
         with pytest.raises(AxisMismatch):
             combine(make_observable(0.0, "x"), make_observable(0.0, "y"), "sum")
 
-    def test_unknown_op(self):
-        with pytest.raises(ValueError, match="unknown op 'quotient'"):
-            combine(make_observable(0.0), make_observable(0.0), "quotient")
+    @pytest.mark.parametrize("op", ["quotient", ["sum"], None], ids=["quotient", "list", "None"])
+    def test_unknown_op(self, op):
+        with pytest.raises(ValueError, match=re.escape(f"unknown op {op!r}")):
+            combine(make_observable(0.0), make_observable(0.0), op)
+
+    @pytest.mark.parametrize("operand", [1.0, None])
+    def test_operand_not_a_step_function(self, operand):
+        name = type(operand).__name__
+        with pytest.raises(MalformedInput, match=f"type {name} is not a PartialRV"):
+            combine(make_observable(0.0), operand, "sum")
+        with pytest.raises(MalformedInput, match=name):  # before the axis check
+            combine(operand, make_observable(0.0, "y"), "sum")
+
+    def test_integer_ends_past_int64(self):
+        # ends 10**20 and 10**20 + 1 are one float: the pieces meet there as floats
+        f = PartialRV(((Interval(0, 10**20), 1.0), (Interval(10**20 + 1, 2 * 10**20), 2.0)), "x")
+        g = make_step([0, 3 * 10**20], [1.0], "x")
+        assert combine(f, g, "sum").pieces == (
+            (Interval(0.0, 1e20), 2.0), (Interval(1e20, 2e20), 3.0))
+        # (10**20 + 1, 2 * 10**20) is (1e20, 2e20) as floats and does not reach back to 9
+        g = PartialRV(((Interval(10**20 + 1, 2 * 10**20), 1.0),), "x")
+        assert combine(make_step([9, 1e300], [-1.0], "x"), g, "product").pieces == (
+            (Interval(1e20, 2e20), -1.0),)
 
     @settings(max_examples=300)
-    @given(gapped_step_rvs(), gapped_step_rvs(), st.sampled_from(sorted(OPS)))
+    @given(*[gapped_step_rvs() | signed_zero_rvs()] * 2, st.sampled_from(sorted(OPS)))
     def test_matches_intersect_and_split(self, f, g, op):
         want = reference_combine(f, g, op)
         if want is None:
