@@ -4,10 +4,7 @@ Four unrelated densities, one per setting pair, make the four correlators
 independently tunable: the only surviving bound is |S| <= 4, and it is
 saturated with all marginal means exactly zero.  When one density lies where
 all four observables exist almost everywhere, the classical argument applies
-and |S| <= 2; classical_bound_check embodies that contrast.  It takes the
-textbook CHSH step S = E[a0·(b0 + b1)] + E[a1·(b0 − b1)], integrating each
-observable once and pairing each of Alice's two with both of Bob's, and that
-pairing is the one place the one-density assumption enters.
+and |S| <= 2; classical_bound_check embodies that contrast.
 """
 
 from __future__ import annotations
@@ -37,11 +34,18 @@ OBSERVABLES = tuple(tuple(make_observable(float(s), axis) for s in (0, 1)) for a
 class ChshFamily:
     """One density per setting pair, on a rectangle its pair's observables cover a.e.
 
-    The constructor integrates each pair once (DomainMismatch naming the pair where
-    that rule fails): _moments holds (E[ab], E[a], E[b]) per pair in PAIRS order and
-    _class_law each pair's (a_values, b_values, classes), both sides' sorted distinct
-    outcomes as int64 and P(a = a_values[i], b = b_values[j]) = Aᵀ·W·B normalized,
-    A[g, i] the length of grid column g where a = a_values[i], as read-only arrays.
+    Each field must be a GridDensity, else MalformedInput naming it.  The constructor
+    integrates each pair once, and expectations, marginals, summary and to_dict read
+    that pass.  Where the domain rule fails it raises DomainMismatch naming the pair,
+    such as "rho10: x-rectangle (0,1) not a.e. inside domain
+    (1,1.25)∪(1.25,1.75)∪(1.75,2)"; a rectangle inside the domains, such as
+    (0.25, 0.75) × (0, 1) for pair 00, is accepted.  _moments holds (E[ab], E[a], E[b])
+    per pair in PAIRS order and _class_law each pair's (a_values, b_values, classes),
+    both sides' sorted distinct outcomes as int64 and P(a = a_values[i], b = b_values[j])
+    = Aᵀ·W·B normalized, A[g, i] the length of grid column g where a = a_values[i], as
+    read-only arrays.  The law is its own product, not _correlators', as the pinned
+    summaries and logs were drawn from that product's rounding, and class lengths
+    cannot overflow.
     """
 
     rho00: GridDensity
@@ -141,7 +145,8 @@ def _check_stored(stored, want: dict, what: str) -> None:
 
 
 def chsh_value(e00: float, e10: float, e01: float, e11: float) -> float:
-    """Signed CHSH combination e00 + e10 + e01 - e11."""
+    """Signed CHSH combination e00 + e10 + e01 - e11 of four real, non-bool correlators in
+    [-1, 1] (within ROUND_OFF), else InputOutOfRange."""
     for e in (e00, e10, e01, e11):
         if not (_is_real(e) and abs(e) <= 1.0 + ROUND_OFF):  # a NaN is out of range too
             raise InputOutOfRange(f"correlator {_show(e)} is not a real number in [-1, 1]")
@@ -173,7 +178,8 @@ def optimize_family(
     PAIRS order (InputOutOfRange otherwise); grid is two positive multiples
     of 4 (GridMisaligned otherwise), so the quarter-point thresholds fall on
     cell boundaries, and at most MAX_GRID (InputOutOfRange otherwise, before
-    any allocation).  Returns the family and its exact correlators.
+    any allocation).  Each is a sequence or a 1-d numpy array.  Returns the
+    family and its exact correlators.
 
     Pair (alpha, beta) with target t gets the density 1 + t*c, where
     c[i, j] is the product of the two observables' signs on cell (i, j).  On
@@ -184,8 +190,7 @@ def optimize_family(
     limit of projected ascent from the uniform density, which moves only
     along c and never clips.
     """
-    if isinstance(targets, np.ndarray):
-        targets = targets.tolist()
+    targets, grid = (x.tolist() if isinstance(x, np.ndarray) else x for x in (targets, grid))
     if not (
         isinstance(targets, Sequence) and len(targets) == len(PAIRS)
         and all(_is_real(t) and -1 <= t <= 1 for t in targets)
@@ -237,9 +242,11 @@ def classical_bound_check(
     Each observable is integrated once per grid cell of its axis, and S is
     the textbook CHSH factorization E[a0·(b0 + b1)] + E[a1·(b0 − b1)], whose
     integrand lies in [-2, 2] pointwise.  DomainMismatch, as for a family's
-    pair, when an observable does not cover rho's rectangle a.e. (outside it
-    the domains may differ): the obstruction that blocks the bound for
-    disjoint domains.
+    pair, when an observable does not cover rho's rectangle a.e.: the
+    obstruction that blocks the bound for disjoint domains.  Outside the
+    rectangle the domains may differ, and an observable gives, bit for bit, the
+    S of its pieces cut to the rectangle.  NonFiniteInput when a correlator
+    overflows.
     """
     # The one-density assumption is used here: each a[alpha] integral is paired with both
     # b[beta] integrals, which holds because all four observables cover rho's rectangle a.e.

@@ -3,11 +3,9 @@
 Both the observables and the densities are piecewise constant, so every
 expectation is a finite sum over the grid cells of per-cell integrals of the
 observables.  There is no quadrature error; excluded breakpoints have
-measure zero and are ignored; _correlators alone contracts them with the
-weights, the observables of both axes integrated from one overlap of their pieces
-with the edges the density keeps.  The outcome-class law (ChshFamily._class_law)
-is its own Aᵀ·W·B, as the pinned summaries and logs were drawn from that
-product's rounding, not a row-by-row chain's, and class lengths cannot overflow.
+measure zero and are ignored.  _correlators is the one place where the
+observables' per-cell integrals meet the weights (the outcome-class law is
+ChshFamily's own product), and holds the exact layer's one overflow check.
 """
 
 from __future__ import annotations
@@ -41,18 +39,24 @@ class GridDensity:
     """Normalized nx-by-ny piecewise-constant density on x_rect × y_rect.
 
     weights[ix, iy] is the density value on the (ix, iy) cell; the row-major
-    flattening (ix*ny + iy) matches the JSON wire format.  The constructor
-    rescales the given nonnegative weights so the density integrates to 1 and
-    keeps a read-only copy, its mass summed over the cells' float edges, those
-    edges, read-only, for x_edges and y_edges to return without rebuilding them,
-    and its rectangle's ends as floats, so to_dict writes what from_dict reads.
+    flattening (ix*ny + iy) matches the JSON wire format.  A uniform density is
+    GridDensity(x_rect, y_rect, [[1.0]]).  The constructor rescales the given
+    nonnegative weights so the density integrates to 1 and keeps a read-only copy,
+    its mass summed over the cells' float edges, those edges, read-only, for x_edges
+    and y_edges to return without rebuilding them, and its rectangle's ends as
+    floats, so x_rect, x_edges and to_dict agree and from_dict(to_dict()), through
+    JSON too, holds for every accepted rectangle, 2**53 + 1 or np.float32 ends among
+    them.
+
     A rectangle that is not an Interval, or a weight or rectangle end that is no
-    number (errors._is_real: text and bools are not), raises MalformedInput; a
-    weight, total mass, rectangle endpoint or rescaled weight that is not a
-    finite float raises NonFiniteInput instead of becoming a NaN, infinite or
-    all-zero density, and edges that are not strictly increasing
-    MalformedInput.  A deep copy is the density itself, and unpickling
-    restores the weights' and edges' bits, read-only, without renormalizing.
+    number (errors._is_real: text and bools are not), raises MalformedInput, and so
+    do weights that are no 2-d array with cells.  An empty side raises EmptyRect, a
+    negative weight NegativeWeight and all-zero weights ZeroTotalMass.  A weight,
+    total mass, rectangle endpoint or rescaled weight that is not a finite float
+    raises NonFiniteInput instead of becoming a NaN, infinite or all-zero density,
+    and edges that are not strictly increasing, as for 8 cells on (1e16, 1e16 + 4),
+    MalformedInput.  A deep copy is the density itself, and unpickling restores the
+    weights' and edges' bits, read-only, without renormalizing.
     """
 
     x_rect: Interval
@@ -194,9 +198,10 @@ def _correlators(fs, gs, rho: GridDensity) -> list:
     """[[E[f·g] for g in gs] for f in fs] under rho, f on x and g on y, None the constant 1,
     each as (i_f @ W) @ i_g: the one contraction with the weights.  The pieces of fs and then
     gs are overlapped once with the x cells and then the y cells, and each observable's
-    integrals and covered length are read from its own block of those lengths;
+    integrals, bit for bit what integrating it alone gives, and covered length are read
+    from its own block of those lengths; a side of only None needs no pieces.
     DomainMismatch names the first of fs, then of gs, not defined a.e. on its side of rho's
-    rectangle, and NonFiniteInput an overflow."""
+    rectangle (_same_measure), and NonFiniteInput an overflow."""
     xe, ye, w, nx = rho.x_edges(), rho.y_edges(), rho.weights, rho.nx
     rvs = [rv for rv in (*fs, *gs) if rv is not None]
     ends = [0, *accumulate(len(rv.pieces) for rv in rvs)]
@@ -234,5 +239,6 @@ def _integrate(f: PartialRV, g: PartialRV, rho: GridDensity):
 
 
 def expectation(f: PartialRV, g: PartialRV, rho: GridDensity) -> float:
-    """Exact ∬ f(x) g(y) ρ(x,y) dx dy."""
+    """Exact ∬ f(x) g(y) ρ(x,y) dx dy: DomainMismatch unless f and g cover rho's rectangle
+    a.e., NonFiniteInput when the moment overflows."""
     return _integrate(f, g, rho)[0]

@@ -186,6 +186,9 @@ class Culprit:
 
 @dataclass(frozen=True)
 class DomainReport:
+    """axes maps each axis to its domain; at an empty verdict the emptied axis holds an
+    empty Interval (hi <= lo), which format_report never prints."""
+
     verdict: str  # "exists" | "empty"
     axes: Dict[str, Interval]
     culprit: Optional[Culprit]

@@ -37,8 +37,9 @@ class Interval:
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
     def __repr__(self) -> str:
-        # each real end as its shortest text that reads back as the same float; a non-number
-        # and an integer past the float range go to _show
+        """(lo,hi), each real end as its shortest text that reads back as the same float
+        (repr(float(x)) without a trailing ".0"), so ends one ulp apart print apart, as in
+        (0.9999999999999999,1); a non-number and an integer past the float range go to _show."""
         lo, hi = (_show(x) if not _is_real(x) or _is_int(x) and not _finite(x)
                   else repr(float(x)).removesuffix(".0") for x in (self.lo, self.hi))
         return f"({lo},{hi})"
@@ -48,7 +49,9 @@ class Interval:
 class DomainSet:
     """Union of open intervals, as PartialRV checks its pieces: sorted, disjoint and
     nonempty, touching allowed (a shared end is an excluded point).  The constructor
-    does not check it."""
+    does not check it.  intersect and measure are algebra for callers: no check in the
+    package calls them, as the exact layer reads whether an observable covers a
+    rectangle from its per-cell integrals (density._correlators)."""
 
     intervals: Tuple[Interval, ...]
 

@@ -44,7 +44,8 @@ def thresholds(alpha: float) -> tuple[float, float]:
 
 
 def log_curve(alpha: float, x: float) -> float:
-    """ln(16*t*(1-t)/3) with t = x - alpha; defined for 0 < t < 1."""
+    """ln(16*t*(1-t)/3) with t = x - alpha; defined for 0 < t < 1, else OutOfDomain, and
+    MalformedInput for an argument that is no real number."""
     if not (_is_real(alpha) and _is_real(x)):
         raise MalformedInput(f"alpha={_show(alpha)}, x={_show(x)}: not two real numbers")
     t = x - alpha

@@ -5,40 +5,36 @@ Every trial: draw a setting pair (free choice), draw a hidden-variable pair
 detection loophole by construction.
 
 A summary needs only each pair's trials, Σab, Σa and Σb, so each worker draws
-once: the pairs get Multinomial(size, setting probabilities) trials, and each
-pair's at most 2×2 outcome classes (a, b) Multinomial counts of those, from
-their exact law (ChshFamily._class_law: read-only arrays that the family's
-constructor computes with its moments, on rectangles that each pair's
-observables cover a.e.).  A worker's counts are one flat int64 vector, each
-pair's classes row-major in PAIRS order (the event log's (pair, class) order);
-the workers' vectors are summed in place, and each pair's sums are read from
-the total once, in exact Python integers.  (numpy's binomial keeps every low
-bit of a count up to about 2**54 trials per pair; above that counts share
-their low bits, an error of about 2**-21 standard deviations.)
+once, at any trial count: the pairs get Multinomial(size, setting
+probabilities) trials, and each pair's at most 2×2 outcome classes (a, b)
+Multinomial counts of those, from their exact law (ChshFamily._class_law).  A
+worker's counts are one flat int64 vector, each pair's classes row-major in
+PAIRS order (the event log's (pair, class) order); the workers' vectors are
+summed in place, and each pair's sums are read from the total once, in exact
+Python integers.  (numpy's binomial keeps every low bit of a count up to about
+2**54 trials per pair; above that counts share their low bits, an error of
+about 2**-21 standard deviations.)
+
 Worker i draws from child i of SeedSequence(master_seed).spawn(n_workers), so
 substreams are independent across workers and seeds and a summary is
 bit-identical for a fixed (seed, workers).  Workers run one after another.
+Child i does not depend on n_workers, so a rerun at another worker count is
+no independent replicate: worker 0 draws from the same stream at every worker
+count, and a logged run of n trials begins with the whole log of a one-worker
+run of worker 0's share, ceil(n / n_workers) trials, at the same seed.  Only a
+new seed gives an independent replicate.
 
 The event log continues each worker's generator after its counts, so a
 summary is the same with and without it.  Only the log splits each pair's
 grid into cells, each the nonempty overlap of a grid column (row) and a piece
 of Alice's (Bob's) observable (PartialRV._overlap_cells), so both outcomes are
-constant on each cell, and draws each block of _BLOCK rows from the remaining
-class counts (sample_many, which gathers the rows' cell corners with take):
-exactly the law of i.i.d. trials.  Its floats are exactly Python's "%.17g" text,
-all from _g17: in [1e-4, 2), which holds every point of the observables'
-rectangles (0, 2) but those within 1e-4 of 0, it rounds Dekker's exact float64
-product x·5**n (exact as each operation rounds to nearest, as in IEEE 754 and
-numpy's ufuncs), and Python's % writes the rest.
-Those draws need a total below _LOG_LIMIT = 1e9, so ExperimentConfig._table,
-the log's one set-up, refuses a worker that many trials (more workers split it).
-Each slice of _SLICE = 4096 rows is written as one uint8 matrix, a line a row, of
-NUL-padded fixed-width fields: the trial as four-digit words (wide enough for any
-trial below MAX_WORKERS · _LOG_LIMIT), the row's (pair, class) bytes ",α,β," and
-",±1,±1" with the newline from the table, and x's and y's 24 bytes from one _g17
-call over both columns; the NULs are dropped once, and the slice is decoded and
-written once.  Memory is bounded by the block size and the cell count, not by
-n_trials.
+constant on each cell, and draws blocks of _BLOCK rows from the remaining
+class counts (sample_many): exactly the law of i.i.d. trials.  Its floats are
+exactly Python's "%.17g" text (_g17).  Those draws need a total below
+_LOG_LIMIT, so ExperimentConfig._table, the log's one set-up, refuses a worker
+that many trials (more workers split it).  Rows are formatted and written
+_SLICE at a time (_format_block), so memory is bounded by the block size and
+the cell count, not by n_trials.
 """
 
 from __future__ import annotations
@@ -66,6 +62,13 @@ _TRIAL_WORDS = -(-len(str(MAX_WORKERS * _LOG_LIMIT - 1)) // 4)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's inputs, else ConfigInvalid: family a ChshFamily, n_trials a positive integer
+    of at most MAX_TRIALS, n_workers one of at most MAX_WORKERS, master_seed a non-negative
+    integer, and setting_probabilities a sequence or 1-d numpy array of four finite,
+    nonnegative real numbers (errors._is_real) that sum to 1 within ROUND_OFF.  These are
+    stored as a tuple of floats, so a config built from a list or an array is hashable and
+    equal to one built from a tuple."""
+
     family: ChshFamily
     n_trials: int
     master_seed: int
@@ -165,7 +168,9 @@ class _LogTable(NamedTuple):
     split: list  # per (pair, class), as the counts: its cells' probabilities given it, or 0s
 
 
-@functools.lru_cache(maxsize=1)  # the last family's table: a seed sweep builds it once
+# the last family's table, so a seed sweep builds it once; a 512×512 family's is 43 MB,
+# 33.5 MB of it cell corners
+@functools.lru_cache(maxsize=1)
 def _log_table(family: ChshFamily) -> _LogTable:
     """A cell's probability given its class is its grid weight × area over the class's sum;
     ConfigInvalid if a class has mass but only cells too thin for a float strictly inside."""
@@ -227,7 +232,11 @@ def sample_many(table: _LogTable, rng: np.random.Generator, n: int, left: np.nda
 # (IEEE 754, as numpy's ufuncs do).  p·2**n >= 10**16 > 2**53 is an even integer, so D =
 # p·2**n + rint(err·2**n), ties to even.  A row of text is "c.", c = ⌊x⌋, and 22 fraction
 # digits (D shifted by k), trailing zeros cut to NUL, as six 4-byte words: 24 bytes.
-_G17_LO = 1e-4  # from here %.17g writes x as 0.000ddd…, not in exponent form
+# A logged 20 000-trial run of the saturating family into a file takes 34–40% of the time it
+# takes with % for every float (medians of 40 runs, 2 vCPU Xeon).
+# from _G17_LO on, %.17g writes x as 0.000ddd…, not in exponent form; [_G17_LO, 2) holds
+# every point of the observables' rectangles (0, 2) but those within _G17_LO of 0
+_G17_LO = 1e-4
 _POW5 = np.array([5**n for n in range(21)], dtype=float)  # exact: 5**20 < 2**53
 _POW10 = np.array([10**n for n in range(7)], dtype=np.int64)
 _E16 = 10**16

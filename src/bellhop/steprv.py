@@ -4,13 +4,17 @@ A PartialRV exists only on its DomainSet.  Same-axis sums, differences and
 products exist only where both operands do; where that is nowhere the
 combination is not a zero function but a function that does not exist at
 all, and combine raises EmptyDomain.
+
+_overlap is the one overlap rule of an interval and a piece: value_lengths,
+_overlap_cells, combine and density._correlators all read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from collections.abc import Sequence
+from typing import Tuple
 
 import numpy as np
 
@@ -37,19 +41,29 @@ class PartialRV:
     """Piecewise-constant function on a union of open intervals of one axis.
 
     pieces exactly partition the domain; every breakpoint between pieces is
-    excluded (the function is undefined there).  Piece ends and values must be
-    real numbers (MalformedInput) and finite floats (NonFiniteInput), and pieces
-    nonempty, sorted and disjoint as floats, touching allowed (NonMonotoneBoundaries).
-    With no pieces at all there is no function, and EmptyDomain is raised.
+    excluded (the function is undefined there).  pieces must be a sequence of
+    (Interval, value) pairs, and their ends and values real numbers (errors._is_real), else
+    MalformedInput, and finite floats (errors._finite), else NonFiniteInput.  Pieces
+    must be nonempty, sorted and disjoint as the float64 values that eval_many and
+    integration compute with, touching allowed, else NonMonotoneBoundaries: two
+    integer ends that round to one float, such as 2**53 and 2**53 + 1, make an empty
+    piece.  With no pieces at all there is no function, and EmptyDomain is raised.
     """
 
     pieces: Tuple[Tuple[Interval, float], ...]
     axis_label: str
 
     def __post_init__(self):
+        if not isinstance(self.pieces, Sequence):  # an iterator would be read up by one check
+            raise MalformedInput("pieces must be a sequence of (Interval, value) pairs, got "
+                                 f"{type(self.pieces).__name__}")
         if not self.pieces:
             raise EmptyDomain(f"no pieces on axis {_show(self.axis_label)}: no function exists")
-        numbers = [x for iv, v in self.pieces for x in (iv.lo, iv.hi, v)]
+        try:
+            numbers = [x for iv, v in self.pieces for x in (iv.lo, iv.hi, v)]
+        except (TypeError, ValueError, AttributeError):  # not (Interval, value) pairs
+            raise MalformedInput(f"pieces {_show(self.pieces)} on axis {_show(self.axis_label)} "
+                                 "are not (Interval, value) pairs") from None
         if not (real := all(map(_is_real, numbers))) or not _finite(*numbers):
             raise (NonFiniteInput if real else MalformedInput)(
                 f"pieces {_show(self.pieces)} on axis {_show(self.axis_label)} not finite floats")
@@ -69,7 +83,9 @@ class PartialRV:
         return tuple(sorted({x for iv, _ in self.pieces for x in (iv.lo, iv.hi)}))
 
     def eval(self, x: float) -> float:
-        """eval_many at the single point x; raises where that leaves x undefined."""
+        """eval_many at the single point x: UndefinedPoint on a breakpoint, OutOfDomain
+        outside the domain, NonFiniteInput for a point that is no finite float and
+        MalformedInput for one that is no real number."""
         if not _is_real(x):
             raise MalformedInput(f"{self.axis_label}={_show(x)} is not a real number")
         if not _finite(x):
@@ -112,7 +128,8 @@ class PartialRV:
 
 
 def _rows(rvs) -> np.ndarray:
-    """Rows los, his, values: the pieces of rvs as float64 arrays, rv by rv in piece order."""
+    """Rows los, his, values: the pieces of rvs as float64 arrays, rv by rv in piece order,
+    so integer ends or values past int64, such as 10**20, are read as floats."""
     return np.array([(iv.lo, iv.hi, v) for rv in rvs for iv, v in rv.pieces], dtype=float).T
 
 
@@ -125,8 +142,14 @@ def _overlap(los: np.ndarray, his: np.ndarray, rvs) -> tuple[np.ndarray, np.ndar
 
 
 def make_step(boundaries: Sequence[float], values: Sequence[float], axis_label: str) -> PartialRV:
-    """Build a step function with the given breakpoints, all excluded: value i
-    on (boundaries[i], boundaries[i+1]), the pieces checked by PartialRV."""
+    """Build a step function with the given breakpoints, all excluded: value i, kept as
+    given, on (boundaries[i], boundaries[i+1]), the pieces checked by PartialRV.
+
+    boundaries and values are sequences or 1-d numpy arrays, else MalformedInput naming
+    the argument, with one value fewer than boundaries, else ArityMismatch."""
+    for name, arg in (("boundaries", boundaries), ("values", values)):
+        if not (isinstance(arg, Sequence) or isinstance(arg, np.ndarray) and arg.ndim == 1):
+            raise MalformedInput(f"{name} must be a sequence, got {type(arg).__name__}")
     bs = list(boundaries)
     if len(values) != len(bs) - 1:
         raise ArityMismatch(f"{len(values)} values for {len(bs)} boundaries")
@@ -138,9 +161,11 @@ def combine(f: PartialRV, g: PartialRV, op: str) -> PartialRV:
     """Pointwise op where both operands exist.
 
     Each nonempty intersection of a piece of g with a piece of f (_overlap's rule, lo < hi,
-    the rule of Interval.intersect) is a piece with op of their values; in g's piece order,
+    the rule of Interval.intersect, so deriv and combine agree on whether a sum exists,
+    even on a piece one ulp wide) is a piece with op of their values; in g's piece order,
     then f's, they are sorted and disjoint, and an end that ties as ±0 is f's.  ValueError
-    for an op not in _OPS, MalformedInput for an operand that is not a PartialRV.
+    for an op not in _OPS, MalformedInput for an operand that is not a PartialRV (before
+    AxisMismatch), and NonFiniteInput, with no numpy warning, for a value that overflows.
     """
     if not isinstance(op, str) or op not in _OPS:
         raise ValueError(f"unknown op {_show(op)}")

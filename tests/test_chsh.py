@@ -168,6 +168,8 @@ class TestOptimizeFamily:
         for got, want in zip(achieved, oracle):
             assert abs(got - want) < 1e-6
         assert all(abs(v) <= 1e-9 for v in family.marginals().values())
+        # a 1-d array grid is read as its list, as the targets are
+        assert optimize_family((1, 1, 1, -1), np.array([4, 4]))[0].to_dict() == family.to_dict()
 
     def test_zero_targets(self):
         _, achieved = optimize_family((0, 0, 0, 0))
@@ -178,7 +180,8 @@ class TestOptimizeFamily:
             with pytest.raises(GridMisaligned):
                 optimize_family((1, 1, 1, -1), grid)
 
-    @pytest.mark.parametrize("grid", [(4.0, 4.0), (True, 4), (8,), (8, 8, 8), 8, "88", None])
+    @pytest.mark.parametrize("grid", [(4.0, 4.0), (True, 4), (8,), (8, 8, 8), 8, "88", None,
+                                      np.array([4.0, 4.0]), np.array([[4, 4]])])
     def test_grid_not_two_ints(self, grid):
         with pytest.raises(GridMisaligned):
             optimize_family((1, 1, 1, -1), grid)

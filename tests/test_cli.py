@@ -93,14 +93,50 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_section(heading):
+    """The lines of README.md under heading, up to the next heading."""
+    lines = README.read_text().splitlines()
+    start = lines.index(heading) + 1
+    ends = (i for i in range(start, len(lines)) if re.match(r"#+ ", lines[i]))
+    return lines[start:next(ends, len(lines))]
+
+
+def readme_commands():
+    """The README's CLI examples, in order, as (line, argv, stdout, exit code).  A line
+    `bellhop ...  # text  (exit N)` is a command, text the first line of its stdout and N
+    its exit code (0 when the line names none); each line after it that holds only
+    `# text` is one more line of its stdout."""
+    block = readme_section("## CLI")
+    block = block[block.index("```sh") + 1:]
+    commands = []
+    for line in block[:block.index("```")]:
+        command, _, comment = line.partition("#")
+        out, code = re.fullmatch(r"(?: (.*?)(?:\s+\(exit (\d+)\))?)?", comment).groups()
+        out = "" if out is None else out + "\n"
+        if command.strip():
+            commands.append((line, shlex.split(command)[1:], out, int(code or 0)))
+        else:
+            line, argv, prior, code = commands.pop()
+            commands.append((line, argv, prior + out, code))
+    return commands
+
+
 def readme_example(prefix):
-    """The README line that starts with prefix, as `command  # stdout  (exit N)`: the
-    command's argv, its whole stdout and its exit code (0 when the line names none)."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    line = next(x for x in readme.read_text().splitlines() if x.startswith(prefix))
-    command, comment = line.split("#", 1)
-    out, code = re.fullmatch(r"\s*(.*?)(?:\s+\(exit (\d+)\))?", comment).groups()
-    return shlex.split(command)[1:], out + "\n", int(code or 0)
+    """(argv, stdout, exit code) of the README's CLI example whose line starts with prefix."""
+    return next(example[1:] for example in readme_commands() if example[0].startswith(prefix))
+
+
+def readme_exit_codes():
+    """The rows of the README's exit-code table: (exit code, argv, line printed)."""
+    rows = []
+    for line in readme_section("### Exit codes"):
+        cells = [cell.strip().strip("`") for cell in line.strip("|").split(" | ")]
+        if line.startswith("| ") and cells[0].isdigit():
+            rows.append((int(cells[0]), shlex.split(cells[1])[1:], cells[2]))
+    return rows
 
 
 def fresh_python(*argv, cwd=None):
@@ -128,14 +164,54 @@ SIMULATE = ["simulate", "--family", "sub.json", "--trials", "200000", "--seed", 
 ])
 def test_quiet_in_a_fresh_interpreter(tmp_path, argv, skips_numpy_ma):
     # exit 0 and an empty stderr where no earlier test imported a module or filtered a
-    # warning: no leaked warning or traceback.  np.unique's first call imports numpy.ma,
-    # 10-27 ms of a process's set-up, which runs and check-classical must not pay
+    # warning: no leaked warning or traceback.  np.unique's first call imports numpy.ma, a
+    # cost of a process's set-up (steprv.value_lengths) that runs and check-classical skip
     (tmp_path / "sub.json").write_text(json.dumps(sub_rectangle_family().to_dict()))
     check = 'assert "numpy.ma" not in sys.modules, "numpy.ma imported"' if skips_numpy_ma else ""
     proc = fresh_python("-c", "import sys\nfrom bellhop import cli\n"
                         f"code = cli.main(sys.argv[1:])\n{check}\nsys.exit(code)", *argv,
                         cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+class TestReadme:
+    """README.md's commands are an executed spec, and its module table an index."""
+
+    def test_cli_examples(self, capsys, tmp_path, monkeypatch):
+        # every command of the CLI block, in order in one directory: its exit code, its whole
+        # stdout and an empty stderr
+        monkeypatch.chdir(tmp_path)
+        for line, argv, out, code in readme_commands():
+            assert run(capsys, *argv) == (code, out, ""), line
+
+    @pytest.mark.parametrize("code, argv, line", readme_exit_codes(),
+                             ids=[" ".join(argv) for _, argv, _ in readme_exit_codes()])
+    def test_exit_code_row(self, capsys, tmp_path, monkeypatch, code, argv, line):
+        # the row's line is the first one printed, or at exit 1 the last, after the usage
+        monkeypatch.chdir(tmp_path)
+        run(capsys, "saturate", "--out", "family.json")
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        printed = "".join(capsys.readouterr()).splitlines()
+        assert got == code
+        if code == 1:
+            assert printed[0].startswith("usage: bellhop ") and printed[-1] == line
+        else:
+            assert printed[0] == line
+
+    def test_module_table_is_an_index(self):
+        # one or two sentences and the public names a row: the rest is in the docstrings
+        lines = README.read_text().splitlines()
+        assert max(map(len, lines)) <= 300
+        table = [line for line in readme_section("## Library overview") if line.startswith("|")]
+        assert len("\n".join(table).encode()) <= 4096
+        for row in table[2:]:
+            module, what = re.fullmatch(r"\| `(bellhop\.\w+)` \| (.*) \|", row).groups()
+            module = importlib.import_module(module)
+            for name in re.findall(r"`([^`]*)`", what):
+                assert hasattr(module, name), (module.__name__, name)
 
 
 class TestEval:

@@ -2,6 +2,10 @@
 
 import importlib.util
 import json
+import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +55,13 @@ def test_prefixes_select_mutants():
     assert ids("steprv.combine", "pr37-") == ["pr37-x-block-nx-plus-1", "steprv.combine:<><=#1"]
     assert ids("combine:", "_c") == ["steprv.combine:<><=#1", "steprv._cell_values:0>1#1"]
     assert ids("runs:", "36-", "ravel") == []
+
+
+def test_readme_counts_the_mutants():
+    # README.md says how to count the mutants rather than a number that drifts: its command runs
+    line = next(line for line in (ROOT / "README.md").read_text().splitlines()
+                if line.startswith("python -c") and "mutants" in line)
+    proc = subprocess.run([sys.executable, *shlex.split(line)[1:]], cwd=ROOT, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert re.fullmatch(r"\d+ recorded, \d+ generated\n", proc.stdout)

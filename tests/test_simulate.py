@@ -266,6 +266,17 @@ class TestRunExperiment:
 
         assert rows(0)[1000:] != rows(1)[:1000]
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_zero_replays_across_worker_counts(self, workers):
+        # child 0 of SeedSequence(seed).spawn(W) does not depend on W, so a rerun at another
+        # worker count is no independent replicate: worker 0's rows, over two blocks, are the
+        # whole log of a one-worker run of its share
+        share = simulate._BLOCK + 2
+        family = saturating_family()
+        _, alone = logged(ExperimentConfig(family, share, 7))
+        _, split = logged(ExperimentConfig(family, workers * share - 1, 7, n_workers=workers))
+        assert split[:len(alone)] == alone and split[len(alone) - 1] == "\n"
+
     def test_memory_bounded_by_block(self):
         # a logged run holds one block's rows at a time, not the whole log
         class Discard:

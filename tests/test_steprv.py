@@ -122,11 +122,15 @@ class TestMakeStep:
             make_step([0, 1], [10**5000], "x")
         assert len(str(err.value)) < 300
 
-    @pytest.mark.parametrize("boundaries, values", [
-        ((0, 1), ("1.5",)), (("0", 1), (1.0,)), ((0, 1), (None,)), ((0, 1), (True,)),
-    ], ids=["string-value", "string-boundary", "none-value", "bool-value"])
-    def test_non_number(self, boundaries, values):
-        with pytest.raises(MalformedInput):
+    @pytest.mark.parametrize("boundaries, values, named", [
+        ((0, 1), ("1.5",), "pieces"), (("0", 1), (1.0,), "pieces"), ((0, 1), (None,), "pieces"),
+        ((0, 1), (True,), "pieces"), ([0, 1], iter([1.0]), "values"), (None, [1.0], "boundaries"),
+        ((0, 1), np.array(1.0), "values"),
+    ], ids=["string-value", "string-boundary", "none-value", "bool-value", "iterator-values",
+            "none-boundaries", "0-d-array-values"])
+    def test_non_number(self, boundaries, values, named):
+        # the message names the argument at fault: a sequence, or the pieces built from them
+        with pytest.raises(MalformedInput, match=f"^{named} "):
             make_step(boundaries, values, "x")
 
 
@@ -154,13 +158,22 @@ class TestPieces:
         with pytest.raises(NonFiniteInput):
             PartialRV(pieces, "x")
 
-    @pytest.mark.parametrize("pieces", [
-        ((Interval("0", 1), 1.0),),
-        ((Interval(0, 0.5), 1.0), (Interval(0.5, 1), "-1")),
-        ((Interval(0, 0.5), 1.0), (Interval(0.5, 1), float("nan")), (Interval(1, 2), "1")),
-    ], ids=["string-end", "string-value", "string-after-nan"])
-    def test_non_number(self, pieces):
-        with pytest.raises(MalformedInput, match="not finite floats"):
+    @pytest.mark.parametrize("pieces, message", [
+        (((Interval("0", 1), 1.0),), "not finite floats"),
+        (((Interval(0, 0.5), 1.0), (Interval(0.5, 1), "-1")), "not finite floats"),
+        (((Interval(0, 0.5), 1.0), (Interval(0.5, 1), float("nan")), (Interval(1, 2), "1")),
+         "not finite floats"),
+        (((1, 2),), "are not (Interval, value) pairs"),
+        (((Interval(0, 1), 1.0, -1.0),), "are not (Interval, value) pairs"),
+        (((Interval(0, 1),),), "are not (Interval, value) pairs"),
+        ("ab", "are not (Interval, value) pairs"),
+        (5, "of (Interval, value) pairs, got int"),
+        (None, "of (Interval, value) pairs, got NoneType"),
+        ((p for p in [(Interval(1, 0), 1.0)]), "of (Interval, value) pairs, got generator"),
+    ], ids=["string-end", "string-value", "string-after-nan", "int-pair", "triple", "single",
+            "string", "int", "none", "generator"])
+    def test_non_number(self, pieces, message):
+        with pytest.raises(MalformedInput, match=f"^pieces .* {re.escape(message)}$"):
             PartialRV(pieces, "x")
 
     def test_no_pieces(self):
